@@ -58,7 +58,6 @@ class RunConfig:
     grid_min: float = 1e-2
     grid_max: float = 1e2
     grid_points: int = 16
-    jobs: int = None
     out: str = "."
     strict: bool = False
     claim: str = None
@@ -101,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-min", type=float, dest="grid_min")
     parser.add_argument("--grid-max", type=float, dest="grid_max")
     parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--jobs", type=int, help="parallel sweep workers")
     parser.add_argument("--out", help="output directory (default .)")
     parser.add_argument("--strict", action="store_true", default=None,
                         help="escalate check failures to exit code 4")
@@ -125,7 +123,7 @@ def _resolve_config(args) -> RunConfig:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
     for name in (
         "model", "utility", "x", "y", "tol", "check_tol", "n_max", "grid_min",
-        "grid_max", "grid_points", "jobs", "out", "strict", "claim",
+        "grid_max", "grid_points", "out", "strict", "claim",
         "p_start", "p_step", "alpha", "beta",
     ):
         value = getattr(args, name, None)
@@ -322,7 +320,7 @@ def cmd_converge(config: RunConfig) -> int:
     n_max = config.n_max if config.n_max is not None else model.n_assets
     grid = default_grid(config.grid_min, config.grid_max, config.grid_points)
     curves = harness.value_convergence_study(
-        model, field, grid, grid, range(1, n_max + 1), config.tol, jobs=config.jobs
+        model, field, grid, grid, range(1, n_max + 1), config.tol
     )
     summary = harness.convergence_summary(curves)
     os.makedirs(config.out, exist_ok=True)
@@ -357,7 +355,7 @@ def cmd_example(config: RunConfig) -> int:
         # The study needs a bounded field; the default clears a p_start of
         # 0.5 while keeping the leverage corner inside float range.
         field = UtilityField(family="bounded", alpha=config.alpha, beta=config.beta)
-    report = harness.example_portfolio_study(spec, field, tol=config.tol, jobs=config.jobs)
+    report = harness.example_portfolio_study(spec, field, tol=config.tol)
     os.makedirs(config.out, exist_ok=True)
     harness.write_example_csv(report, os.path.join(config.out, "example.csv"))
     chain_ok = report.chain_ok()

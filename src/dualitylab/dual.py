@@ -117,7 +117,11 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
     c = np.zeros(n + 1)
     c[-1] = -1.0
     a_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    # Filled in place: this dense (n, n + 1) block and the solver's copies
+    # of it set the peak memory of a sweep.
+    a_ub = np.zeros((n, n + 1))
+    np.fill_diagonal(a_ub, -1.0)
+    a_ub[:, -1] = 1.0
     res = linprog(
         c,
         A_ub=a_ub,
@@ -235,7 +239,6 @@ class DualSolution:
     value: float
     attained_on_boundary: bool
     iterations: int
-    converged: bool
     model: MarketModel
     field: UtilityField
 
@@ -377,7 +380,6 @@ def solve_dual(
             value=value,
             attained_on_boundary=ref.attained_on_boundary,
             iterations=ref.iterations,
-            converged=ref.converged,
             model=model,
             field=field,
         )
@@ -533,14 +535,13 @@ def solve_dual(
         value=obj.value(q),
         attained_on_boundary=bool(np.min(z_cons) < BOUNDARY_FLAG_LEVEL),
         iterations=iterations,
-        converged=True,
         model=model,
         field=field,
     )
 
 
 def _field_key(field: UtilityField):
-    wkey = None if field.weights is None else id(field.weights)
+    wkey = None if field.weights is None else frozenset(field.weights.items())
     return (field.family, field.gamma, field.alpha, field.beta, wkey)
 
 
@@ -556,7 +557,7 @@ def _scaling_reference(geo, model, field, tol, max_iter) -> "DualSolution":
         geo._dual_reference = cache
     key = _field_key(field)
     hit = cache.get(key)
-    if hit is None or hit[1] > tol or not hit[0].converged:
+    if hit is None or hit[1] > tol:
         sol = solve_dual(model, field, 1.0, tol=tol, max_iter=max_iter, _geometry=geo)
         cache[key] = (sol, tol)
     return cache[key][0]
@@ -715,13 +716,10 @@ def _extend_density(geo: Geometry, zeta) -> np.ndarray:
         return z
 
     z_int = ensure_full_density(geo)
-    trimmed_set = set(int(p) for p in geo.trimmed)
-    for pos in range(tree.n_nodes):
-        if int(pos) in trimmed_set:
-            continue
+    for pos in geo.untrimmed_levels():
         p = tree.parent[pos]
         ref = z_int[p]
-        z[pos] = z[p] * (z_int[pos] / ref) if ref > 0 else 0.0
+        z[pos] = np.where(ref > 0, z[p] * (z_int[pos] / ref), 0.0)
     return z
 
 

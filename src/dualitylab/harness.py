@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -470,7 +469,6 @@ def value_convergence_study(
     y_grid,
     n_range: Sequence[int],
     tol: float = 1e-8,
-    jobs: Optional[int] = None,
 ) -> ValueCurves:
     """Sample u_n and v_n over the grids for each truncation level in n_range.
 
@@ -504,11 +502,7 @@ def value_convergence_study(
             warm = sol.zeta
         return u_row, v_row
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_level, levels))
-    else:
-        results = [run_level(n) for n in levels]
+    results = [run_level(n) for n in levels]
 
     u = np.vstack([r[0] for r in results])
     v = np.vstack([r[1] for r in results])
@@ -614,7 +608,6 @@ def example_portfolio_study(
     field: UtilityField,
     n_range: Optional[Sequence[int]] = None,
     tol: float = 1e-8,
-    jobs: Optional[int] = None,
 ) -> ExampleReport:
     """Optimal portfolios across truncations of the independent-binomial family.
 
@@ -648,11 +641,7 @@ def example_portfolio_study(
         bond = 1.0 - float(np.sum(shares))  # initial prices are all 1
         return np.concatenate([[bond], shares]), sol.value, sol.kkt_residual
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_level, levels))
-    else:
-        results = [run_level(n) for n in levels]
+    results = [run_level(n) for n in levels]
 
     holdings = [r[0] for r in results]
     values = np.array([r[1] for r in results])

@@ -138,14 +138,31 @@ class ScenarioTree:
         if not np.all(self.times[self.leaves] == self.horizon):
             raise MalformedTreeError("all leaves must share the terminal time")
 
-        path_prob = np.ones(self.n_nodes)
-        for k in range(self.n_nodes):
-            if parent[k] >= 0:
-                path_prob[k] = path_prob[parent[k]] * cond_prob[k]
+        # Positions at date t >= 1, one slice per date; contiguous because
+        # positions are sorted by time.
+        bounds = np.searchsorted(self.times, np.arange(1, self.horizon + 2))
+        self.levels = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+        path_prob = cond_prob.copy()
+        for lv in self.levels:
+            path_prob[lv] *= path_prob[parent[lv]]
         self.path_prob = path_prob
 
     def internal_nodes(self) -> np.ndarray:
         return np.flatnonzero(~self.is_leaf)
+
+
+def _accumulate_down(values, parent, levels):
+    """Add to every node the accumulated value of its parent, in place.
+
+    ``levels`` are the row slices of the dates t >= 1 in root-to-leaf order
+    and ``parent`` maps each row to its parent's row, so after the call each
+    row holds the sum of its own entry and those of all its ancestors.
+    Works row-wise on 2-D ``values``.  Returns ``values``.
+    """
+    for lv in levels:
+        values[lv] += values[parent[lv]]
+    return values
 
 
 class AssetProcess:
@@ -193,12 +210,7 @@ class StochasticClock:
             dk[tree.index_of[nid]] = float(val)
         self.dkappa = dk
 
-        cum = dk.copy()
-        for k in range(tree.n_nodes):
-            p = tree.parent[k]
-            if p >= 0:
-                cum[k] += cum[p]
-        self.cumulative = cum
+        self.cumulative = _accumulate_down(dk.copy(), tree.parent, tree.levels)
 
     def terminal_totals(self) -> np.ndarray:
         """Total clock mass accumulated along each path, indexed by leaf."""

@@ -55,7 +55,6 @@ class PrimalSolution:
     x: float
     y_estimate: float
     iterations: int
-    converged: bool
     model: MarketModel
     field: UtilityField
 
@@ -248,13 +247,10 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
         c[obj.mid_pos] = theta[obj.mid_idx]
 
     x_post = np.zeros(n)
-    for pos in geo.trimmed:
-        x_post[pos] = x_pre[pos] - c[pos] * clock.dkappa[pos]
-    trimmed_set = set(int(p) for p in geo.trimmed)
-    for pos in range(n):
-        if int(pos) not in trimmed_set:
-            x_post[pos] = x_post[tree.parent[pos]]
-            x_pre[pos] = x_post[pos]
+    trim = geo.trimmed
+    x_post[trim] = x_pre[trim] - c[trim] * clock.dkappa[trim]
+    for pos in geo.untrimmed_levels():
+        x_post[pos] = x_pre[pos] = x_post[tree.parent[pos]]
 
     # Minimum-norm holdings reproducing each internal node's transfers.
     H = np.zeros((n, na))
@@ -296,7 +292,6 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
         x=x,
         y_estimate=y_hat,
         iterations=iterations,
-        converged=True,
         model=model,
         field=field,
     )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .market import MarketModel
+from .market import MarketModel, _accumulate_down
 
 DENSE_ENTRY_GUARD = 50_000_000
 
@@ -76,110 +76,145 @@ class Geometry:
         out[self.trimmed] = values
         return out
 
+    def untrimmed_levels(self) -> list:
+        """Positions outside the trimmed view, one array per date t >= 1."""
+        outside = np.ones(self.tree.n_nodes, dtype=bool)
+        outside[self.trimmed] = False
+        return [lv.start + np.flatnonzero(outside[lv]) for lv in self.tree.levels]
+
+
+def _guard(n_rows: int, n_cols: int, what: str) -> None:
+    """Refuse a dense (n_rows, n_cols) array beyond ``DENSE_ENTRY_GUARD``."""
+    if n_rows * max(n_cols, 1) > DENSE_ENTRY_GUARD:
+        raise BudgetError(
+            f"{what} would need {n_rows * n_cols} entries, "
+            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
+        )
+
+
+def _wealth_rows(model: MarketModel, nodes: np.ndarray, spends: np.ndarray, what: str):
+    """Affine map from holdings and consumption rates to wealth changes.
+
+    ``nodes`` are sorted positions holding the root and the parent of each
+    of their nodes.  The variables are a holdings block in the first
+    ``n_active`` assets at every node with a child among ``nodes``, then one
+    consumption rate at every node flagged in ``spends``, both in position
+    order.  Row k maps them to the gains minus the spending from the root
+    down to ``nodes[k]``.  Returns (rows, h_slice, c_index).
+    """
+    tree = model.tree
+    prices = model.assets.prices
+    na = model.n_active
+    parent = tree.parent[nodes]
+    kids = np.flatnonzero(parent >= 0)
+    par = parent[kids]
+
+    has_child = np.zeros(tree.n_nodes, dtype=bool)
+    has_child[par] = True
+    holders = nodes[has_child[nodes]] if na > 0 else nodes[:0]
+    spenders = nodes[spends[nodes]]
+    h_slice = {int(pos): slice(na * k, na * k + na) for k, pos in enumerate(holders)}
+    c_index = {int(pos): na * holders.size + k for k, pos in enumerate(spenders)}
+    n_vars = na * holders.size + spenders.size
+    _guard(nodes.size, n_vars, what)
+
+    # Each row starts as the one-step change into its node; accumulating
+    # down the tree then adds the changes along the path from the root.
+    rows = np.zeros((nodes.size, n_vars))
+    if na > 0:
+        block = np.full(tree.n_nodes, -1)
+        block[holders] = na * np.arange(holders.size)
+        cols = block[par][:, None] + np.arange(na)
+        rows[kids[:, None], cols] = prices[nodes[kids], :na] - prices[par, :na]
+    rate_col = np.full(tree.n_nodes, -1)
+    rate_col[spenders] = na * holders.size + np.arange(spenders.size)
+    spent = spends[par]
+    rows[kids[spent], rate_col[par[spent]]] = -model.clock.dkappa[par[spent]]
+
+    row_of = np.full(tree.n_nodes, -1)
+    row_of[nodes] = np.arange(nodes.size)
+    bounds = np.searchsorted(nodes, [lv.start for lv in tree.levels] + [tree.n_nodes])
+    levels = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    # The root's parent row is never read: no level contains the root.
+    return _accumulate_down(rows, row_of[parent], levels), h_slice, c_index
+
+
+def _density_system(
+    model: MarketModel, nodes: np.ndarray, leaf_mask, internal_mask, what: str
+):
+    """Martingale-density constraints parameterized by leaf values.
+
+    ``nodes`` are sorted positions of a subtree containing the root; the
+    densities live on its leaves (``leaf_mask``) and the pricing rows sit at
+    its ``internal_mask`` nodes, each of which has all its children among
+    ``nodes``.  Returns (agg, A, b): Z = agg @ zeta on ``nodes``, and A zeta
+    = b the normalization row followed by one row per (internal node,
+    tradable asset), in position then asset order.
+    """
+    tree = model.tree
+    prices = model.assets.prices
+    na = model.n_active
+    leaves = nodes[leaf_mask[nodes]]
+    internal = nodes[internal_mask[nodes]]
+    _guard(nodes.size, leaves.size, what)
+    row_of = np.full(tree.n_nodes, -1)
+    row_of[nodes] = np.arange(nodes.size)
+    first_row = np.full(tree.n_nodes, -1)
+    first_row[internal] = 1 + na * np.arange(internal.size)
+
+    p_leaf = tree.path_prob[leaves]
+    agg = np.zeros((nodes.size, leaves.size))
+    A = np.zeros((1 + na * internal.size, leaves.size))
+    agg[row_of[leaves], np.arange(leaves.size)] = 1.0
+    # Column j of P(m) * agg is P_j on the ancestors m of leaf j and 0
+    # elsewhere, so walking each leaf up one date at a time fills every
+    # nonzero entry directly.  The pricing entry at m is
+    # (S(child toward j) P_j - S(m) P_j) / P(m); summing over the children
+    # would give the same bits, as only one term is nonzero.
+    anc = leaves.copy()
+    for lv in reversed(tree.levels):
+        j = np.flatnonzero(anc >= lv.start)
+        child = anc[j]
+        node = tree.parent[child]
+        anc[j] = node
+        p_node = tree.path_prob[node]
+        agg[row_of[node], j] = p_leaf[j] / p_node
+        p_j = p_leaf[j, None]
+        A[first_row[node][:, None] + np.arange(na), j[:, None]] = (
+            prices[child, :na] * p_j - prices[node, :na] * p_j
+        ) / p_node[:, None]
+    A[0] = agg[row_of[tree.root]]
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
+    return agg, A, b
+
 
 def build_geometry(model: MarketModel) -> Geometry:
     tree = model.tree
-    clock = model.clock
-    n = tree.n_nodes
-    na = model.n_active
-
-    consuming = clock.dkappa > 0.0
+    parent = tree.parent
+    consuming = model.clock.dkappa > 0.0
 
     alive = consuming.copy()
-    for k in range(n - 1, -1, -1):
-        p = tree.parent[k]
-        if p >= 0 and alive[k]:
-            alive[p] = True
-
-    has_alive_child = np.zeros(n, dtype=bool)
-    for k in range(n):
-        p = tree.parent[k]
-        if p >= 0 and alive[k]:
-            has_alive_child[p] = True
+    for lv in reversed(tree.levels):
+        alive[parent[lv][alive[lv]]] = True
+    has_alive_child = np.zeros(tree.n_nodes, dtype=bool)
+    has_alive_child[parent[alive & (parent >= 0)]] = True
 
     internal_mask = alive & has_alive_child
     eff_mask = alive & ~has_alive_child
-    dead_root_mask = np.zeros(n, dtype=bool)
-    for k in range(n):
-        p = tree.parent[k]
-        if p >= 0 and not alive[k] and internal_mask[p]:
-            dead_root_mask[k] = True
+    dead_root_mask = ~alive & (parent >= 0) & internal_mask[parent]
 
     trimmed = np.flatnonzero(alive | dead_root_mask)
     order_of = {int(pos): idx for idx, pos in enumerate(trimmed)}
 
-    # Variable layout: holdings blocks first, then free consumption rates.
-    h_slice = {}
-    c_index = {}
-    n_vars = 0
-    for pos in trimmed:
-        if internal_mask[pos] and na > 0:
-            h_slice[int(pos)] = slice(n_vars, n_vars + na)
-            n_vars += na
-    for pos in trimmed:
-        if internal_mask[pos] and consuming[pos]:
-            c_index[int(pos)] = n_vars
-            n_vars += 1
-
-    n_trim = trimmed.size
-    if n_trim * max(n_vars, 1) > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"trimmed wealth map would need {n_trim * n_vars} entries, "
-            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
-
-    prices = model.assets.prices
-    rows = np.zeros((n_trim, n_vars))
-    for pos in trimmed:
-        idx = order_of[int(pos)]
-        p = tree.parent[pos]
-        if p < 0:
-            continue
-        row = rows[order_of[int(p)]].copy()
-        ci = c_index.get(int(p))
-        if ci is not None:
-            row[ci] -= clock.dkappa[p]
-        hs = h_slice.get(int(p))
-        if hs is not None:
-            row[hs] += prices[pos, :na] - prices[p, :na]
-        rows[idx] = row
-
-    solve_leaves = np.array(
-        [pos for pos in trimmed if eff_mask[pos] or dead_root_mask[pos]], dtype=np.int64
+    rows, h_slice, c_index = _wealth_rows(
+        model, trimmed, internal_mask & consuming, "trimmed wealth map"
     )
+
+    leaf_mask = eff_mask | dead_root_mask
+    solve_leaves = trimmed[leaf_mask[trimmed]]
     leaf_order = {int(pos): j for j, pos in enumerate(solve_leaves)}
-
-    n_leaf = solve_leaves.size
-    if n_trim * max(n_leaf, 1) > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"density aggregation would need {n_trim * n_leaf} entries, "
-            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
-
-    # Unnormalized aggregation: unnorm[m] @ zeta = P(m) * Z(m).
-    unnorm = np.zeros((n_trim, n_leaf))
-    for pos in trimmed[::-1]:
-        idx = order_of[int(pos)]
-        if int(pos) in leaf_order:
-            unnorm[idx, leaf_order[int(pos)]] = tree.path_prob[pos]
-        else:
-            for ch in tree.children[pos]:
-                unnorm[idx] += unnorm[order_of[int(ch)]]
-    agg = unnorm / tree.path_prob[trimmed][:, None]
-
-    a_rows = [agg[order_of[int(tree.root)]]]
-    b_vals = [1.0]
-    for pos in trimmed:
-        if not internal_mask[pos]:
-            continue
-        for i in range(na):
-            row = -prices[pos, i] * unnorm[order_of[int(pos)]]
-            for ch in tree.children[pos]:
-                row = row + prices[ch, i] * unnorm[order_of[int(ch)]]
-            a_rows.append(row / tree.path_prob[pos])
-            b_vals.append(0.0)
-    A = np.vstack(a_rows) if a_rows else np.zeros((0, n_leaf))
-    b = np.array(b_vals)
+    agg, A, b = _density_system(model, trimmed, leaf_mask, internal_mask, "density aggregation")
 
     return Geometry(
         model=model,
@@ -190,7 +225,7 @@ def build_geometry(model: MarketModel) -> Geometry:
         eff_mask=eff_mask,
         dead_root_mask=dead_root_mask,
         consuming=consuming,
-        n_vars=n_vars,
+        n_vars=rows.shape[1],
         h_slice=h_slice,
         c_index=c_index,
         rows=rows,
@@ -212,40 +247,9 @@ def full_polytope_matrices(model: MarketModel):
     (n_nodes, n_leaves) matrix with Z = agg @ zeta.
     """
     tree = model.tree
-    prices = model.assets.prices
-    na = model.n_active
-    leaves = tree.leaves
-    n_leaf = leaves.size
-    leaf_col = {int(pos): j for j, pos in enumerate(leaves)}
-
-    if tree.n_nodes * n_leaf > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"full density aggregation would need {tree.n_nodes * n_leaf} entries, "
-            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
-
-    unnorm = np.zeros((tree.n_nodes, n_leaf))
-    for pos in range(tree.n_nodes - 1, -1, -1):
-        if tree.is_leaf[pos]:
-            unnorm[pos, leaf_col[int(pos)]] = tree.path_prob[pos]
-        else:
-            for ch in tree.children[pos]:
-                unnorm[pos] += unnorm[ch]
-    agg = unnorm / tree.path_prob[:, None]
-
-    a_rows = [agg[tree.root]]
-    b_vals = [1.0]
-    for pos in range(tree.n_nodes):
-        if tree.is_leaf[pos]:
-            continue
-        for i in range(na):
-            row = -prices[pos, i] * unnorm[pos]
-            for ch in tree.children[pos]:
-                row = row + prices[ch, i] * unnorm[ch]
-            a_rows.append(row / tree.path_prob[pos])
-            b_vals.append(0.0)
-    A = np.vstack(a_rows)
-    b = np.array(b_vals)
+    agg, A, b = _density_system(
+        model, np.arange(tree.n_nodes), tree.is_leaf, ~tree.is_leaf, "full density aggregation"
+    )
     return A, b, agg
 
 
@@ -256,32 +260,8 @@ def gains_matrix(model: MarketModel):
     assets.  Returns (G, h_slice) with gains-to-date at node k equal to
     G[k] @ h for the stacked holdings vector h.
     """
-    tree = model.tree
-    prices = model.assets.prices
-    na = model.n_active
-
-    h_slice = {}
-    nh = 0
-    for pos in range(tree.n_nodes):
-        if not tree.is_leaf[pos] and na > 0:
-            h_slice[int(pos)] = slice(nh, nh + na)
-            nh += na
-
-    if tree.n_nodes * max(nh, 1) > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"gains map would need {tree.n_nodes * nh} entries, "
-            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
-
-    G = np.zeros((tree.n_nodes, nh))
-    for pos in range(tree.n_nodes):
-        p = tree.parent[pos]
-        if p < 0:
-            continue
-        G[pos] = G[p]
-        hs = h_slice.get(int(p))
-        if hs is not None:
-            G[pos, hs] += prices[pos, :na] - prices[p, :na]
+    n = model.tree.n_nodes
+    G, h_slice, _ = _wealth_rows(model, np.arange(n), np.zeros(n, dtype=bool), "gains map")
     return G, h_slice
 
 
@@ -289,12 +269,7 @@ def cumulative_spend(model: MarketModel, c: np.ndarray) -> np.ndarray:
     """Path-cumulative consumption expenditure sum(c * dkappa) per node."""
     tree = model.tree
     spend = np.asarray(c, dtype=float) * model.clock.dkappa
-    cum = spend.copy()
-    for pos in range(tree.n_nodes):
-        p = tree.parent[pos]
-        if p >= 0:
-            cum[pos] += cum[p]
-    return cum
+    return _accumulate_down(spend, tree.parent, tree.levels)
 
 
 def wealth_from_strategy(model: MarketModel, H: np.ndarray, c: np.ndarray, x: float):
@@ -308,13 +283,12 @@ def wealth_from_strategy(model: MarketModel, H: np.ndarray, c: np.ndarray, x: fl
     prices = model.assets.prices
     na = model.n_active
     H = np.asarray(H, dtype=float)
+    kids = np.flatnonzero(tree.parent >= 0)
+    par = tree.parent[kids]
+    # One (1, na) @ (na, 1) product per node runs the dot routine of np.dot,
+    # so each one-step gain keeps its bits.
+    steps = H[par, None, :na] @ (prices[kids, :na] - prices[par, :na])[:, :, None]
     gains = np.zeros(tree.n_nodes)
-    for pos in range(tree.n_nodes):
-        p = tree.parent[pos]
-        if p < 0:
-            continue
-        step = 0.0
-        if na > 0:
-            step = float(np.dot(H[p, :na], prices[pos, :na] - prices[p, :na]))
-        gains[pos] = gains[p] + step
+    gains[kids] = steps[:, 0, 0]
+    _accumulate_down(gains, tree.parent, tree.levels)
     return x + gains - cumulative_spend(model, c)

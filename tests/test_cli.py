@@ -189,7 +189,7 @@ class TestSweeps:
             code = main([
                 "converge", "--model", example3_path, "--utility", "log",
                 "--grid-points", "3", "--grid-min", "0.5", "--grid-max", "2.0",
-                "--jobs", "2", "--out", str(out),
+                "--out", str(out),
             ])
             assert code == 0
             outs.append(out)

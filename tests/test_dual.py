@@ -11,6 +11,7 @@ from dualitylab.dual import (
 )
 from dualitylab.errors import DualityLabError, InfeasibleMarketError
 from dualitylab.market import truncate
+from dualitylab.treeops import build_geometry
 from dualitylab.utility import UtilityField
 
 from conftest import arbitrage_model
@@ -183,6 +184,19 @@ class TestSolveDual:
         cold = solve_dual(example3, bounded_field, 2.0, 1e-10)
         warm = solve_dual(example3, bounded_field, 2.0, 1e-10, warm_start=cold.zeta)
         assert warm.value == pytest.approx(cold.value, abs=1e-10)
+
+    def test_scaling_cache_follows_weight_values(self, binom1):
+        # The y = 1 reference solve is cached per field; mutating the weights
+        # in place must not hand back the solution for the old weights.
+        geo = build_geometry(binom1)
+        weights = {1: 2.0, 2: 0.5}
+        field = UtilityField(family="log", weights=weights)
+        solve_dual(binom1, field, 2.0, _geometry=geo)
+        weights.clear()
+        weights[1] = 4.0
+        reused = solve_dual(binom1, field, 2.0, _geometry=geo)
+        fresh = solve_dual(binom1, UtilityField(family="log", weights={1: 4.0}), 2.0)
+        assert reused.value == pytest.approx(fresh.value, abs=1e-9)
 
     def test_errors(self, binom1, log_field):
         with pytest.raises(DualityLabError):

