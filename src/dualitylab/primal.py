@@ -14,6 +14,24 @@ inequality handling.  Wealth parked at dead roots (branches the clock never
 reaches) is the one genuine inequality; it is handled by a vanishing
 logarithmic barrier.
 
+Each Newton step solves (-H + rho I) d = g without forming H, by a Riccati
+recursion over the dates of the trimmed tree (Steinbach, "Tree-sparse
+convex programs", 2002; Blomvall & Lindberg, EJOR 2002).  The negated
+Hessian is sum_t a_t r_t r_t^T + diag(pd) over the trimmed leaves t.  Each
+internal node k owns a block s_k (its holdings and its rate), and the
+wealth change into its child c is v_c^T s_k with v_c = (S(c) - S(k),
+-dkappa_k).  Deepest date first, every internal node forms
+
+    K_k = diag(pd_k) + rho I + sum_c a_c v_c v_c^T,
+    u_k = sum_c a_c v_c,   beta_k = g_k + sum_c b_c v_c,
+    a_k = sum_c a_c - u_k^T K_k^-1 u_k,   b_k = sum_c b_c - u_k^T K_k^-1 beta_k,
+
+with b = 0 at the leaves; then, from w = 0 at the root, s_k = K_k^-1
+(beta_k - w_k u_k) and w_c = w_k + v_c^T s_k.  This is the block LDL^T
+factorization of -H + rho I, which has no fill, so a step costs
+O(nodes * (n_active + 1)^3), and in exact arithmetic a K_k fails Cholesky
+exactly when -H + rho I is not positive definite.
+
 Holdings are generally not unique when assets are redundant, so after
 convergence each internal node's holdings are re-extracted as the
 minimum-norm solution reproducing the converged one-step wealth transfers.
@@ -60,32 +78,33 @@ class PrimalSolution:
 
 
 class _PrimalObjective:
-    """Objective, gradient, Hessian over the reduced variables theta."""
+    """Objective, gradient and Newton curvatures over the reduced variables theta."""
 
     def __init__(self, geo: Geometry, field: UtilityField, x: float):
         self.geo = geo
         self.x = x
+        self.system = _tree_system(geo)
         tree = geo.tree
         clock = geo.model.clock
+        trim = geo.trimmed
         self.base = field.base()
 
-        eff = [pos for pos in geo.trimmed if geo.eff_mask[pos]]
-        self.eff_rows = geo.rows[[geo.order_of[int(p)] for p in eff]]
-        self.eff_prob = tree.path_prob[eff]
-        self.eff_dk = clock.dkappa[eff]
-        self.eff_w = field.weight_array([tree.ids[int(p)] for p in eff])
-        self.eff_pos = np.array(eff, dtype=np.int64)
+        self.eff_t = np.flatnonzero(geo.eff_mask[trim])
+        self.eff_pos = trim[self.eff_t]
+        self.eff_rows = geo.rows[self.eff_t]
+        self.eff_prob = tree.path_prob[self.eff_pos]
+        self.eff_dk = clock.dkappa[self.eff_pos]
+        self.eff_w = field.weight_array([tree.ids[p] for p in self.eff_pos.tolist()])
 
-        mids = sorted(geo.c_index, key=geo.c_index.get)
-        self.mid_idx = np.array([geo.c_index[m] for m in mids], dtype=np.int64)
-        self.mid_prob = tree.path_prob[mids]
-        self.mid_dk = clock.dkappa[mids]
-        self.mid_w = field.weight_array([tree.ids[int(m)] for m in mids])
-        self.mid_pos = np.array(mids, dtype=np.int64)
+        self.mid_pos = self.system.mid_pos
+        self.mid_idx = self.system.mid_idx
+        self.mid_prob = tree.path_prob[self.mid_pos]
+        self.mid_dk = clock.dkappa[self.mid_pos]
+        self.mid_w = field.weight_array([tree.ids[p] for p in self.mid_pos.tolist()])
 
-        dead = [pos for pos in geo.trimmed if geo.dead_root_mask[pos]]
-        self.dead_rows = geo.rows[[geo.order_of[int(p)] for p in dead]]
-        self.n_dead = len(dead)
+        self.dead_t = np.flatnonzero(geo.dead_root_mask[trim])
+        self.dead_rows = geo.rows[self.dead_t]
+        self.n_dead = self.dead_t.size
 
     def eff_wealth(self, theta):
         return self.x + self.eff_rows @ theta
@@ -93,48 +112,187 @@ class _PrimalObjective:
     def dead_wealth(self, theta):
         return self.x + self.dead_rows @ theta
 
+    def _inside(self, theta):
+        """(rates, effective-leaf wealth, dead-root wealth), or None outside the domain."""
+        c_mid = theta[self.mid_idx]
+        if c_mid.size and np.min(c_mid) <= 0.0:
+            return None
+        s_eff = self.eff_wealth(theta)
+        if s_eff.size and np.min(s_eff) <= 0.0:
+            return None
+        s_dead = self.dead_wealth(theta) if self.n_dead else None
+        if self.n_dead and np.min(s_dead) <= 0.0:
+            return None
+        return c_mid, s_eff, s_dead
+
     def in_domain(self, theta) -> bool:
-        if self.mid_idx.size and np.min(theta[self.mid_idx]) <= 0.0:
-            return False
-        if self.eff_pos.size and np.min(self.eff_wealth(theta)) <= 0.0:
-            return False
-        if self.n_dead and np.min(self.dead_wealth(theta)) <= 0.0:
-            return False
-        return True
+        return self._inside(theta) is not None
 
     def value(self, theta, mu: float) -> float:
+        """Objective plus the dead-root barrier; -inf outside the domain."""
+        inside = self._inside(theta)
+        if inside is None:
+            return -math.inf
+        c_mid, s_eff, s_dead = inside
         total = 0.0
         if self.eff_pos.size:
-            c_eff = self.eff_wealth(theta) / self.eff_dk
+            c_eff = s_eff / self.eff_dk
             total += float(np.dot(self.eff_prob * self.eff_dk * self.eff_w, self.base.u(c_eff)))
         if self.mid_idx.size:
-            c_mid = theta[self.mid_idx]
             total += float(np.dot(self.mid_prob * self.mid_dk * self.mid_w, self.base.u(c_mid)))
         if mu > 0.0 and self.n_dead:
-            total += mu * float(np.sum(np.log(self.dead_wealth(theta))))
+            total += mu * float(np.sum(np.log(s_dead)))
         return total
 
-    def grad_hess(self, theta, mu: float):
-        n = theta.size
-        g = np.zeros(n)
-        h = np.zeros((n, n))
+    def grad_curv(self, theta, mu: float):
+        """Gradient g and the curvatures of -H = sum_t a_t r_t r_t^T + diag(pd).
+
+        ``a`` runs over the trimmed nodes and is zero at internal ones; ``pd``
+        runs over theta and is zero at holdings.
+        """
+        g = np.zeros(theta.size)
+        a = np.zeros(self.system.n_trim)
+        pd = np.zeros(theta.size)
         if self.eff_pos.size:
             s = self.eff_wealth(theta)
             c = s / self.eff_dk
             g_coef = self.eff_prob * self.eff_w * self.base.u_prime(c)
-            h_coef = self.eff_prob * self.eff_w * self.base.u_second(c) / self.eff_dk
             g += self.eff_rows.T @ g_coef
-            h += (self.eff_rows.T * h_coef) @ self.eff_rows
+            a[self.eff_t] = -(self.eff_prob * self.eff_w * self.base.u_second(c) / self.eff_dk)
         if self.mid_idx.size:
             c = theta[self.mid_idx]
             coef = self.mid_prob * self.mid_dk * self.mid_w
             g[self.mid_idx] += coef * self.base.u_prime(c)
-            h[self.mid_idx, self.mid_idx] += coef * self.base.u_second(c)
+            pd[self.mid_idx] = -(coef * self.base.u_second(c))
         if mu > 0.0 and self.n_dead:
             s = self.dead_wealth(theta)
             g += self.dead_rows.T @ (mu / s)
-            h -= (self.dead_rows.T * (mu / s**2)) @ self.dead_rows
-        return g, h
+            a[self.dead_t] = mu / s**2
+        return g, a, pd
+
+
+@dataclass
+class _Date:
+    """The internal trimmed nodes of one date and their children.
+
+    Children are padded to the widest node by spare slots that point at the
+    sentinel index ``n_trim`` and move no wealth.  Node k's block s_k is its
+    holdings then its rate slot, a dummy (``var`` = n_vars) when k does not
+    consume; row c of ``V[k]`` is v_c = (S(c) - S(k), -dkappa_k).
+    """
+
+    nodes: np.ndarray  # (n,) trimmed indices
+    child: np.ndarray  # (n, width) trimmed indices
+    V: np.ndarray  # (n, width, n_active + 1)
+    Vt: np.ndarray  # V with its last two axes swapped, contiguous
+    var: np.ndarray  # (n, n_active + 1) theta indices
+    leaf_kids: bool  # no child is internal
+
+
+class _TreeSystem:
+    """Date-by-date structure of the Newton system (see module docstring)."""
+
+    def __init__(self, geo: Geometry):
+        tree = geo.tree
+        prices = geo.model.assets.prices
+        na = geo.model.n_active
+        trim = geo.trimmed
+        self.rows = geo.rows
+        self.n_trim = trim.size
+        self.n_vars = geo.n_vars
+
+        t_of = np.full(tree.n_nodes, trim.size)
+        t_of[trim] = np.arange(trim.size)
+        internal = trim[geo.internal_mask[trim]]
+        blk_of = np.full(tree.n_nodes, -1)
+        blk_of[internal] = np.arange(internal.size)
+
+        var = np.full((internal.size, na + 1), geo.n_vars)
+        if na:
+            holders = np.fromiter(geo.h_slice.keys(), dtype=np.int64, count=len(geo.h_slice))
+            first = np.fromiter((s.start for s in geo.h_slice.values()), dtype=np.int64,
+                                count=len(geo.h_slice))
+            var[blk_of[holders], :na] = first[:, None] + np.arange(na)
+        # Consumption rates of the internal nodes, in position order.
+        n_mid = len(geo.c_index)
+        self.mid_pos = np.fromiter(geo.c_index.keys(), dtype=np.int64, count=n_mid)
+        self.mid_idx = np.fromiter(geo.c_index.values(), dtype=np.int64, count=n_mid)
+        var[blk_of[self.mid_pos], na] = self.mid_idx
+
+        # Every child of an internal node is trimmed; group them by parent
+        # block and number them within each group.
+        kids = trim[tree.parent[trim] >= 0]
+        kids = kids[np.argsort(blk_of[tree.parent[kids]], kind="stable")]
+        par = tree.parent[kids]
+        pblk = blk_of[par]
+        rank = np.arange(kids.size) - np.searchsorted(pblk, pblk)
+        v = np.zeros((kids.size, na + 1))
+        v[:, :na] = prices[kids, :na] - prices[par, :na]
+        v[:, na] = -geo.model.clock.dkappa[par]
+
+        self.dates = []
+        times = tree.times[internal]
+        for t in np.unique(times):
+            lo, hi = np.searchsorted(times, [t, t + 1])
+            k0, k1 = np.searchsorted(pblk, [lo, hi])
+            row, col = pblk[k0:k1] - lo, rank[k0:k1]
+            child = np.full((hi - lo, int(col.max()) + 1), trim.size)
+            child[row, col] = t_of[kids[k0:k1]]
+            V = np.zeros(child.shape + (na + 1,))
+            V[row, col] = v[k0:k1]
+            leaf_kids = not geo.internal_mask[kids[k0:k1]].any()
+            Vt = np.ascontiguousarray(np.swapaxes(V, 1, 2))
+            self.dates.append(_Date(t_of[internal[lo:hi]], child, V, Vt, var[lo:hi], leaf_kids))
+
+    def solve(self, g, a, pd, ridge: float):
+        """Solve (-H + ridge I) d = g by one backward and one forward pass.
+
+        ``a`` and ``pd`` are the curvatures from ``grad_curv``.  Raises
+        ``LinAlgError`` when a pivot block K_k fails Cholesky (in exact
+        arithmetic, exactly when -H + ridge I is not positive definite) or
+        is exactly singular, as with duplicated assets.
+        """
+        a = np.append(a, 0.0)
+        b = np.zeros(a.size)
+        g = np.append(g, 0.0)
+        pd = np.append(pd, 1.0)
+        solved = []
+        for d in reversed(self.dates):
+            a_c = a[d.child]
+            aVt = d.Vt * a_c[:, None, :]
+            K = aVt @ d.V
+            n, m = d.var.shape
+            K.reshape(n, m * m)[:, :: m + 1] += pd[d.var] + ridge
+            u = aVt.sum(axis=2)
+            beta = g[d.var]
+            b_sum = 0.0
+            if not d.leaf_kids:
+                b_c = b[d.child]
+                beta = beta + (b_c[:, None, :] @ d.V)[:, 0]
+                b_sum = b_c.sum(axis=1)
+            np.linalg.cholesky(K)  # raises unless every K_k is positive definite
+            z = np.linalg.solve(K, np.stack((u, beta), axis=2))
+            solved.append(z)
+            if d is not self.dates[0]:  # the root's a and b are never read
+                a[d.nodes] = a_c.sum(axis=1) - np.sum(u * z[:, :, 0], axis=1)
+                b[d.nodes] = b_sum - np.sum(u * z[:, :, 1], axis=1)
+
+        step = np.zeros(g.size)
+        w = np.zeros(a.size)
+        for d, z in zip(self.dates, reversed(solved)):
+            s = z[:, :, 1] - w[d.nodes, None] * z[:, :, 0]
+            step[d.var] = s
+            if not d.leaf_kids:
+                w[d.child] = w[d.nodes, None] + (d.V @ s[:, :, None])[:, :, 0]
+        return step[:-1]
+
+
+def _tree_system(geo: Geometry) -> _TreeSystem:
+    cached = getattr(geo, "_tree_system", None)
+    if cached is None:
+        cached = _TreeSystem(geo)
+        geo._tree_system = cached
+    return cached
 
 
 def solve_primal(
@@ -182,8 +340,8 @@ def solve_primal(
                     f"primal solve at x={x} exceeded {max_iter} Newton iterations"
                 )
             iterations += 1
-            g, h = obj.grad_hess(theta, mu)
-            step, lam2 = _ascent_step(g, h)
+            g, a, pd = obj.grad_curv(theta, mu)
+            step, lam2 = _ascent_step(obj.system, g, a, pd)
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
@@ -196,25 +354,29 @@ def solve_primal(
     return _assemble_solution(geo, obj, field, theta, x, iterations, mus[-1])
 
 
-def _ascent_step(g, h):
-    """Newton ascent direction with escalating ridge on the negated Hessian."""
+def _ascent_step(system, g, a, pd):
+    """Newton ascent direction with escalating ridge on the negated Hessian.
+
+    The ridge starts at 0, then at 1e-12 times the largest diagonal entry
+    of -H, growing a hundredfold per try.
+    """
     if g.size == 0:
         return g, 0.0
-    m = -h
-    scale = float(np.max(np.abs(np.diag(m)))) or 1.0
     ridge = 0.0
+    scale = None
     for _ in range(14):
         try:
-            cf = np.linalg.cholesky(m + ridge * np.eye(m.shape[0]))
-            step = np.linalg.solve(cf.T, np.linalg.solve(cf, g))
+            step = system.solve(g, a, pd, ridge)
             lam2 = float(np.dot(g, step))
             if lam2 >= 0.0:
                 return step, lam2
         except np.linalg.LinAlgError:
             pass
+        if scale is None:
+            diag = np.einsum("t,tj,tj->j", a, system.rows, system.rows) + pd
+            scale = float(np.max(np.abs(diag))) or 1.0
         ridge = max(ridge * 100.0, 1e-12 * scale)
-    step, *_ = np.linalg.lstsq(m, g, rcond=None)
-    return step, abs(float(np.dot(g, step)))
+    raise ConvergenceError("primal Newton system is not positive definite under any ridge")
 
 
 def _domain_line_search(obj, theta, step, g, mu):
@@ -223,7 +385,7 @@ def _domain_line_search(obj, theta, step, g, mu):
     base = obj.value(theta, mu)
     for _ in range(80):
         cand = theta + alpha * step
-        if obj.in_domain(cand) and obj.value(cand, mu) >= base + 1e-4 * alpha * slope:
+        if obj.value(cand, mu) >= base + 1e-4 * alpha * slope:
             return cand
         alpha *= 0.5
     cand = theta + alpha * step
@@ -254,9 +416,8 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
 
     # Minimum-norm holdings reproducing each internal node's transfers.
     H = np.zeros((n, na))
-    for pos in geo.trimmed:
-        if not geo.internal_mask[pos] or na == 0:
-            continue
+    internal = trim[geo.internal_mask[trim]] if na else trim[:0]
+    for pos in internal.tolist():
         kids = tree.children[pos]
         span = model.assets.prices[kids][:, :na] - model.assets.prices[pos, :na]
         target = x_pre[kids] - x_post[pos]
@@ -272,13 +433,13 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     # whose dead-branch wealth floor binds, the bare gradient equals the
     # floor's shadow price rather than a violation.  The barrier's own bias
     # on the value is at most mu per floored branch.
-    _, lam2 = _ascent_step(*obj.grad_hess(theta, mu_final))
+    _, lam2 = _ascent_step(obj.system, *obj.grad_curv(theta, mu_final))
     gap_est = lam2 / 2.0 + mu_final * obj.n_dead
     feas = max(0.0, -float(np.min(X))) / max(1.0, x)
     kkt = max(gap_est, feas)
 
     cons = clock.dkappa > 0.0
-    w = field.weight_array([tree.ids[int(k)] for k in np.flatnonzero(cons)])
+    w = field.weight_array([tree.ids[k] for k in np.flatnonzero(cons).tolist()])
     marg = w * obj.base.u_prime(c[cons])
     budget = float(np.dot(tree.path_prob[cons] * clock.dkappa[cons] * c[cons], marg))
     y_hat = budget / x

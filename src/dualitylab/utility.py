@@ -253,6 +253,8 @@ class UtilityField:
         return float(self.weights.get(node, 1.0))
 
     def weight_array(self, node_ids) -> np.ndarray:
+        if self.weights is None:
+            return np.ones(len(node_ids))
         return np.array([self.weight(nid) for nid in node_ids])
 
     # Pointwise API.  ``t`` and ``node`` identify where the field is read;

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.market import truncate
 from dualitylab.primal import (
+    _ascent_step,
+    _PrimalObjective,
     admissibility_check,
     analytic_log_binomial,
     solve_primal,
 )
+from dualitylab.treeops import build_geometry
 from dualitylab.utility import UtilityField
 
 from conftest import (
@@ -17,6 +22,7 @@ from conftest import (
     binomial_model,
     binomial_two_period_partial_clock,
 )
+from test_treeops import random_models
 
 
 def closed_form_log_binomial(p, x):
@@ -222,3 +228,112 @@ class TestAdmissibilityCheck:
         )
         assert report.passed
         assert report.min_wealth == pytest.approx(1.0)
+
+
+class TestTreeNewtonStep:
+    """The Riccati step against a dense solve of the same Newton system."""
+
+    @staticmethod
+    def dense_neg_hessian(geo, field, x, theta, mu):
+        """-H summed term by term over geo.rows, as the dense solver formed it."""
+        tree, clock = geo.tree, geo.model.clock
+        base = field.base()
+        neg_h = np.zeros((geo.n_vars, geo.n_vars))
+        for k, pos in enumerate(geo.trimmed):
+            r = geo.rows[k]
+            s = x + r @ theta
+            if geo.eff_mask[pos]:
+                w = field.weight(tree.ids[pos])
+                u2 = float(base.u_second(s / clock.dkappa[pos]))
+                neg_h -= tree.path_prob[pos] * w * u2 / clock.dkappa[pos] * np.outer(r, r)
+            elif geo.dead_root_mask[pos] and mu > 0.0:
+                neg_h += mu / s**2 * np.outer(r, r)
+        for pos, j in geo.c_index.items():
+            w = field.weight(tree.ids[pos])
+            u2 = float(base.u_second(theta[j]))
+            neg_h[j, j] -= tree.path_prob[pos] * clock.dkappa[pos] * w * u2
+        return neg_h
+
+    @staticmethod
+    def interior_point(obj, geo, rng):
+        theta = np.zeros(geo.n_vars)
+        theta[obj.mid_idx] = obj.x / (2.0 * geo.model.clock.bound)
+        kick = rng.normal(size=geo.n_vars) * rng.uniform(0.1, 1.0)
+        while not obj.in_domain(theta + kick):
+            kick *= 0.5
+        return theta + kick
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        random_models(),
+        st.sampled_from(["log", "power", "bounded"]),
+        st.booleans(),
+        st.sampled_from([0.0, 0.05]),
+        st.sampled_from([0.0, 1e-3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, model, family, weighted, mu, ridge_rel, seed):
+        rng = np.random.default_rng(seed)
+        tree = model.tree
+        weights = {nid: float(rng.uniform(0.5, 2.0)) for nid in tree.ids} if weighted else None
+        params = {"log": {}, "power": {"gamma": -1.5}, "bounded": {"alpha": 0.5, "beta": 2.0}}
+        field = UtilityField(family=family, weights=weights, **params[family])
+        geo = build_geometry(model)
+        assume(geo.n_vars > 0)
+        obj = _PrimalObjective(geo, field, 1.3)
+        theta = self.interior_point(obj, geo, rng)
+
+        g, a, pd = obj.grad_curv(theta, mu)
+        neg_h = self.dense_neg_hessian(geo, field, 1.3, theta, mu)
+        np.testing.assert_allclose(
+            np.einsum("t,ti,tj->ij", a, geo.rows, geo.rows) + np.diag(pd),
+            neg_h, rtol=1e-12, atol=1e-12 * np.max(np.abs(neg_h)),
+        )
+        ridge = ridge_rel * float(np.max(np.diag(neg_h)))
+        m = neg_h + ridge * np.eye(geo.n_vars)
+        if np.linalg.cond(m) > 1e6:
+            # Only a ridge-free system may be this ill-conditioned (redundant
+            # assets, or branches whose only curvature is a vanished barrier);
+            # the duplicated-asset test covers that case.
+            assert ridge == 0.0
+            return
+        want = np.linalg.solve(m, g)
+        got = obj.system.solve(g, a, pd, ridge)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_duplicated_assets_refused_at_zero_ridge(self, duplicates, log_field):
+        # Identical price columns make the root's pivot block exactly singular.
+        geo = build_geometry(duplicates)
+        obj = _PrimalObjective(geo, log_field, 1.0)
+        theta = np.zeros(geo.n_vars)
+        g, a, pd = obj.grad_curv(theta, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            obj.system.solve(g, a, pd, 0.0)
+        # The ridge schedule then finds a Newton step of the singular system.
+        step, lam2 = _ascent_step(obj.system, g, a, pd)
+        assert lam2 > 0.0
+        neg_h = self.dense_neg_hessian(geo, log_field, 1.0, theta, 0.0)
+        np.testing.assert_allclose(neg_h @ step, g, rtol=1e-9)
+
+    def test_nonfinite_curvature_exhausts_ridge_schedule(self, two_period_mid_clock, log_field):
+        geo = build_geometry(two_period_mid_clock)
+        obj = _PrimalObjective(geo, log_field, 1.0)
+        theta = np.zeros(geo.n_vars)
+        theta[obj.mid_idx] = 0.5
+        g, a, pd = obj.grad_curv(theta, 0.0)
+        a[obj.eff_t[0]] = np.nan
+        with pytest.raises(ConvergenceError):
+            _ascent_step(obj.system, g, a, pd)
+
+
+@pytest.mark.parametrize("p", [0.45, 0.6])
+def test_ten_period_log_binomial_closed_form(p, log_field):
+    # 2,047 nodes and 1,023 Newton variables: iid log growth compounds the
+    # one-period value, and every node invests the fraction 3p - 1.
+    model = binomial_model(10, p, {10: 1.0})
+    sol = solve_primal(model, log_field, 1.7, 1e-10)
+    _, one = analytic_log_binomial(p, 1.0)
+    assert sol.value == pytest.approx(math.log(1.7) + 10.0 * one, abs=1e-12)
+    internal = model.tree.internal_nodes()
+    frac = sol.H[internal, 0] * model.assets.prices[internal, 0] / sol.X[internal]
+    np.testing.assert_allclose(frac, 3.0 * p - 1.0, rtol=0.0, atol=1e-9)
