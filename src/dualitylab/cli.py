@@ -49,7 +49,7 @@ class ConfigError(Exception):
 class RunConfig:
     command: str
     model: str = None
-    utility: str = "log"
+    utility: str = None
     x: float = 1.0
     y: float = 1.0
     tol: float = 1e-8
@@ -140,6 +140,8 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _load_utility(spec: str) -> UtilityField:
+    if spec is None:
+        return UtilityField(family="log")
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return field_from_spec(json.load(fh))
@@ -269,7 +271,7 @@ def cmd_duality_report(config: RunConfig) -> int:
         "passed": bool(rel.passed and conj_gap <= config.check_tol),
     })
     cons = np.flatnonzero(model.clock.dkappa > 0.0)
-    w = field.weight_array([model.tree.ids[int(k)] for k in cons])
+    w = field.weight_array([model.tree.ids[k] for k in cons.tolist()])
     marg = w * field.base().u_prime(primal.c[cons])
     rel_series = np.abs(y * dual.Z[cons] - marg) / marg
     _series(config, "duality_relations.dat", range(rel_series.size), rel_series)
@@ -349,7 +351,7 @@ def cmd_example(config: RunConfig) -> int:
     n_max = config.n_max if config.n_max is not None else 8
     probs = tuple(config.p_start + config.p_step * i for i in range(n_max))
     spec = ExampleMarketSpec(n_assets=n_max, p=probs)
-    if config.utility != "log":
+    if config.utility is not None:
         field = _load_utility(config.utility)
     else:
         # The study needs a bounded field; the default clears a p_start of

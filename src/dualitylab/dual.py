@@ -33,12 +33,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import LinearConstraint, linprog, minimize
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
-from .treeops import Geometry, build_geometry, full_polytope_matrices
+from .treeops import Geometry, build_geometry, full_polytope_matrices, node_values
 from .utility import UtilityField
 
 ARBITRAGE_MARGIN = 1e-11
@@ -53,15 +54,14 @@ _LP_OPTS = {
 class MartingalePolytope:
     """Leaf-parameterized martingale-density constraints A zeta = b, zeta >= 0.
 
-    ``agg`` maps leaf density values to per-node values, Z = agg @ zeta; the
-    rows of A are the normalization Z_0 = 1 followed by one pricing row per
-    (non-terminal node, tradable asset), ordered by node position then asset.
+    The rows of A are the normalization Z_0 = 1 followed by one pricing row
+    per (non-terminal node, tradable asset), ordered by node position then
+    asset; ``to_node_values`` gives the per-node density of a leaf vector.
     """
 
     model: MarketModel
     A: np.ndarray
     b: np.ndarray
-    agg: np.ndarray
     leaves: np.ndarray
     _interior: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
@@ -74,7 +74,7 @@ class MartingalePolytope:
         return self.A.shape[0]
 
     def to_node_values(self, zeta: np.ndarray) -> np.ndarray:
-        return self.agg @ np.asarray(zeta, dtype=float)
+        return node_values(self.model.tree, self.leaves, zeta)
 
     def residual(self, zeta: np.ndarray) -> float:
         return float(np.max(np.abs(self.A @ np.asarray(zeta, dtype=float) - self.b)))
@@ -90,8 +90,8 @@ class MartingalePolytope:
 
 
 def martingale_polytope(model: MarketModel) -> MartingalePolytope:
-    A, b, agg = full_polytope_matrices(model)
-    return MartingalePolytope(model=model, A=A, b=b, agg=agg, leaves=model.tree.leaves)
+    A, b = full_polytope_matrices(model)
+    return MartingalePolytope(model=model, A=A, b=b, leaves=model.tree.leaves)
 
 
 def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
@@ -117,11 +117,7 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
     c = np.zeros(n + 1)
     c[-1] = -1.0
     a_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-    # Filled in place: this dense (n, n + 1) block and the solver's copies
-    # of it set the peak memory of a sweep.
-    a_ub = np.zeros((n, n + 1))
-    np.fill_diagonal(a_ub, -1.0)
-    a_ub[:, -1] = 1.0
+    a_ub = sparse.hstack([-sparse.identity(n), np.ones((n, 1))])
     res = linprog(
         c,
         A_ub=a_ub,
@@ -215,12 +211,13 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
     """
     cached = getattr(geo, "_full_interior_nodes", None)
     if cached is None:
-        if geo.trimmed.size == geo.tree.n_nodes:
-            prob = geo.tree.path_prob[geo.solve_leaves]
-            cached = geo.agg @ (measure_interior(geo) / prob)
+        tree = geo.tree
+        if geo.trimmed.size == tree.n_nodes:
+            prob = tree.path_prob[geo.solve_leaves]
+            cached = node_values(tree, geo.solve_leaves, measure_interior(geo) / prob)
         else:
-            A, b, agg = full_polytope_matrices(geo.model)
-            cached = agg @ find_interior(A, b)
+            A, b = full_polytope_matrices(geo.model)
+            cached = node_values(tree, tree.leaves, find_interior(A, b))
         geo._full_interior_nodes = cached
     return cached
 
@@ -250,25 +247,23 @@ class _DualObjective:
         self.geo = geo
         self.y = y
         tree = geo.tree
-        prob = tree.path_prob[geo.solve_leaves]
-        cons = [pos for pos in geo.trimmed if geo.consuming[pos]]
-        self.coef = np.array(
-            [tree.path_prob[pos] * geo.model.clock.dkappa[pos] for pos in cons]
-        )
-        self.w = field.weight_array([tree.ids[pos] for pos in cons])
+        leaves = geo.solve_leaves
+        prob = tree.path_prob[leaves]
+        cons = geo.trimmed[geo.consuming[geo.trimmed]]
+        self.coef = tree.path_prob[cons] * geo.model.clock.dkappa[cons]
+        self.w = field.weight_array([tree.ids[pos] for pos in cons.tolist()])
         self.base = field.base()
         # Fast path: every consuming node is itself a trimmed leaf, so each
         # node density reads a single scaled coordinate Z = q / P.
-        self.single = all(int(pos) in geo.leaf_order for pos in cons)
+        self.single = bool(geo.eff_mask[cons].all())
         if self.single:
-            self.cols = np.array([geo.leaf_order[int(pos)] for pos in cons], dtype=np.int64)
+            self.cols = np.searchsorted(leaves, cons)
             self.col_scale = 1.0 / prob[self.cols]
             self.M = None
         else:
             self.cols = None
             self.col_scale = None
-            rows = [geo.order_of[int(pos)] for pos in cons]
-            self.M = geo.agg[rows] / prob[None, :]
+            self.M = node_values(tree, leaves, np.eye(leaves.size))[cons] / prob[None, :]
 
     def node_args(self, q: np.ndarray) -> np.ndarray:
         z = q[self.cols] * self.col_scale if self.single else self.M @ q
@@ -399,12 +394,10 @@ def solve_dual(
 
     # Barrier weights: plain mu on consuming coordinates; coordinates the
     # objective never sees keep a small floor so they stay strictly interior
-    # without drifting the value.
-    dead_cols = np.array(
-        [geo.leaf_order[int(pos)] for pos in geo.solve_leaves if geo.dead_root_mask[pos]],
-        dtype=np.int64,
-    )
-    mu_floor = 1e-10
+    # without drifting the value.  Each floor stays in the certified gap, so
+    # together they must stay well below ``tol``.
+    dead_cols = np.flatnonzero(geo.dead_root_mask[geo.solve_leaves])
+    mu_floor = min(1e-10, 1e-2 * tol / max(1, dead_cols.size))
 
     def barrier_weights(mu: float) -> np.ndarray:
         w = np.full(n, mu)
@@ -567,7 +560,7 @@ def _weighted_clock_mass(geo, field) -> float:
     tree = geo.tree
     dk = geo.model.clock.dkappa
     cons = np.flatnonzero(dk > 0.0)
-    w = field.weight_array([tree.ids[int(k)] for k in cons])
+    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
     return float(np.dot(tree.path_prob[cons] * dk[cons], w))
 
 
@@ -710,8 +703,7 @@ def _extend_density(geo: Geometry, zeta) -> np.ndarray:
     density; the result satisfies every polytope constraint.
     """
     tree = geo.tree
-    z = np.zeros(tree.n_nodes)
-    z[geo.trimmed] = geo.agg @ zeta
+    z = node_values(tree, geo.solve_leaves, zeta)
     if geo.trimmed.size == tree.n_nodes:
         return z
 
@@ -743,8 +735,8 @@ def dual_over_measures(
 
     cons = np.flatnonzero(clock.dkappa > 0.0)
     coef = tree.path_prob[cons] * clock.dkappa[cons]
-    w = field.weight_array([tree.ids[int(k)] for k in cons])
-    M = poly.agg[cons]
+    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
+    M = poly.to_node_values(np.eye(poly.n_leaves))[cons]
     base = field.base()
 
     def args_of(zeta):

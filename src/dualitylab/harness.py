@@ -49,26 +49,17 @@ def pair_solutions(
     field: UtilityField,
     x: float,
     tol: float = 1e-8,
-    fd_step: Optional[float] = None,
 ):
     """Solve the primal at x, pair y = u'(x), and solve the dual at that y.
 
     The marginal value of wealth is read off the optimal plan through the
     budget identity (density-weighted expenditure equals x * u'(x)), which
-    is exact at the optimum.  Passing ``fd_step`` switches to a centered
-    difference of the value function with that relative step instead; note
-    the difference quotient picks up a first-order bias where the marginal
-    utility has a spliced second derivative.  Returns (primal, dual, y).
+    is exact at the optimum; ``marginal_value_estimate`` gives the centered
+    difference instead.  Returns (primal, dual, y).
     """
     geo = build_geometry(model)
     primal = solve_primal(model, field, x, tol, _geometry=geo)
-    if fd_step is None:
-        y = primal.y_estimate
-    else:
-        h = fd_step * x
-        up = solve_primal(model, field, x + h, tol, _geometry=geo)
-        dn = solve_primal(model, field, x - h, tol, _geometry=geo)
-        y = (up.value - dn.value) / (2.0 * h)
+    y = primal.y_estimate
     dual = solve_dual(model, field, y, tol, _geometry=geo)
     return primal, dual, y
 
@@ -127,7 +118,7 @@ def optimality_relations_check(
     tree = model.tree
     dk = model.clock.dkappa
     cons = np.flatnonzero(dk > 0.0)
-    w = field.weight_array([tree.ids[int(k)] for k in cons])
+    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
     base = field.base()
     marg = w * base.u_prime(primal.c[cons])
     z = dual.Z[cons]
@@ -368,7 +359,7 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     from .dual import find_interior
 
     rates = _rates_array(model, c)
-    A, b, _ = full_polytope_matrices(model)
+    A, b = full_polytope_matrices(model)
     find_interior(A, b)
     spend = cumulative_spend(model, rates)
     G, h_slice = gains_matrix(model)
@@ -402,22 +393,20 @@ def dual_superrep_price(model: MarketModel, c) -> float:
     """Supremum over martingale densities of the expected discounted spend.
 
     This is the linear-programming mirror of :func:`superreplication_price`;
-    on arbitrage-free models the two values coincide.
+    on arbitrage-free models the two values coincide.  By the tower
+    property, the spend priced by a density with leaf values zeta is
+    sum_j P_j zeta_j times the cumulative spend at leaf j.
     """
     rates = _rates_array(model, c)
-    A, b, agg = full_polytope_matrices(model)
-    tree = model.tree
-    dk = model.clock.dkappa
-    cons = np.flatnonzero((dk > 0.0) & (rates > 0.0))
-    obj = np.zeros(agg.shape[1])
-    for k in cons:
-        obj += tree.path_prob[k] * dk[k] * rates[k] * agg[k]
+    A, b = full_polytope_matrices(model)
+    leaves = model.tree.leaves
+    obj = model.tree.path_prob[leaves] * cumulative_spend(model, rates)[leaves]
 
     res = linprog(
         -obj,
         A_eq=A,
         b_eq=b,
-        bounds=[(0.0, None)] * agg.shape[1],
+        bounds=[(0.0, None)] * leaves.size,
         method="highs",
         options=_LP_OPTS,
     )
@@ -534,18 +523,11 @@ def convergence_summary(curves: ValueCurves) -> dict:
         "du_uniform_gap": [float(np.max(np.abs(curves.du[k] - curves.du[-1]))) for k in range(len(levels))],
         "dv_uniform_gap": [float(np.max(np.abs(curves.dv[k] - curves.dv[-1]))) for k in range(len(levels))],
     }
-    sandwich = []
-    for i, x in enumerate(curves.x_grid):
-        psi = v[-1] + curves.y_grid * x
-        k = int(np.argmin(psi))
-        sandwich.append(
-            {
-                "x": float(x),
-                "gap": float(psi[k] - u[-1, i]),
-                "resolution": _grid_opt_resolution(curves.y_grid, psi, k),
-            }
-        )
-    out["sandwich"] = sandwich
+    conj = conjugacy_check(curves)
+    out["sandwich"] = [
+        {"x": float(x), "gap": float(gap), "resolution": float(res)}
+        for x, gap, res in zip(curves.x_grid, conj.gaps_u, conj.res_u)
+    ]
     return out
 
 

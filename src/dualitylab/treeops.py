@@ -26,9 +26,10 @@ stacks the holdings blocks and the free consumption rates.
 
 For the dual side, densities are parameterized by their values on the
 trimmed leaves (effective leaves and dead roots).  The value at any other
-trimmed node is the conditional expectation of the leaf values, which is
-exactly the martingale property, so the equality constraints reduce to one
-normalization row and one row per (internal node, tradable asset).
+trimmed node is the conditional expectation of the leaf values
+(``node_values``), which is exactly the martingale property, so the equality
+constraints reduce to one normalization row and one row per (internal node,
+tradable asset).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class Geometry:
     model: MarketModel
     alive: np.ndarray
     trimmed: np.ndarray
-    order_of: dict
     internal_mask: np.ndarray
     eff_mask: np.ndarray
     dead_root_mask: np.ndarray
@@ -62,19 +62,12 @@ class Geometry:
     rows: np.ndarray
     # dual side
     solve_leaves: np.ndarray
-    leaf_order: dict
-    agg: np.ndarray
     A: np.ndarray
     b: np.ndarray
 
     @property
     def tree(self):
         return self.model.tree
-
-    def trimmed_values_to_full(self, values: np.ndarray, fill) -> np.ndarray:
-        out = np.full(self.tree.n_nodes, fill, dtype=float)
-        out[self.trimmed] = values
-        return out
 
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
@@ -139,6 +132,25 @@ def _wealth_rows(model: MarketModel, nodes: np.ndarray, spends: np.ndarray, what
     return _accumulate_down(rows, row_of[parent], levels), h_slice, c_index
 
 
+def node_values(tree, leaves: np.ndarray, zeta) -> np.ndarray:
+    """Per-node conditional expectations of values given on ``leaves``.
+
+    ``leaves`` are sorted positions, none below another, carrying
+    ``zeta`` (one row each when ``zeta`` is 2-D).  The value at node m is
+    sum_j P_j zeta_j / P(m) over the leaves j at or below m, and 0 where no
+    leaf lies below.  One leaf-to-root pass over the levels, the upward twin
+    of ``market._accumulate_down``: each node adds its children's masses in
+    position order.
+    """
+    zeta = np.asarray(zeta, dtype=float)
+    shape = (-1,) + (1,) * (zeta.ndim - 1)
+    mass = np.zeros((tree.n_nodes,) + zeta.shape[1:])
+    mass[leaves] = tree.path_prob[leaves].reshape(shape) * zeta
+    for lv in reversed(tree.levels):
+        np.add.at(mass, tree.parent[lv], mass[lv])
+    return mass / tree.path_prob.reshape(shape)
+
+
 def _density_system(
     model: MarketModel, nodes: np.ndarray, leaf_mask, internal_mask, what: str
 ):
@@ -147,9 +159,9 @@ def _density_system(
     ``nodes`` are sorted positions of a subtree containing the root; the
     densities live on its leaves (``leaf_mask``) and the pricing rows sit at
     its ``internal_mask`` nodes, each of which has all its children among
-    ``nodes``.  Returns (agg, A, b): Z = agg @ zeta on ``nodes``, and A zeta
-    = b the normalization row followed by one row per (internal node,
-    tradable asset), in position then asset order.
+    ``nodes``.  Returns (A, b): A zeta = b the normalization row followed by
+    one row per (internal node, tradable asset), in position then asset
+    order.
     """
     tree = model.tree
     prices = model.assets.prices
@@ -157,36 +169,31 @@ def _density_system(
     leaves = nodes[leaf_mask[nodes]]
     internal = nodes[internal_mask[nodes]]
     _guard(nodes.size, leaves.size, what)
-    row_of = np.full(tree.n_nodes, -1)
-    row_of[nodes] = np.arange(nodes.size)
     first_row = np.full(tree.n_nodes, -1)
     first_row[internal] = 1 + na * np.arange(internal.size)
 
     p_leaf = tree.path_prob[leaves]
-    agg = np.zeros((nodes.size, leaves.size))
     A = np.zeros((1 + na * internal.size, leaves.size))
-    agg[row_of[leaves], np.arange(leaves.size)] = 1.0
-    # Column j of P(m) * agg is P_j on the ancestors m of leaf j and 0
-    # elsewhere, so walking each leaf up one date at a time fills every
-    # nonzero entry directly.  The pricing entry at m is
-    # (S(child toward j) P_j - S(m) P_j) / P(m); summing over the children
-    # would give the same bits, as only one term is nonzero.
+    # The pricing entry at an ancestor m of leaf j is
+    # (S(child toward j) P_j - S(m) P_j) / P(m) and 0 elsewhere, so walking
+    # each leaf up one date at a time fills every nonzero entry directly;
+    # summing over the children would give the same bits, as only one term
+    # is nonzero.
     anc = leaves.copy()
     for lv in reversed(tree.levels):
         j = np.flatnonzero(anc >= lv.start)
         child = anc[j]
         node = tree.parent[child]
         anc[j] = node
-        p_node = tree.path_prob[node]
-        agg[row_of[node], j] = p_leaf[j] / p_node
         p_j = p_leaf[j, None]
         A[first_row[node][:, None] + np.arange(na), j[:, None]] = (
             prices[child, :na] * p_j - prices[node, :na] * p_j
-        ) / p_node[:, None]
-    A[0] = agg[row_of[tree.root]]
+        ) / tree.path_prob[node][:, None]
+    # Z_0 = sum_j P_j zeta_j, as P(root) = 1.
+    A[0] = p_leaf
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    return agg, A, b
+    return A, b
 
 
 def build_geometry(model: MarketModel) -> Geometry:
@@ -205,7 +212,6 @@ def build_geometry(model: MarketModel) -> Geometry:
     dead_root_mask = ~alive & (parent >= 0) & internal_mask[parent]
 
     trimmed = np.flatnonzero(alive | dead_root_mask)
-    order_of = {int(pos): idx for idx, pos in enumerate(trimmed)}
 
     rows, h_slice, c_index = _wealth_rows(
         model, trimmed, internal_mask & consuming, "trimmed wealth map"
@@ -213,14 +219,12 @@ def build_geometry(model: MarketModel) -> Geometry:
 
     leaf_mask = eff_mask | dead_root_mask
     solve_leaves = trimmed[leaf_mask[trimmed]]
-    leaf_order = {int(pos): j for j, pos in enumerate(solve_leaves)}
-    agg, A, b = _density_system(model, trimmed, leaf_mask, internal_mask, "density aggregation")
+    A, b = _density_system(model, trimmed, leaf_mask, internal_mask, "density aggregation")
 
     return Geometry(
         model=model,
         alive=alive,
         trimmed=trimmed,
-        order_of=order_of,
         internal_mask=internal_mask,
         eff_mask=eff_mask,
         dead_root_mask=dead_root_mask,
@@ -230,8 +234,6 @@ def build_geometry(model: MarketModel) -> Geometry:
         c_index=c_index,
         rows=rows,
         solve_leaves=solve_leaves,
-        leaf_order=leaf_order,
-        agg=agg,
         A=A,
         b=b,
     )
@@ -242,15 +244,13 @@ def full_polytope_matrices(model: MarketModel):
 
     Densities are parameterized by their per-leaf values zeta; the value at
     any node is the conditional expectation of zeta over the leaves below
-    it.  Returns (A, b, agg) with A zeta = b the normalization plus the
-    per (non-terminal node, tradable asset) pricing rows, and agg the
-    (n_nodes, n_leaves) matrix with Z = agg @ zeta.
+    it (``node_values``).  Returns (A, b) with A zeta = b the normalization
+    plus the per (non-terminal node, tradable asset) pricing rows.
     """
-    tree = model.tree
-    agg, A, b = _density_system(
-        model, np.arange(tree.n_nodes), tree.is_leaf, ~tree.is_leaf, "full density aggregation"
+    return _density_system(
+        model, np.arange(model.tree.n_nodes), model.tree.is_leaf, ~model.tree.is_leaf,
+        "full density aggregation",
     )
-    return A, b, agg
 
 
 def gains_matrix(model: MarketModel):

@@ -182,6 +182,16 @@ class TestSweeps:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("utility", ["log", "power:0.5"])
+    def test_example_needs_bounded_utility(self, tmp_path, utility):
+        # An explicit log field is refused like any other non-bounded one;
+        # only an absent --utility selects the bounded default.
+        code = main([
+            "example", "--n-max", "2", "--utility", utility, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "o" / "example.csv").exists()
+
     def test_deterministic_reruns(self, example3_path, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from dualitylab import dual
 from dualitylab.dual import (
     dual_over_measures,
     find_interior,
@@ -10,8 +12,8 @@ from dualitylab.dual import (
     solve_dual,
 )
 from dualitylab.errors import DualityLabError, InfeasibleMarketError
-from dualitylab.market import truncate
-from dualitylab.treeops import build_geometry
+from dualitylab.market import build_tree, truncate
+from dualitylab.treeops import build_geometry, full_polytope_matrices
 from dualitylab.utility import UtilityField
 
 from conftest import arbitrage_model
@@ -60,6 +62,62 @@ class TestPolytope:
         poly = martingale_polytope(arbitrage_model())
         with pytest.raises(InfeasibleMarketError):
             find_interior(poly.A, poly.b)
+
+    def test_gate_lp_point_matches_dense_block(self, request, monkeypatch):
+        # The gate's point seeds the dual's entropy center, so the LP must
+        # return exactly the point of its dense-block form; an equivalent
+        # reformulation with the same optimum may return another point.
+        lp_calls = []
+        monkeypatch.setattr(dual, "linprog", lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
+        used = 0
+        for name in ("binom1", "example2", "example3", "bond_only_terminal", "bond_two_dates",
+                     "two_period_terminal", "two_period_mid_clock", "trinomial", "duplicates"):
+            A, b = full_polytope_matrices(request.getfixturevalue(name))
+            n = A.shape[1]
+            for center in (None, 10.0 * (-1.0) ** np.arange(n)):
+                lp_calls.clear()
+                x = find_interior(A, b, center=center)
+                if lp_calls:
+                    used += 1
+                    assert np.array_equal(x, _dense_block_gate(A, b)), name
+        assert used >= 6
+
+
+def _dense_block_gate(A, b):
+    """The gate's max-margin LP with its x_i >= t rows as one dense block."""
+    n = A.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_ub = np.zeros((n, n + 1))
+    np.fill_diagonal(a_ub, -1.0)
+    a_ub[:, -1] = 1.0
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]),
+        b_eq=b,
+        bounds=[(None, None)] * n + [(None, 1.0)],
+        method="highs",
+        options=dual._LP_OPTS,
+    )
+    return res.x[:-1]
+
+
+def dead_root_bond_tree():
+    """Bond-only tree with two dead roots (nodes 8 and 7)."""
+    records = [(4, 0, None, 1.0), (2, 1, 4, 0.26359087), (6, 1, 4, 0.28200880),
+               (7, 1, 4, 0.45440033), (0, 2, 2, 0.47534347), (8, 2, 2, 0.52465653),
+               (3, 2, 6, 0.54791027), (9, 2, 6, 0.45208973), (1, 2, 7, 0.52078941),
+               (5, 2, 7, 0.47921059)]
+    dk = {2: 0.45002928, 6: 0.71960206, 0: 0.5}
+    return build_tree({
+        "nodes": [{"id": i, "t": t, "parent": p, "prob": q} for i, t, p, q in records],
+        "prices": {i: [] for i, *_ in records},
+        "clock": {i: dk.get(i, 0.0) for i, *_ in records},
+        "A": 2.0,
+        "n_active": 0,
+    })
 
 
 class TestSolveDual:
@@ -197,6 +255,15 @@ class TestSolveDual:
         reused = solve_dual(binom1, field, 2.0, _geometry=geo)
         fresh = solve_dual(binom1, UtilityField(family="log", weights={1: 4.0}), 2.0)
         assert reused.value == pytest.approx(fresh.value, abs=1e-9)
+
+    def test_tight_tolerance_with_dead_roots(self, log_field):
+        # Each dead coordinate keeps a barrier floor, and the floors enter
+        # the certified gap; a fixed floor of 1e-10 left a gap of 3.56e-10.
+        model = dead_root_bond_tree()
+        assert int(build_geometry(model).dead_root_mask.sum()) == 2
+        sol = solve_dual(model, log_field, 1e-3, 1e-10)
+        ref = solve_dual(model, log_field, 1e-3, 1e-8)
+        assert sol.value == pytest.approx(ref.value, rel=1e-7)
 
     def test_errors(self, binom1, log_field):
         with pytest.raises(DualityLabError):

@@ -3,11 +3,11 @@
 The references restate the definitions one node at a time: path
 probabilities and clock totals are products and sums from the root down,
 the trimmed view keeps the alive nodes and the dead roots, wealth rows add
-each step's gains to the parent's row, and a density row sums its
-children's rows.  The kernels must reproduce them bit for bit on random
-trees whose node ids are shuffled, so that siblings are not adjacent in
-position order, and whose clocks leave dead subtrees and effective leaves
-at inner dates.
+each step's gains to the parent's row, and a density row or a node's
+probability mass sums its children's.  The kernels must reproduce them bit
+for bit on random trees whose node ids are shuffled, so that siblings are
+not adjacent in position order, and whose clocks leave dead subtrees and
+effective leaves at inner dates.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from dualitylab.treeops import (
     cumulative_spend,
     full_polytope_matrices,
     gains_matrix,
+    node_values,
     wealth_from_strategy,
 )
 
@@ -146,6 +147,18 @@ def ref_density(model, nodes, leaves):
     return agg, np.vstack(a_rows), np.array(b_vals)
 
 
+def ref_node_values(tree, leaves, zeta):
+    """Each node's mass is its leaf mass or its children's, added in order."""
+    mass = np.zeros(tree.n_nodes)
+    for pos in range(tree.n_nodes - 1, -1, -1):
+        if pos in leaves:
+            mass[pos] = tree.path_prob[pos] * zeta[leaves.index(pos)]
+        else:
+            for ch in tree.children[pos]:
+                mass[pos] += mass[ch]
+    return mass / tree.path_prob
+
+
 def ref_geometry(model):
     tree = model.tree
     n = tree.n_nodes
@@ -166,11 +179,10 @@ def ref_geometry(model):
     trimmed = np.flatnonzero(alive | dead_root)
     rows, h_slice, c_index = ref_rows(model, trimmed, internal, internal & consuming)
     leaves = np.array([p for p in trimmed if not internal[p]], dtype=np.int64)
-    agg, A, b = ref_density(model, trimmed, leaves)
+    _, A, b = ref_density(model, trimmed, leaves)
     return {
         "alive": alive,
         "trimmed": trimmed,
-        "order_of": {int(p): k for k, p in enumerate(trimmed)},
         "internal_mask": internal,
         "eff_mask": alive & ~has_alive_child,
         "dead_root_mask": dead_root,
@@ -180,8 +192,6 @@ def ref_geometry(model):
         "c_index": c_index,
         "rows": rows,
         "solve_leaves": leaves,
-        "leaf_order": {int(p): j for j, p in enumerate(leaves)},
-        "agg": agg,
         "A": A,
         "b": b,
     }
@@ -222,17 +232,25 @@ def test_kernels_match_reference_loops(model, seed):
         assert_same(getattr(geo, name), want)
 
     everything = np.arange(tree.n_nodes)
-    agg, A, b = ref_density(model, everything, tree.leaves)
-    got_A, got_b, got_agg = full_polytope_matrices(model)
-    for got, want in ((got_A, A), (got_b, b), (got_agg, agg)):
-        assert_same(got, want)
+    _, A, b = ref_density(model, everything, tree.leaves)
+    got_A, got_b = full_polytope_matrices(model)
+    assert_same(got_A, A)
+    assert_same(got_b, b)
+
+    # Node values: the identity columns give the reference aggregation
+    # matrix, and any leaf vector is summed as the children-order loop does.
+    rng = np.random.default_rng(seed)
+    for nodes, leaves in ((geo.trimmed, geo.solve_leaves), (everything, tree.leaves)):
+        agg = ref_density(model, nodes, leaves)[0]
+        assert_same(node_values(tree, leaves, np.eye(leaves.size))[nodes], agg)
+        zeta = rng.uniform(0.1, 3.0, leaves.size)
+        assert_same(node_values(tree, leaves, zeta), ref_node_values(tree, leaves.tolist(), zeta))
 
     G, h_slice, _ = ref_rows(model, everything, ~tree.is_leaf, np.zeros(tree.n_nodes, bool))
     got_G, got_slice = gains_matrix(model)
     assert_same(got_G, G)
     assert_same(got_slice, h_slice)
 
-    rng = np.random.default_rng(seed)
     c = rng.uniform(0.0, 2.0, tree.n_nodes)
     H = rng.normal(size=(tree.n_nodes, model.n_active))
     assert_same(cumulative_spend(model, c), ref_cumulative(tree, c * model.clock.dkappa))
