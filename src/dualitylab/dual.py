@@ -147,12 +147,12 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
 
 def _measure_system(geo: Geometry):
     """Constraint system of the polytope in leaf-measure coordinates q = P zeta."""
-    cached = getattr(geo, "_measure_system", None)
-    if cached is None:
+
+    def build():
         prob = geo.tree.path_prob[geo.solve_leaves]
-        cached = (geo.A / prob[None, :], geo.b, prob)
-        geo._measure_system = cached
-    return cached
+        return geo.A / prob[None, :], geo.b, prob
+
+    return geo.memo("measure_system", build)
 
 
 def measure_interior(geo: Geometry) -> np.ndarray:
@@ -161,12 +161,12 @@ def measure_interior(geo: Geometry) -> np.ndarray:
     Doubles as the no-arbitrage gate for the trimmed view: projection of the
     physical leaf measure first, max-margin LP as fallback.
     """
-    cached = getattr(geo, "_measure_interior", None)
-    if cached is None:
+
+    def build():
         Aq, b, prob = _measure_system(geo)
-        cached = find_interior(Aq, b, center=prob)
-        geo._measure_interior = cached
-    return cached.copy()
+        return find_interior(Aq, b, center=prob)
+
+    return geo.memo("measure_interior", build).copy()
 
 
 def entropy_center(geo: Geometry) -> np.ndarray:
@@ -176,31 +176,31 @@ def entropy_center(geo: Geometry) -> np.ndarray:
     well-scaled starting point, whose objective is its own barrier and whose
     Hessian P_j / q_j^2 never flattens.
     """
-    cached = getattr(geo, "_entropy_center", None)
-    if cached is not None:
-        return cached.copy()
-    Aq, b, prob = _measure_system(geo)
-    q = measure_interior(geo)
-    for _ in range(200):
-        g = -prob / q
-        h = prob / q**2
-        step, lam2 = _kkt_step_diag(Aq, b, q, g, h)
-        if lam2 / 2.0 <= 1e-14:
-            break
-        alpha = 1.0
-        neg = step < 0.0
-        if np.any(neg):
-            alpha = min(1.0, 0.995 * float(np.min(-q[neg] / step[neg])))
-        base = -float(np.dot(prob, np.log(q)))
-        slope = float(np.dot(g, step))
-        for _ in range(50):
-            cand = q + alpha * step
-            if np.min(cand) > 0.0 and -float(np.dot(prob, np.log(cand))) <= base + 1e-4 * alpha * slope:
+
+    def build():
+        Aq, b, prob = _measure_system(geo)
+        q = measure_interior(geo)
+        for _ in range(200):
+            g = -prob / q
+            h = prob / q**2
+            step, lam2, _ = _kkt_step_core(Aq, b - Aq @ q, g, h)
+            if lam2 / 2.0 <= 1e-14:
                 break
-            alpha *= 0.5
-        q = q + alpha * step
-    geo._entropy_center = q
-    return q.copy()
+            alpha = 1.0
+            neg = step < 0.0
+            if np.any(neg):
+                alpha = min(1.0, 0.995 * float(np.min(-q[neg] / step[neg])))
+            base = -float(np.dot(prob, np.log(q)))
+            slope = float(np.dot(g, step))
+            for _ in range(50):
+                cand = q + alpha * step
+                if np.min(cand) > 0.0 and -float(np.dot(prob, np.log(cand))) <= base + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            q = q + alpha * step
+        return q
+
+    return geo.memo("entropy_center", build).copy()
 
 
 def ensure_full_density(geo: Geometry) -> np.ndarray:
@@ -209,17 +209,16 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
     Raises ``InfeasibleMarketError`` when none exists, so this doubles as
     the no-arbitrage gate used by both solvers.  Cached on the geometry.
     """
-    cached = getattr(geo, "_full_interior_nodes", None)
-    if cached is None:
+
+    def build():
         tree = geo.tree
         if geo.trimmed.size == tree.n_nodes:
             prob = tree.path_prob[geo.solve_leaves]
-            cached = node_values(tree, geo.solve_leaves, measure_interior(geo) / prob)
-        else:
-            A, b = full_polytope_matrices(geo.model)
-            cached = node_values(tree, tree.leaves, find_interior(A, b))
-        geo._full_interior_nodes = cached
-    return cached
+            return node_values(tree, geo.solve_leaves, measure_interior(geo) / prob)
+        A, b = full_polytope_matrices(geo.model)
+        return node_values(tree, tree.leaves, find_interior(A, b))
+
+    return geo.memo("full_interior_nodes", build)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,10 @@ class _DualObjective:
         else:
             self.cols = None
             self.col_scale = None
-            self.M = node_values(tree, leaves, np.eye(leaves.size))[cons] / prob[None, :]
+            self.M = geo.memo(
+                "node_density_map",
+                lambda: node_values(tree, leaves, np.eye(leaves.size))[cons] / prob[None, :],
+            )
 
     def node_args(self, q: np.ndarray) -> np.ndarray:
         z = q[self.cols] * self.col_scale if self.single else self.M @ q
@@ -544,10 +546,7 @@ def _scaling_reference(geo, model, field, tol, max_iter) -> "DualSolution":
     Re-solves when a tighter tolerance is requested than the cached entry
     was produced with.
     """
-    cache = getattr(geo, "_dual_reference", None)
-    if cache is None:
-        cache = {}
-        geo._dual_reference = cache
+    cache = geo.memo("dual_reference", dict)
     key = _field_key(field)
     hit = cache.get(key)
     if hit is None or hit[1] > tol:
@@ -602,11 +601,6 @@ def _kkt_step_core(A, r, g, hdiag):
             step = step + A.T @ np.linalg.lstsq(gram, r, rcond=None)[0]
     lam2 = float(np.dot(step, hdiag * step))
     return step, lam2, nu
-
-
-def _kkt_step_diag(A, b, x, g, hdiag):
-    step, lam2, _ = _kkt_step_core(A, b - A @ x, g, hdiag)
-    return step, lam2
 
 
 def _scaled_newton_step(Aq, b, q, g_obj, h_obj, bw):

@@ -4,7 +4,17 @@ Over a finite tree the problem reduces to a smooth concave program in the
 holdings at internal nodes plus the consumption rates at internal nodes
 with positive clock mass: effective leaves always consume their entire
 wealth, so their rates are eliminated, and the wealth at every remaining
-node is an affine function of the reduced variables (``treeops``).
+node of the trimmed view (``treeops``) is an affine function of the reduced
+variables.  Theta stacks a holdings block at every internal node, then the
+rates of the consuming ones, each in position order.
+
+That wealth map is never formed as a matrix.  Each internal node k owns a
+block s_k (its holdings and its rate), and the wealth change into its child
+c is v_c^T s_k with v_c = (S(c) - S(k), -dkappa_k), so the pre-consumption
+wealth X_pre = x + w is one root-to-leaf pass over the dates, w_c = w_k +
+v_c^T s_k from w = 0 at the root.  Its transpose maps values y at the
+trimmed nodes to the gradient sum_c Y_c v_c at each block s_k, where Y_c
+sums y over the subtree of c: one leaf-to-root pass.
 
 The marginal of an admissible field blows up at zero consumption, which
 keeps maximizers strictly inside the region where consumption and the
@@ -17,10 +27,9 @@ logarithmic barrier.
 Each Newton step solves (-H + rho I) d = g without forming H, by a Riccati
 recursion over the dates of the trimmed tree (Steinbach, "Tree-sparse
 convex programs", 2002; Blomvall & Lindberg, EJOR 2002).  The negated
-Hessian is sum_t a_t r_t r_t^T + diag(pd) over the trimmed leaves t.  Each
-internal node k owns a block s_k (its holdings and its rate), and the
-wealth change into its child c is v_c^T s_k with v_c = (S(c) - S(k),
--dkappa_k).  Deepest date first, every internal node forms
+Hessian is sum_t a_t r_t r_t^T + diag(pd) over the trimmed leaves t, where
+r_t is the wealth map's row at t.  Deepest date first, every internal node
+forms
 
     K_k = diag(pd_k) + rho I + sum_c a_c v_c v_c^T,
     u_k = sum_c a_c v_c,   beta_k = g_k + sum_c b_c v_c,
@@ -34,7 +43,8 @@ exactly when -H + rho I is not positive definite.
 
 Holdings are generally not unique when assets are redundant, so after
 convergence each internal node's holdings are re-extracted as the
-minimum-norm solution reproducing the converged one-step wealth transfers.
+minimum-norm solution reproducing the converged one-step wealth transfers,
+from the pseudo-inverses of the price-change blocks of v, batched per date.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .treeops import Geometry, build_geometry, wealth_from_strategy
 from .utility import UtilityField
 
 VALUE_CEILING = 1e100
+_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -83,7 +94,7 @@ class _PrimalObjective:
     def __init__(self, geo: Geometry, field: UtilityField, x: float):
         self.geo = geo
         self.x = x
-        self.system = _tree_system(geo)
+        self.system = geo.memo("tree_system", lambda: _TreeSystem(geo))
         tree = geo.tree
         clock = geo.model.clock
         trim = geo.trimmed
@@ -91,7 +102,6 @@ class _PrimalObjective:
 
         self.eff_t = np.flatnonzero(geo.eff_mask[trim])
         self.eff_pos = trim[self.eff_t]
-        self.eff_rows = geo.rows[self.eff_t]
         self.eff_prob = tree.path_prob[self.eff_pos]
         self.eff_dk = clock.dkappa[self.eff_pos]
         self.eff_w = field.weight_array([tree.ids[p] for p in self.eff_pos.tolist()])
@@ -103,25 +113,19 @@ class _PrimalObjective:
         self.mid_w = field.weight_array([tree.ids[p] for p in self.mid_pos.tolist()])
 
         self.dead_t = np.flatnonzero(geo.dead_root_mask[trim])
-        self.dead_rows = geo.rows[self.dead_t]
         self.n_dead = self.dead_t.size
-
-    def eff_wealth(self, theta):
-        return self.x + self.eff_rows @ theta
-
-    def dead_wealth(self, theta):
-        return self.x + self.dead_rows @ theta
 
     def _inside(self, theta):
         """(rates, effective-leaf wealth, dead-root wealth), or None outside the domain."""
         c_mid = theta[self.mid_idx]
         if c_mid.size and np.min(c_mid) <= 0.0:
             return None
-        s_eff = self.eff_wealth(theta)
+        s = self.x + self.system.wealth(theta)
+        s_eff = s[self.eff_t]
         if s_eff.size and np.min(s_eff) <= 0.0:
             return None
-        s_dead = self.dead_wealth(theta) if self.n_dead else None
-        if self.n_dead and np.min(s_dead) <= 0.0:
+        s_dead = s[self.dead_t]
+        if s_dead.size and np.min(s_dead) <= 0.0:
             return None
         return c_mid, s_eff, s_dead
 
@@ -150,24 +154,24 @@ class _PrimalObjective:
         ``a`` runs over the trimmed nodes and is zero at internal ones; ``pd``
         runs over theta and is zero at holdings.
         """
-        g = np.zeros(theta.size)
+        s = self.x + self.system.wealth(theta)
+        y = np.zeros(self.system.n_trim)  # marginal value of wealth per trimmed node
         a = np.zeros(self.system.n_trim)
         pd = np.zeros(theta.size)
         if self.eff_pos.size:
-            s = self.eff_wealth(theta)
-            c = s / self.eff_dk
-            g_coef = self.eff_prob * self.eff_w * self.base.u_prime(c)
-            g += self.eff_rows.T @ g_coef
+            c = s[self.eff_t] / self.eff_dk
+            y[self.eff_t] = self.eff_prob * self.eff_w * self.base.u_prime(c)
             a[self.eff_t] = -(self.eff_prob * self.eff_w * self.base.u_second(c) / self.eff_dk)
+        if mu > 0.0 and self.n_dead:
+            s_dead = s[self.dead_t]
+            y[self.dead_t] = mu / s_dead
+            a[self.dead_t] = mu / s_dead**2
+        g = self.system.wealth_t(y)
         if self.mid_idx.size:
             c = theta[self.mid_idx]
             coef = self.mid_prob * self.mid_dk * self.mid_w
             g[self.mid_idx] += coef * self.base.u_prime(c)
             pd[self.mid_idx] = -(coef * self.base.u_second(c))
-        if mu > 0.0 and self.n_dead:
-            s = self.dead_wealth(theta)
-            g += self.dead_rows.T @ (mu / s)
-            a[self.dead_t] = mu / s**2
         return g, a, pd
 
 
@@ -190,16 +194,15 @@ class _Date:
 
 
 class _TreeSystem:
-    """Date-by-date structure of the Newton system (see module docstring)."""
+    """Theta's layout and the date-by-date structure of the wealth map and the
+    Newton system (see module docstring)."""
 
     def __init__(self, geo: Geometry):
         tree = geo.tree
         prices = geo.model.assets.prices
         na = geo.model.n_active
         trim = geo.trimmed
-        self.rows = geo.rows
         self.n_trim = trim.size
-        self.n_vars = geo.n_vars
 
         t_of = np.full(tree.n_nodes, trim.size)
         t_of[trim] = np.arange(trim.size)
@@ -207,16 +210,12 @@ class _TreeSystem:
         blk_of = np.full(tree.n_nodes, -1)
         blk_of[internal] = np.arange(internal.size)
 
-        var = np.full((internal.size, na + 1), geo.n_vars)
-        if na:
-            holders = np.fromiter(geo.h_slice.keys(), dtype=np.int64, count=len(geo.h_slice))
-            first = np.fromiter((s.start for s in geo.h_slice.values()), dtype=np.int64,
-                                count=len(geo.h_slice))
-            var[blk_of[holders], :na] = first[:, None] + np.arange(na)
-        # Consumption rates of the internal nodes, in position order.
-        n_mid = len(geo.c_index)
-        self.mid_pos = np.fromiter(geo.c_index.keys(), dtype=np.int64, count=n_mid)
-        self.mid_idx = np.fromiter(geo.c_index.values(), dtype=np.int64, count=n_mid)
+        # Holdings blocks, then the rates of the consuming internal nodes.
+        self.mid_pos = internal[geo.consuming[internal]]
+        self.mid_idx = na * internal.size + np.arange(self.mid_pos.size)
+        self.n_vars = na * internal.size + self.mid_pos.size
+        var = np.full((internal.size, na + 1), self.n_vars)
+        var[:, :na] = na * np.arange(internal.size)[:, None] + np.arange(na)
         var[blk_of[self.mid_pos], na] = self.mid_idx
 
         # Every child of an internal node is trimmed; group them by parent
@@ -243,6 +242,28 @@ class _TreeSystem:
             leaf_kids = not geo.internal_mask[kids[k0:k1]].any()
             Vt = np.ascontiguousarray(np.swapaxes(V, 1, 2))
             self.dates.append(_Date(t_of[internal[lo:hi]], child, V, Vt, var[lo:hi], leaf_kids))
+
+    def wealth(self, theta):
+        """Wealth change from the root at every trimmed node: one root-to-leaf pass."""
+        s = np.concatenate((theta, _ZERO))  # the dummy rate slot
+        w = np.zeros(self.n_trim + 1)  # and the spare children's sentinel
+        for d in self.dates:
+            step = (s[d.var][:, None, :] @ d.Vt)[:, 0]
+            # The root's own change is zero.
+            w[d.child] = step if d is self.dates[0] else w[d.nodes, None] + step
+        return w[:-1]
+
+    def wealth_t(self, y, squared: bool = False):
+        """Transpose of ``wealth`` at values y on the trimmed nodes: one
+        leaf-to-root pass.  With ``squared`` every entry of the map is squared."""
+        subtree = np.concatenate((y, _ZERO))  # sums of y at and below each node
+        out = np.zeros(self.n_vars + 1)
+        for d in reversed(self.dates):
+            y_c = subtree[d.child]
+            out[d.var] = ((d.Vt**2 if squared else d.Vt) @ y_c[:, :, None])[:, :, 0]
+            if d is not self.dates[0]:  # the root's sum is never read
+                subtree[d.nodes] += y_c.sum(axis=1)
+        return out[:-1]
 
     def solve(self, g, a, pd, ridge: float):
         """Solve (-H + ridge I) d = g by one backward and one forward pass.
@@ -287,14 +308,6 @@ class _TreeSystem:
         return step[:-1]
 
 
-def _tree_system(geo: Geometry) -> _TreeSystem:
-    cached = getattr(geo, "_tree_system", None)
-    if cached is None:
-        cached = _TreeSystem(geo)
-        geo._tree_system = cached
-    return cached
-
-
 def solve_primal(
     model: MarketModel,
     field: UtilityField,
@@ -319,7 +332,7 @@ def solve_primal(
     ensure_full_density(geo)  # no-arbitrage gate
 
     obj = _PrimalObjective(geo, field, x)
-    theta = np.zeros(geo.n_vars)
+    theta = np.zeros(obj.system.n_vars)
     if obj.mid_idx.size:
         theta[obj.mid_idx] = x / (2.0 * model.clock.bound)
     if not obj.in_domain(theta):
@@ -334,6 +347,7 @@ def solve_primal(
     for stage, mu in enumerate(mus):
         last = stage == len(mus) - 1
         inner_tol = stop_tol if last else max(mu * obj.n_dead * 0.05, stop_tol)
+        value = obj.value(theta, mu)
         while True:
             if iterations >= max_iter:
                 raise ConvergenceError(
@@ -345,10 +359,10 @@ def solve_primal(
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
-                    theta = _domain_line_search(obj, theta, step, g, mu)
+                    theta, value = _domain_line_search(obj, theta, value, step, g, mu)
                 break
-            theta = _domain_line_search(obj, theta, step, g, mu)
-            if obj.value(theta, 0.0) > VALUE_CEILING:
+            theta, value = _domain_line_search(obj, theta, value, step, g, mu)
+            if value > VALUE_CEILING:
                 raise ValueDivergenceError("primal objective diverged")
 
     return _assemble_solution(geo, obj, field, theta, x, iterations, mus[-1])
@@ -373,23 +387,29 @@ def _ascent_step(system, g, a, pd):
         except np.linalg.LinAlgError:
             pass
         if scale is None:
-            diag = np.einsum("t,tj,tj->j", a, system.rows, system.rows) + pd
+            diag = system.wealth_t(a, squared=True) + pd
             scale = float(np.max(np.abs(diag))) or 1.0
         ridge = max(ridge * 100.0, 1e-12 * scale)
     raise ConvergenceError("primal Newton system is not positive definite under any ridge")
 
 
-def _domain_line_search(obj, theta, step, g, mu):
+def _domain_line_search(obj, theta, value, step, g, mu):
+    """Armijo backtracking from theta, whose objective is ``value``.
+
+    Returns the accepted point and its objective.
+    """
     alpha = 1.0
     slope = float(np.dot(g, step))
-    base = obj.value(theta, mu)
     for _ in range(80):
         cand = theta + alpha * step
-        if obj.value(cand, mu) >= base + 1e-4 * alpha * slope:
-            return cand
+        cand_value = obj.value(cand, mu)
+        if cand_value >= value + 1e-4 * alpha * slope:
+            return cand, cand_value
         alpha *= 0.5
     cand = theta + alpha * step
-    return cand if obj.in_domain(cand) else theta
+    if not obj.in_domain(cand):
+        return theta, value
+    return cand, obj.value(cand, mu)
 
 
 def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> PrimalSolution:
@@ -400,7 +420,7 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     na = model.n_active
 
     x_pre = np.zeros(n)
-    x_pre[geo.trimmed] = x + geo.rows @ theta
+    x_pre[geo.trimmed] = x + obj.system.wealth(theta)
 
     c = np.zeros(n)
     if obj.eff_pos.size:
@@ -414,15 +434,17 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     for pos in geo.untrimmed_levels():
         x_post[pos] = x_pre[pos] = x_post[tree.parent[pos]]
 
-    # Minimum-norm holdings reproducing each internal node's transfers.
+    # Minimum-norm holdings reproducing each internal node's transfers, with
+    # lstsq's default cutoff; a spare child slot has a zero price change and
+    # a zero target.
     H = np.zeros((n, na))
-    internal = trim[geo.internal_mask[trim]] if na else trim[:0]
-    for pos in internal.tolist():
-        kids = tree.children[pos]
-        span = model.assets.prices[kids][:, :na] - model.assets.prices[pos, :na]
-        target = x_pre[kids] - x_post[pos]
-        sol, *_ = np.linalg.lstsq(span, target, rcond=None)
-        H[pos] = sol
+    pre = np.append(x_pre[trim], 0.0)
+    for d in obj.system.dates if na else ():
+        pos = trim[d.nodes]
+        target = pre[d.child] - x_post[pos][:, None]
+        target[d.child == trim.size] = 0.0
+        pinv = np.linalg.pinv(d.V[:, :, :na], rcond=np.finfo(float).eps * max(d.child.shape[1], na))
+        H[pos] = (pinv @ target[:, :, None])[:, :, 0]
 
     # Re-derive the wealth path from the reported strategy so the returned
     # triple is exactly self-consistent.

@@ -21,9 +21,6 @@ Within the trimmed view:
 - internal nodes with a positive clock increment consume at a rate that is
   a free variable.
 
-The trimmed wealth map is affine: X_pre = x + rows @ theta, where theta
-stacks the holdings blocks and the free consumption rates.
-
 For the dual side, densities are parameterized by their values on the
 trimmed leaves (effective leaves and dead roots).  The value at any other
 trimmed node is the conditional expectation of the leaf values
@@ -34,7 +31,7 @@ tradable asset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,19 +52,23 @@ class Geometry:
     eff_mask: np.ndarray
     dead_root_mask: np.ndarray
     consuming: np.ndarray
-    # primal side
-    n_vars: int
-    h_slice: dict
-    c_index: dict
-    rows: np.ndarray
     # dual side
     solve_leaves: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tree(self):
         return self.model.tree
+
+    def memo(self, name: str, build):
+        """``build()``, computed on the first call for ``name`` and kept."""
+        try:
+            return self._memo[name]
+        except KeyError:
+            value = self._memo[name] = build()
+            return value
 
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
@@ -83,53 +84,6 @@ def _guard(n_rows: int, n_cols: int, what: str) -> None:
             f"{what} would need {n_rows * n_cols} entries, "
             f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
         )
-
-
-def _wealth_rows(model: MarketModel, nodes: np.ndarray, spends: np.ndarray, what: str):
-    """Affine map from holdings and consumption rates to wealth changes.
-
-    ``nodes`` are sorted positions holding the root and the parent of each
-    of their nodes.  The variables are a holdings block in the first
-    ``n_active`` assets at every node with a child among ``nodes``, then one
-    consumption rate at every node flagged in ``spends``, both in position
-    order.  Row k maps them to the gains minus the spending from the root
-    down to ``nodes[k]``.  Returns (rows, h_slice, c_index).
-    """
-    tree = model.tree
-    prices = model.assets.prices
-    na = model.n_active
-    parent = tree.parent[nodes]
-    kids = np.flatnonzero(parent >= 0)
-    par = parent[kids]
-
-    has_child = np.zeros(tree.n_nodes, dtype=bool)
-    has_child[par] = True
-    holders = nodes[has_child[nodes]] if na > 0 else nodes[:0]
-    spenders = nodes[spends[nodes]]
-    h_slice = {int(pos): slice(na * k, na * k + na) for k, pos in enumerate(holders)}
-    c_index = {int(pos): na * holders.size + k for k, pos in enumerate(spenders)}
-    n_vars = na * holders.size + spenders.size
-    _guard(nodes.size, n_vars, what)
-
-    # Each row starts as the one-step change into its node; accumulating
-    # down the tree then adds the changes along the path from the root.
-    rows = np.zeros((nodes.size, n_vars))
-    if na > 0:
-        block = np.full(tree.n_nodes, -1)
-        block[holders] = na * np.arange(holders.size)
-        cols = block[par][:, None] + np.arange(na)
-        rows[kids[:, None], cols] = prices[nodes[kids], :na] - prices[par, :na]
-    rate_col = np.full(tree.n_nodes, -1)
-    rate_col[spenders] = na * holders.size + np.arange(spenders.size)
-    spent = spends[par]
-    rows[kids[spent], rate_col[par[spent]]] = -model.clock.dkappa[par[spent]]
-
-    row_of = np.full(tree.n_nodes, -1)
-    row_of[nodes] = np.arange(nodes.size)
-    bounds = np.searchsorted(nodes, [lv.start for lv in tree.levels] + [tree.n_nodes])
-    levels = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    # The root's parent row is never read: no level contains the root.
-    return _accumulate_down(rows, row_of[parent], levels), h_slice, c_index
 
 
 def node_values(tree, leaves: np.ndarray, zeta) -> np.ndarray:
@@ -213,10 +167,6 @@ def build_geometry(model: MarketModel) -> Geometry:
 
     trimmed = np.flatnonzero(alive | dead_root_mask)
 
-    rows, h_slice, c_index = _wealth_rows(
-        model, trimmed, internal_mask & consuming, "trimmed wealth map"
-    )
-
     leaf_mask = eff_mask | dead_root_mask
     solve_leaves = trimmed[leaf_mask[trimmed]]
     A, b = _density_system(model, trimmed, leaf_mask, internal_mask, "density aggregation")
@@ -229,10 +179,6 @@ def build_geometry(model: MarketModel) -> Geometry:
         eff_mask=eff_mask,
         dead_root_mask=dead_root_mask,
         consuming=consuming,
-        n_vars=rows.shape[1],
-        h_slice=h_slice,
-        c_index=c_index,
-        rows=rows,
         solve_leaves=solve_leaves,
         A=A,
         b=b,
@@ -257,12 +203,28 @@ def gains_matrix(model: MarketModel):
     """Affine gains map over the whole tree for superreplication programs.
 
     Holdings live at every non-terminal node for the first ``n_active``
-    assets.  Returns (G, h_slice) with gains-to-date at node k equal to
-    G[k] @ h for the stacked holdings vector h.
+    assets, one block per node in position order.  Returns (G, h_slice)
+    with gains-to-date at node k equal to G[k] @ h for the stacked holdings
+    vector h.
     """
-    n = model.tree.n_nodes
-    G, h_slice, _ = _wealth_rows(model, np.arange(n), np.zeros(n, dtype=bool), "gains map")
-    return G, h_slice
+    tree = model.tree
+    prices = model.assets.prices
+    na = model.n_active
+    n = tree.n_nodes
+    holders = np.flatnonzero(~tree.is_leaf) if na > 0 else np.arange(0)
+    h_slice = {int(pos): slice(na * k, na * k + na) for k, pos in enumerate(holders)}
+    _guard(n, na * holders.size, "gains map")
+
+    # Each row starts as the one-step gain into its node; accumulating down
+    # the tree then adds the gains along the path from the root.
+    G = np.zeros((n, na * holders.size))
+    if na > 0:
+        kids = np.flatnonzero(tree.parent >= 0)
+        par = tree.parent[kids]
+        block = np.full(n, -1)
+        block[holders] = na * np.arange(holders.size)
+        G[kids[:, None], block[par][:, None] + np.arange(na)] = prices[kids, :na] - prices[par, :na]
+    return _accumulate_down(G, tree.parent, tree.levels), h_slice
 
 
 def cumulative_spend(model: MarketModel, c: np.ndarray) -> np.ndarray:

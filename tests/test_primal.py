@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualitylab import treeops
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.market import truncate
 from dualitylab.primal import (
@@ -22,7 +23,13 @@ from conftest import (
     binomial_model,
     binomial_two_period_partial_clock,
 )
-from test_treeops import random_models
+from test_treeops import random_models, ref_rows
+
+
+def trimmed_rows(geo):
+    """(rows, h_slice, c_index) of the dense trimmed wealth map."""
+    internal = geo.internal_mask
+    return ref_rows(geo.model, geo.trimmed, internal, internal & geo.consuming)
 
 
 def closed_form_log_binomial(p, x):
@@ -235,12 +242,13 @@ class TestTreeNewtonStep:
 
     @staticmethod
     def dense_neg_hessian(geo, field, x, theta, mu):
-        """-H summed term by term over geo.rows, as the dense solver formed it."""
+        """-H summed term by term over the dense wealth rows."""
         tree, clock = geo.tree, geo.model.clock
         base = field.base()
-        neg_h = np.zeros((geo.n_vars, geo.n_vars))
+        rows, _, c_index = trimmed_rows(geo)
+        neg_h = np.zeros((rows.shape[1], rows.shape[1]))
         for k, pos in enumerate(geo.trimmed):
-            r = geo.rows[k]
+            r = rows[k]
             s = x + r @ theta
             if geo.eff_mask[pos]:
                 w = field.weight(tree.ids[pos])
@@ -248,7 +256,7 @@ class TestTreeNewtonStep:
                 neg_h -= tree.path_prob[pos] * w * u2 / clock.dkappa[pos] * np.outer(r, r)
             elif geo.dead_root_mask[pos] and mu > 0.0:
                 neg_h += mu / s**2 * np.outer(r, r)
-        for pos, j in geo.c_index.items():
+        for pos, j in c_index.items():
             w = field.weight(tree.ids[pos])
             u2 = float(base.u_second(theta[j]))
             neg_h[j, j] -= tree.path_prob[pos] * clock.dkappa[pos] * w * u2
@@ -256,9 +264,9 @@ class TestTreeNewtonStep:
 
     @staticmethod
     def interior_point(obj, geo, rng):
-        theta = np.zeros(geo.n_vars)
+        theta = np.zeros(obj.system.n_vars)
         theta[obj.mid_idx] = obj.x / (2.0 * geo.model.clock.bound)
-        kick = rng.normal(size=geo.n_vars) * rng.uniform(0.1, 1.0)
+        kick = rng.normal(size=theta.size) * rng.uniform(0.1, 1.0)
         while not obj.in_domain(theta + kick):
             kick *= 0.5
         return theta + kick
@@ -279,18 +287,19 @@ class TestTreeNewtonStep:
         params = {"log": {}, "power": {"gamma": -1.5}, "bounded": {"alpha": 0.5, "beta": 2.0}}
         field = UtilityField(family=family, weights=weights, **params[family])
         geo = build_geometry(model)
-        assume(geo.n_vars > 0)
         obj = _PrimalObjective(geo, field, 1.3)
+        assume(obj.system.n_vars > 0)
         theta = self.interior_point(obj, geo, rng)
 
         g, a, pd = obj.grad_curv(theta, mu)
         neg_h = self.dense_neg_hessian(geo, field, 1.3, theta, mu)
+        rows = trimmed_rows(geo)[0]
         np.testing.assert_allclose(
-            np.einsum("t,ti,tj->ij", a, geo.rows, geo.rows) + np.diag(pd),
+            np.einsum("t,ti,tj->ij", a, rows, rows) + np.diag(pd),
             neg_h, rtol=1e-12, atol=1e-12 * np.max(np.abs(neg_h)),
         )
         ridge = ridge_rel * float(np.max(np.diag(neg_h)))
-        m = neg_h + ridge * np.eye(geo.n_vars)
+        m = neg_h + ridge * np.eye(obj.system.n_vars)
         if np.linalg.cond(m) > 1e6:
             # Only a ridge-free system may be this ill-conditioned (redundant
             # assets, or branches whose only curvature is a vanished barrier);
@@ -305,7 +314,7 @@ class TestTreeNewtonStep:
         # Identical price columns make the root's pivot block exactly singular.
         geo = build_geometry(duplicates)
         obj = _PrimalObjective(geo, log_field, 1.0)
-        theta = np.zeros(geo.n_vars)
+        theta = np.zeros(obj.system.n_vars)
         g, a, pd = obj.grad_curv(theta, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             obj.system.solve(g, a, pd, 0.0)
@@ -318,7 +327,7 @@ class TestTreeNewtonStep:
     def test_nonfinite_curvature_exhausts_ridge_schedule(self, two_period_mid_clock, log_field):
         geo = build_geometry(two_period_mid_clock)
         obj = _PrimalObjective(geo, log_field, 1.0)
-        theta = np.zeros(geo.n_vars)
+        theta = np.zeros(obj.system.n_vars)
         theta[obj.mid_idx] = 0.5
         g, a, pd = obj.grad_curv(theta, 0.0)
         a[obj.eff_t[0]] = np.nan
@@ -337,3 +346,14 @@ def test_ten_period_log_binomial_closed_form(p, log_field):
     internal = model.tree.internal_nodes()
     frac = sol.H[internal, 0] * model.assets.prices[internal, 0] / sol.X[internal]
     np.testing.assert_allclose(frac, 3.0 * p - 1.0, rtol=0.0, atol=1e-9)
+
+
+def test_spread_tree_needs_no_dense_wealth_map(monkeypatch, log_field):
+    # 3-period tree, clock on every date: 15 nodes, 8 leaves and 13 Newton
+    # variables.  A guard that admits the 15 x 8 density system but not a
+    # dense 15 x 13 wealth map still lets the primal solve.
+    model = binomial_model(3, 0.6, {1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
+    tree = model.tree
+    monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", tree.n_nodes * tree.leaves.size)
+    sol = solve_primal(model, log_field, 1.0, 1e-10)
+    assert sol.kkt_residual <= 1e-9

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dualitylab import treeops
 from dualitylab.errors import BudgetError
 from dualitylab.market import build_tree
+from dualitylab.primal import _TreeSystem
 from dualitylab.treeops import (
     build_geometry,
     cumulative_spend,
@@ -177,7 +178,6 @@ def ref_geometry(model):
         if tree.parent[k] >= 0 and not alive[k] and internal[tree.parent[k]]:
             dead_root[k] = True
     trimmed = np.flatnonzero(alive | dead_root)
-    rows, h_slice, c_index = ref_rows(model, trimmed, internal, internal & consuming)
     leaves = np.array([p for p in trimmed if not internal[p]], dtype=np.int64)
     _, A, b = ref_density(model, trimmed, leaves)
     return {
@@ -187,10 +187,6 @@ def ref_geometry(model):
         "eff_mask": alive & ~has_alive_child,
         "dead_root_mask": dead_root,
         "consuming": consuming,
-        "n_vars": rows.shape[1],
-        "h_slice": h_slice,
-        "c_index": c_index,
-        "rows": rows,
         "solve_leaves": leaves,
         "A": A,
         "b": b,
@@ -259,17 +255,42 @@ def test_kernels_match_reference_loops(model, seed):
     assert_same(wealth_from_strategy(model, H, c, 1.3), ref_wealth(model, H, c, 1.3))
 
 
+@settings(max_examples=120, deadline=None)
+@given(random_models(), st.integers(0, 2**32 - 1))
+def test_wealth_passes_match_reference_rows(model, seed):
+    # The primal's date passes against the dense trimmed wealth map, with the
+    # variables laid out as holdings blocks then rates, in position order.
+    geo = build_geometry(model)
+    internal = geo.internal_mask
+    rows, _, _ = ref_rows(model, geo.trimmed, internal, internal & geo.consuming)
+    system = _TreeSystem(geo)
+    assert system.n_vars == rows.shape[1]
+
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=rows.shape[1])
+    y = rng.normal(size=rows.shape[0])
+    a = rng.uniform(0.0, 2.0, rows.shape[0])
+
+    def assert_close(got, want, magnitude):
+        # Relative to the sum of the absolute terms, as entries may cancel.
+        atol = 1e-12 * np.max(magnitude, initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+    assert_close(system.wealth(theta), rows @ theta, np.abs(rows) @ np.abs(theta))
+    assert_close(system.wealth_t(y), rows.T @ y, np.abs(rows.T) @ np.abs(y))
+    assert_close(system.wealth_t(a, squared=True), (rows**2).T @ a, (rows**2).T @ a)
+
+
 @pytest.mark.parametrize(
     "build, guard, what",
     [
-        (build_geometry, 2, "trimmed wealth map"),
         (build_geometry, 4, "density aggregation"),
         (full_polytope_matrices, 4, "full density aggregation"),
         (gains_matrix, 2, "gains map"),
     ],
 )
 def test_dense_guards(monkeypatch, binom1, build, guard, what):
-    # binom1 has 3 nodes, 2 leaves and 1 holdings variable.
+    # binom1 has 3 nodes, 2 leaves and 1 holdings variable at its root.
     monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", guard)
     with pytest.raises(BudgetError, match=f"^{what} would need"):
         build(binom1)
