@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -112,29 +112,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    fields = {}
+    values = {}
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                fields.update(json.load(fh))
+                values.update(json.load(fh))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    for name in (
-        "model", "utility", "x", "y", "tol", "check_tol", "n_max", "grid_min",
-        "grid_max", "grid_points", "out", "strict", "claim",
-        "p_start", "p_step", "alpha", "beta",
-    ):
+    known = [f.name for f in fields(RunConfig) if f.name != "command"]
+    for name in known:
         value = getattr(args, name, None)
         if value is not None:
-            fields[name] = value
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(fields) - known
+            values[name] = value
+    unknown = set(values) - set(known)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
-        return RunConfig(command=args.command, **fields)
+        return RunConfig(command=args.command, **values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -4,26 +4,28 @@ The feasible set is the polytope of nonnegative processes Z with Z_0 = 1
 that are martingales and keep every traded asset's price process a
 martingale after reweighting.  On a finite tree a density is pinned by its
 leaf values, so the public polytope object uses the leaf parameterization
-from ``treeops``; the solver additionally changes coordinates to the
-induced leaf *measure* q = P * zeta, which lives inside the probability
-simplex and keeps the barrier geometry bounded even when the densities
-themselves span many orders of magnitude.
-
-The objective is
+from ``treeops``.  The solver works in *measures*, which live inside the
+probability simplex and keep the barrier geometry bounded even when the
+densities span many orders of magnitude, and picks coordinates in which
 
     F = sum over consuming nodes of  P * dkappa * V(node, y * Z(node)),
 
-with V the conjugate field.  Since the conjugate of any admissible field
-descends infinitely steeply at 0, minimizers stay strictly positive
-wherever the objective looks; a logarithmic barrier with decreasing weight
+with V the conjugate field, has one separable term per consuming node:
+leaf measures q = P * zeta when every consuming node is a trimmed leaf,
+else node measures m_k = P(k) Z(k) on the whole trimmed tree, whose
+constraints m_root = 1, m_k = sum_c m_c and sum_c m_c (S_c - S_k) = 0 are
+node-local (Steinbach, "Tree-sparse convex programs", 2002).
+
+Since the conjugate of any admissible field descends infinitely steeply at
+0, minimizers stay strictly positive wherever the objective looks; a
+logarithmic barrier on the trimmed-leaf measures, with decreasing weight,
 keeps iterates interior.  Newton steps are taken inside the affine set in
 iterate-scaled (Dikin) coordinates, where the barrier contributes exactly
-its weight to every diagonal entry, and the multipliers come from an SVD
-least-squares solve rather than the squared-conditioning Schur complement.
-Optimality is certified by the tighter of two true bounds: the separable
-Lagrangian gap at the Newton multipliers and the linearized (Frank-Wolfe)
-gap; when curvature dies along some directions (conjugates flatten for
-huge arguments), vertex steps recover global progress.
+its weight to the diagonal: in leaf measures the multipliers come from an
+SVD least-squares solve rather than the squared-conditioning Schur
+complement, in node measures from one sparse LU of the KKT matrix.  Either
+way optimality is certified by the separable Lagrangian lower bound at the
+Newton multipliers.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import qr
 from scipy.optimize import LinearConstraint, linprog, minimize
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
@@ -155,6 +158,59 @@ def _measure_system(geo: Geometry):
     return geo.memo("measure_system", build)
 
 
+def _node_system(geo: Geometry):
+    """Constraint system in node-measure coordinates m = P Z over ``geo.trimmed``.
+
+    Sparse rows, each divided by P(k) of its node k: m_root = 1, then the
+    balance m_k - sum_c m_c = 0 of every internal node, then its pricing
+    rows sum_c m_c (S_c - S_k) = 0.  For full rank a node keeps as many of
+    these as its price-change block has singular values above the primal's
+    min-norm cutoff, eps * max(width, n_active), times the node's price
+    level, so that a redundant asset, or one whose price moves by rounding
+    only, costs no row; a pivoted QR picks the assets that stay.
+    """
+
+    def build():
+        tree = geo.tree
+        trim = geo.trimmed
+        na = geo.model.n_active
+        prices = geo.model.assets.prices[:, :na]
+        internal = trim[geo.internal_mask[trim]]
+        # Every other trimmed node, grouped by its parent's index in internal.
+        kids = trim[1:]
+        kids = kids[np.argsort(np.searchsorted(internal, tree.parent[kids]), kind="stable")]
+        par = tree.parent[kids]
+        blk = np.searchsorted(internal, par)
+        d_s = prices[kids] - prices[par]
+
+        keep = np.ones((internal.size, na), dtype=bool)
+        if na:
+            slot = np.arange(kids.size) - np.searchsorted(blk, blk)
+            D = np.zeros((internal.size, int(slot.max()) + 1, na))
+            D[blk, slot] = d_s
+            level = np.abs(prices[internal]).max(axis=1)
+            np.maximum.at(level, blk, np.abs(prices[kids]).max(axis=1))
+            s = np.linalg.svd(D, compute_uv=False)
+            rank = np.sum(s > np.finfo(float).eps * max(D.shape[1:]) * level[:, None], axis=1)
+            for i in np.flatnonzero(rank < na):
+                keep[i] = False
+                keep[i, qr(D[i], mode="r", pivoting=True)[1][: rank[i]]] = True
+        n_rows = 1 + internal.size + int(keep.sum())
+        price_row = np.full(keep.shape, -1)
+        price_row[keep] = np.arange(1 + internal.size, n_rows)
+
+        k, a = np.nonzero(keep[blk])
+        inv_p = 1.0 / tree.path_prob
+        rows = np.concatenate(([0], 1 + np.arange(internal.size), 1 + blk, price_row[blk[k], a]))
+        cols = np.searchsorted(trim, np.concatenate(([trim[0]], internal, kids, kids[k])))
+        vals = np.concatenate(([1.0], inv_p[internal], -inv_p[par], d_s[k, a] * inv_p[par[k]]))
+        b = np.zeros(n_rows)
+        b[0] = 1.0
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, trim.size)), b
+
+    return geo.memo("node_system", build)
+
+
 def measure_interior(geo: Geometry) -> np.ndarray:
     """Strictly positive feasible leaf measure, cached on the geometry.
 
@@ -240,36 +296,31 @@ class DualSolution:
 
 
 class _DualObjective:
-    """F(q), gradient, and Hessian over the leaf-measure coordinates."""
+    """F, gradient and diagonal Hessian over measure coordinates.
 
-    def __init__(self, geo: Geometry, field: UtilityField, y: float):
+    The coordinates sit at the tree positions ``coords``: by default the
+    trimmed leaves when every consuming node is one of them, else every
+    trimmed node.  Either way each consuming node reads one scaled
+    coordinate Z = m / P.
+    """
+
+    def __init__(self, geo: Geometry, field: UtilityField, y: float, coords=None):
         self.geo = geo
         self.y = y
         tree = geo.tree
-        leaves = geo.solve_leaves
-        prob = tree.path_prob[leaves]
         cons = geo.trimmed[geo.consuming[geo.trimmed]]
         self.coef = tree.path_prob[cons] * geo.model.clock.dkappa[cons]
         self.w = field.weight_array([tree.ids[pos] for pos in cons.tolist()])
         self.base = field.base()
-        # Fast path: every consuming node is itself a trimmed leaf, so each
-        # node density reads a single scaled coordinate Z = q / P.
-        self.single = bool(geo.eff_mask[cons].all())
-        if self.single:
-            self.cols = np.searchsorted(leaves, cons)
-            self.col_scale = 1.0 / prob[self.cols]
-            self.M = None
-        else:
-            self.cols = None
-            self.col_scale = None
-            self.M = geo.memo(
-                "node_density_map",
-                lambda: node_values(tree, leaves, np.eye(leaves.size))[cons] / prob[None, :],
-            )
+        if coords is None:
+            coords = geo.solve_leaves if geo.eff_mask[cons].all() else geo.trimmed
+        self.coords = coords
+        self.cols = np.searchsorted(coords, cons)
+        self.leaf_cols = np.searchsorted(coords, geo.solve_leaves)
+        self.col_scale = 1.0 / tree.path_prob[cons]
 
     def node_args(self, q: np.ndarray) -> np.ndarray:
-        z = q[self.cols] * self.col_scale if self.single else self.M @ q
-        return self.y * z / self.w
+        return self.y * (q[self.cols] * self.col_scale) / self.w
 
     def value(self, q: np.ndarray) -> float:
         return float(np.dot(self.coef * self.w, self.base.v(self.node_args(q))))
@@ -278,32 +329,24 @@ class _DualObjective:
         args = self.node_args(q)
         # dV(node)/dZ = y v'(arg); v' = -inverse marginal of the base
         gnode = -self.coef * self.y * self.base.inv_u_prime(args)
-        if self.single:
-            out = np.zeros(q.size)
-            np.add.at(out, self.cols, gnode * self.col_scale)
-            return out
-        return self.M.T @ gnode
+        out = np.zeros(q.size)
+        np.add.at(out, self.cols, gnode * self.col_scale)
+        return out
 
-    def hess_diag_or_dense(self, q: np.ndarray):
-        """Returns (diag, None) on the fast path, else (None, dense)."""
+    def hess_diag(self, q: np.ndarray) -> np.ndarray:
         args = self.node_args(q)
         curv = self.coef * (self.y**2 / self.w) * _v_second(self.base, args)
-        if self.single:
-            d = np.zeros(q.size)
-            np.add.at(d, self.cols, curv * self.col_scale**2)
-            return d, None
-        return None, (self.M.T * curv) @ self.M
+        d = np.zeros(q.size)
+        np.add.at(d, self.cols, curv * self.col_scale**2)
+        return d
 
     def lower_bound(self, A, b, nu) -> float:
         """Lagrangian lower bound on the polytope minimum, for any multipliers.
 
         Dualizing the equality rows leaves a separable minimization over the
-        box [0, 1]^n (the measure coordinates never exceed 1), which has a
-        closed form through the inverse marginal.  Only available on the
-        fast path, where the objective is coordinate-separable.
+        box [0, 1]^n (measures of a probability never exceed 1), which has a
+        closed form through the inverse marginal.
         """
-        if not self.single:
-            return -math.inf
         a = A.T @ nu
         total = -float(np.dot(nu, b))
 
@@ -382,10 +425,8 @@ def solve_dual(
         )
 
     Aq, b, prob = _measure_system(geo)
-    n = prob.size
-
     q = None
-    if warm_start is not None and np.asarray(warm_start).size == n:
+    if warm_start is not None and np.asarray(warm_start).size == prob.size:
         cand = np.asarray(warm_start, dtype=float) * prob
         if np.min(cand) > 0.0 and np.max(np.abs(Aq @ cand - b)) < 1e-8:
             q = cand
@@ -393,16 +434,57 @@ def solve_dual(
         q = entropy_center(geo)
 
     obj = _DualObjective(geo, field, y)
+    try:
+        q, iterations = _barrier_solve(obj, q, tol, max_iter)
+    except ConvergenceError:
+        if obj.coords is geo.trimmed:
+            raise
+        # Leaf-measure steps lose feasibility where the curvature spans many
+        # orders of magnitude, and stall on rows at the rounding level of the
+        # prices; node-measure steps solve their sparse KKT system exactly.
+        obj = _DualObjective(geo, field, y, geo.trimmed)
+        q, iterations = _barrier_solve(obj, entropy_center(geo), tol, max_iter)
 
-    # Barrier weights: plain mu on consuming coordinates; coordinates the
-    # objective never sees keep a small floor so they stay strictly interior
-    # without drifting the value.  Each floor stays in the certified gap, so
-    # together they must stay well below ``tol``.
-    dead_cols = np.flatnonzero(geo.dead_root_mask[geo.solve_leaves])
+    zeta = q[obj.leaf_cols] / prob
+    zfull = _extend_density(geo, zeta)
+    z_cons = obj.node_args(q) * obj.w / y
+    return DualSolution(
+        Z=zfull,
+        zeta=zeta,
+        y=y,
+        value=obj.value(q),
+        attained_on_boundary=bool(np.min(z_cons) < BOUNDARY_FLAG_LEVEL),
+        iterations=iterations,
+        model=model,
+        field=field,
+    )
+
+
+def _barrier_solve(obj, q, tol, max_iter):
+    """Barrier continuation and certification in ``obj``'s coordinates.
+
+    Starts from the strictly positive feasible leaf measure ``q``; returns
+    the certified measure in ``obj.coords`` and the Newton iteration count.
+    """
+    geo = obj.geo
+    y = obj.y
+    A, b, prob = _measure_system(geo)
+    n = prob.size
+    if obj.coords is geo.trimmed:
+        A, b = _node_system(geo)
+        tree = geo.tree
+        q = (tree.path_prob * node_values(tree, geo.solve_leaves, q / prob))[obj.coords]
+
+    # Barrier weights: plain mu on the trimmed-leaf measures, none on inner
+    # nodes; coordinates the objective never sees keep a small floor so they
+    # stay strictly interior without drifting the value.  Each floor stays
+    # in the certified gap, so together they must stay well below ``tol``.
+    dead_cols = np.flatnonzero(geo.dead_root_mask[obj.coords])
     mu_floor = min(1e-10, 1e-2 * tol / max(1, dead_cols.size))
 
     def barrier_weights(mu: float) -> np.ndarray:
-        w = np.full(n, mu)
+        w = np.zeros(q.size)
+        w[obj.leaf_cols] = mu
         if dead_cols.size:
             w[dead_cols] = max(mu, mu_floor)
         return w
@@ -437,15 +519,7 @@ def solve_dual(
             iterations += 1
             g_obj = obj.grad(q)
             g = g_obj - bw / q
-            d_diag, d_dense = obj.hess_diag_or_dense(q)
-            if d_dense is None:
-                step, lam2, nu = _scaled_newton_step(Aq, b, q, g_obj, d_diag, bw)
-            else:
-                h_u = (q[:, None] * q[None, :]) * d_dense + np.diag(bw)
-                du, lam2, nu = _kkt_step_dense(
-                    Aq * q[None, :], b - Aq @ q, q * g_obj - bw, h_u
-                )
-                step = q * du
+            step, lam2, nu = _scaled_newton_step(A, b, q, g_obj, obj.hess_diag(q), bw)
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
@@ -468,71 +542,33 @@ def solve_dual(
             q, mu, max(0.05 * mu * n, 1e-16), 120, max(0.02 * tol, 8.0 * eps) * scale
         )
 
-    # Final stage.  Suboptimality is certified by the tighter of two true
-    # bounds: the Lagrangian (separable Fenchel) gap at the Newton
-    # multipliers and the linearized Frank-Wolfe gap.  When Newton stalls in
-    # curvature-free directions, vertex steps with exact line search restore
-    # global progress.
-    mu = mus[-1]
-    gap = math.inf
-    done = False
-    for _ in range(40):
-        scale = 1.0 + abs(obj.value(q))
-        q, nu = newton_pass(
-            q, mu, max(1e-3 * tol, 5.0 * eps) * scale, 80,
-            max(1e-3 * tol, 8.0 * eps) * scale,
-        )
-        if nu is not None:
-            gap = obj.value(q) - obj.lower_bound(Aq, b, nu)
-            if gap <= tol * scale:
-                done = True
-                break
-        g = obj.grad(q)
-        fw_gap, vertex = _linearized_gap(Aq, b, q, g)
-        noise = 32.0 * eps * float(np.abs(g) @ (np.abs(q) + np.abs(vertex)))
-        gap = min(gap, fw_gap)
-        if fw_gap <= max(tol * scale, noise):
-            done = True
-            break
-        # Vertex steps as a last resort; Newton under the deep barrier does
-        # the heavy lifting, these only nudge past degenerate plateaus.
-        for _ in range(8):
-            q = _fw_line_search(obj, q, vertex, g)
-            g = obj.grad(q)
-            fw_gap, vertex = _linearized_gap(Aq, b, q, g)
-            gap = min(gap, fw_gap)
-    if not done:
+    # Final stage, certified by the Lagrangian (separable Fenchel) gap at the
+    # Newton multipliers.
+    scale = 1.0 + abs(obj.value(q))
+    q, nu = newton_pass(
+        q, mus[-1], max(1e-3 * tol, 5.0 * eps) * scale, 80,
+        max(1e-3 * tol, 8.0 * eps) * scale,
+    )
+    gap = obj.value(q) - obj.lower_bound(A, b, nu)
+    if gap > tol * scale:
         raise ConvergenceError(
             f"dual solve at y={y} could not certify tolerance {tol} "
             f"(certified gap {gap:.3g})"
         )
 
-    # Snap back onto the equality manifold: vertex steps inherit the LP
-    # engine's feasibility tolerance, which would otherwise leak into the
-    # reported density.
-    r = b - Aq @ q
-    if float(np.max(np.abs(r))) > 1e-13:
-        gram = Aq @ Aq.T
-        try:
-            corrected = q + Aq.T @ np.linalg.solve(gram, r)
-        except np.linalg.LinAlgError:
-            corrected = q + Aq.T @ np.linalg.lstsq(gram, r, rcond=None)[0]
-        if float(np.min(corrected)) > 0.0:
-            q = corrected
-
-    zeta = q / prob
-    zfull = _extend_density(geo, zeta)
-    z_cons = obj.node_args(q) * obj.w / y
-    return DualSolution(
-        Z=zfull,
-        zeta=zeta,
-        y=y,
-        value=obj.value(q),
-        attained_on_boundary=bool(np.min(z_cons) < BOUNDARY_FLAG_LEVEL),
-        iterations=iterations,
-        model=model,
-        field=field,
-    )
+    # Snap back onto the equality manifold: Newton steps meet A q = b only to
+    # the accuracy of their linear solves, and the drift left over would leak
+    # into the reported density.  The gap above is certified before this
+    # projection, which can move the value where the drift is large.
+    r = b - A @ q
+    drift = float(np.max(np.abs(r)))
+    if drift > 1e-13:
+        q = q + _min_norm_correction(A, r)
+        if float(np.min(q)) <= 0.0:
+            raise ConvergenceError(
+                f"dual solve at y={y} drifted {drift:.3g} off the density constraints"
+            )
+    return q, iterations
 
 
 def _field_key(field: UtilityField):
@@ -563,21 +599,15 @@ def _weighted_clock_mass(geo, field) -> float:
     return float(np.dot(tree.path_prob[cons] * dk[cons], w))
 
 
-def _linearized_gap(A, b, x, g):
-    """Frank-Wolfe gap g @ (x - argmin) over the polytope; a true bound on
-    the suboptimality of the convex objective at x."""
-    res = linprog(
-        g,
-        A_eq=A,
-        b_eq=b,
-        bounds=[(0.0, None)] * g.size,
-        method="highs",
-        options=_LP_OPTS,
-    )
-    if res.status != 0 or res.x is None:
-        raise ConvergenceError(f"gap-certificate LP failed: {res.message}")
-    vertex = res.x
-    return float(g @ (x - vertex)), vertex
+def _min_norm_correction(A, r):
+    """Least-norm d with A d = r, that is A' (A A')^-1 r."""
+    if sparse.issparse(A):
+        return _kkt_step_sparse(A, r, np.zeros(A.shape[1]), np.ones(A.shape[1]))[0]
+    gram = A @ A.T
+    try:
+        return A.T @ np.linalg.solve(gram, r)
+    except np.linalg.LinAlgError:
+        return A.T @ np.linalg.lstsq(gram, r, rcond=None)[0]
 
 
 def _kkt_step_core(A, r, g, hdiag):
@@ -594,16 +624,30 @@ def _kkt_step_core(A, r, g, hdiag):
     step = -(s * s) * (g + A.T @ nu)
     if float(np.max(np.abs(r))) > 0.0:
         # Repair any feasibility drift through the plain projection.
-        gram = A @ A.T
-        try:
-            step = step + A.T @ np.linalg.solve(gram, r)
-        except np.linalg.LinAlgError:
-            step = step + A.T @ np.linalg.lstsq(gram, r, rcond=None)[0]
+        step = step + _min_norm_correction(A, r)
     lam2 = float(np.dot(step, hdiag * step))
     return step, lam2, nu
 
 
-def _scaled_newton_step(Aq, b, q, g_obj, h_obj, bw):
+def _kkt_step_sparse(A, r, g, hdiag):
+    """The step of ``_kkt_step_core`` for a sparse A of full row rank.
+
+    One sparse LU of [[diag(h), A'], [A, 0]].  Entries of h may vanish where
+    the rows pin the coordinate (inner node measures are sums of the leaf
+    measures below them), so h^-1 is never formed.
+    """
+    kkt = sparse.bmat([[sparse.diags(hdiag), A.T], [A, None]], format="csc")
+    try:
+        sol = splu(kkt).solve(np.concatenate((-g, r)))
+    except RuntimeError:  # exactly singular
+        sol = np.array([np.nan])
+    if not np.all(np.isfinite(sol)):
+        raise ConvergenceError("dual Newton system could not be factorized")
+    step = sol[: g.size]
+    return step, float(np.dot(step, hdiag * step)), sol[g.size :]
+
+
+def _scaled_newton_step(A, b, q, g_obj, h_obj, bw):
     """Newton step in Dikin coordinates d(q) = q * du.
 
     Rescaling by the current iterate equalizes the barrier's diagonal
@@ -614,58 +658,11 @@ def _scaled_newton_step(Aq, b, q, g_obj, h_obj, bw):
     """
     g_u = q * g_obj - bw
     h_u = q * q * h_obj + bw
-    A_u = Aq * q[None, :]
-    du, lam2, nu = _kkt_step_core(A_u, b - Aq @ q, g_u, h_u)
+    if sparse.issparse(A):
+        du, lam2, nu = _kkt_step_sparse(A @ sparse.diags(q), b - A @ q, g_u, h_u)
+    else:
+        du, lam2, nu = _kkt_step_core(A * q[None, :], b - A @ q, g_u, h_u)
     return q * du, lam2, nu
-
-
-def _kkt_step_dense(A, r, g, hdense):
-    scale = float(np.max(np.abs(np.diag(hdense)))) or 1.0
-    ridge = 1e-13 * scale
-    for _ in range(12):
-        try:
-            cf = cho_factor(hdense + ridge * np.eye(hdense.shape[0]))
-            hg = cho_solve(cf, g)
-            hat = cho_solve(cf, A.T)
-            schur = A @ hat
-            rhs = -A @ hg - r
-            nu = np.linalg.solve(schur, rhs)
-            step = -hg - hat @ nu
-            lam2 = float(np.dot(step, hdense @ step))
-            if lam2 < 0.0:
-                raise np.linalg.LinAlgError
-            return step, lam2, nu
-        except np.linalg.LinAlgError:
-            ridge *= 100.0
-    raise ConvergenceError("dual Newton system could not be factorized")
-
-
-def _fw_line_search(obj, q, vertex, g):
-    """Exact line search for the true objective along a vertex direction.
-
-    The derivative along the segment is monotone (convexity), so bisection
-    on it finds the segment minimizer; a fraction-to-boundary cap keeps the
-    iterate strictly positive for the following barrier steps.
-    """
-    d = vertex - q
-    neg = d < 0.0
-    alpha_hi = 1.0
-    if np.any(neg):
-        alpha_hi = min(1.0, 0.9999 * float(np.min(-q[neg] / d[neg])))
-
-    def slope(alpha):
-        return float(np.dot(obj.grad(q + alpha * d), d))
-
-    lo, hi = 0.0, alpha_hi
-    if slope(hi) <= 0.0:
-        return q + hi * d
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return q + lo * d
 
 
 def _line_search(obj, x, step, g, bw):

@@ -27,6 +27,7 @@ from .utility import UtilityField
 
 MONOTONE_SLACK = 1e-7
 SOLVE_BUDGET = 20_000
+FD_STEP = 1e-4
 _LP_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -65,12 +66,11 @@ def pair_solutions(
 
 
 def marginal_value_estimate(
-    model: MarketModel, field: UtilityField, x: float, tol: float = 1e-8,
-    fd_step: float = 1e-4,
+    model: MarketModel, field: UtilityField, x: float, tol: float = 1e-8
 ) -> float:
-    """Centered-difference estimate of u'(x) with relative step fd_step."""
+    """Centered-difference estimate of u'(x) with relative step ``FD_STEP``."""
     geo = build_geometry(model)
-    h = fd_step * x
+    h = FD_STEP * x
     up = solve_primal(model, field, x + h, tol, _geometry=geo)
     dn = solve_primal(model, field, x - h, tol, _geometry=geo)
     return (up.value - dn.value) / (2.0 * h)

@@ -21,14 +21,15 @@ def single_path_model(dkappas, bound, n_assets=0):
     )
 
 
-def binomial_model(periods, p, clock, bound=1.0, up=2.0, down=0.5):
+def binomial_model(periods, p, clock, bound=1.0, up=2.0, down=0.5, copies=1):
     """Recombining-in-law (but tree-structured) iid binomial asset.
 
     ``clock`` maps time index to the increment applied at every node of that
-    time; time 0 is forced to zero by construction.
+    time; time 0 is forced to zero by construction.  With ``copies`` > 1 the
+    asset is traded that many times over, as identical price columns.
     """
     nodes = [{"id": 0, "t": 0, "parent": None}]
-    prices = {0: [1.0]}
+    prices = {0: [1.0] * copies}
     dk = {0: 0.0}
     nid = 1
     level = [(0, 1.0)]
@@ -37,13 +38,13 @@ def binomial_model(periods, p, clock, bound=1.0, up=2.0, down=0.5):
         for pid, s in level:
             for move, prob in ((up, p), (down, 1.0 - p)):
                 nodes.append({"id": nid, "t": t, "parent": pid, "prob": prob})
-                prices[nid] = [s * move]
+                prices[nid] = [s * move] * copies
                 dk[nid] = clock.get(t, 0.0)
                 nxt.append((nid, s * move))
                 nid += 1
         level = nxt
     return build_tree(
-        {"nodes": nodes, "prices": prices, "clock": dk, "A": bound, "n_active": 1}
+        {"nodes": nodes, "prices": prices, "clock": dk, "A": bound, "n_active": copies}
     )
 
 

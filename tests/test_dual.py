@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dualitylab import dual
@@ -16,7 +18,8 @@ from dualitylab.market import build_tree, truncate
 from dualitylab.treeops import build_geometry, full_polytope_matrices
 from dualitylab.utility import UtilityField
 
-from conftest import arbitrage_model
+from conftest import arbitrage_model, binomial_model
+from test_treeops import random_models
 
 
 class TestPolytope:
@@ -265,6 +268,17 @@ class TestSolveDual:
         ref = solve_dual(model, log_field, 1e-3, 1e-8)
         assert sol.value == pytest.approx(ref.value, rel=1e-7)
 
+    def test_redundant_assets_match_single_asset(self, log_field, bounded_field):
+        # Trading the asset twice repeats every pricing row; a consumption
+        # date inside the tree puts the solve in node measures, which must
+        # drop the copies rather than fail to factorize.
+        one = binomial_model(2, 0.6, {1: 0.5, 2: 0.5})
+        two = binomial_model(2, 0.6, {1: 0.5, 2: 0.5}, copies=2)
+        for field in (log_field, bounded_field):
+            v1 = solve_dual(one, field, 1.3, 1e-10).value
+            v2 = solve_dual(two, field, 1.3, 1e-10).value
+            assert v2 == pytest.approx(v1, abs=1e-12)
+
     def test_errors(self, binom1, log_field):
         with pytest.raises(DualityLabError):
             solve_dual(binom1, log_field, 0.0)
@@ -272,6 +286,66 @@ class TestSolveDual:
             solve_dual(arbitrage_model(), log_field, 1.0)
         with pytest.raises(DualityLabError):
             solve_dual(binom1, UtilityField(family="affine-test"), 1.0)
+
+
+def _node_margin(model):
+    """Smallest, over the nodes, of the largest min_c q_c of a one-step
+    martingale measure q on the node's children; -inf when one has none."""
+    tree = model.tree
+    na = model.n_active
+    prices = model.assets.prices
+    margin = 1.0
+    for k in np.flatnonzero(~tree.is_leaf):
+        kids = np.flatnonzero(tree.parent == k)
+        n = kids.size
+        # max t  s.t.  sum_c q_c (S_c - S_k) = 0,  sum_c q_c = 1,  q_c >= t
+        a_eq = np.vstack([(prices[kids, :na] - prices[k, :na]).T, np.ones((1, n))])
+        res = linprog(
+            np.append(np.zeros(n), -1.0),
+            A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+            b_ub=np.zeros(n),
+            A_eq=np.hstack([a_eq, np.zeros((na + 1, 1))]),
+            b_eq=np.append(np.zeros(na), 1.0),
+            bounds=[(None, None)] * (n + 1),
+            method="highs",
+        )
+        margin = min(margin, res.x[-1] if res.status == 0 else -math.inf)
+    return margin
+
+
+RANDOM_TREE_FIELDS = {
+    "log": UtilityField(family="log"),
+    "power": UtilityField(family="power", gamma=-1.0),
+    "bounded": UtilityField(family="bounded", alpha=0.5, beta=2.0),
+}
+
+
+class TestRandomTrees:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(sorted(RANDOM_TREE_FIELDS)),
+    )
+    def test_certified_density_and_convex_value(self, model, family):
+        # A market is arbitrage-free exactly when every one-period submarket
+        # is; draws within 1e-2 of that boundary may go either way.
+        margin = _node_margin(model)
+        ys = (1e-2, 1.0, 1e2)
+        try:
+            sols = [solve_dual(model, RANDOM_TREE_FIELDS[family], y, 1e-10) for y in ys]
+        except InfeasibleMarketError:
+            assert margin < 1e-2
+            return
+        assert margin > 1e-9
+        poly = martingale_polytope(model)
+        leaves = model.tree.leaves
+        for sol in sols:
+            assert float(np.min(sol.Z)) > 0.0
+            assert poly.contains(sol.Z[leaves], tol=1e-9)
+        v = [sol.value for sol in sols]
+        assert v[0] > v[1] > v[2]
+        slopes = np.diff(v) / np.diff(ys)
+        assert slopes[0] <= slopes[1] + 1e-9
 
 
 class TestDualOverMeasures:

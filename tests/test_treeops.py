@@ -30,7 +30,7 @@ from dualitylab.treeops import (
 
 
 @st.composite
-def random_models(draw):
+def random_models(draw, martingale=False):
     depth = draw(st.integers(1, 4))
     n_assets = draw(st.integers(0, 3))
     n_active = draw(st.integers(0, n_assets))
@@ -66,6 +66,15 @@ def random_models(draw):
         nodes.append({"id": int(ids[k]), "t": times[k], "parent": int(ids[parent[k]]),
                       "prob": probs[k]})
     prices = rng.uniform(0.25, 4.0, (n, n_assets))
+    if martingale:
+        # Each inner node's prices become a strictly positive average of its
+        # children's, so that every one-period submarket is arbitrage-free.
+        parent_of = np.array(parent[1:])
+        for k in range(n - 1, -1, -1):
+            kids = 1 + np.flatnonzero(parent_of == k)
+            if kids.size:
+                w = rng.uniform(0.2, 1.0, kids.size)
+                prices[k] = w @ prices[kids] / w.sum()
     return build_tree({
         "nodes": nodes,
         "prices": {int(ids[k]): list(prices[k]) for k in range(n)},
