@@ -36,13 +36,12 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import qr
 from scipy.optimize import LinearConstraint, linprog, minimize
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
-from .treeops import Geometry, build_geometry, full_polytope_matrices, node_values
+from .treeops import Geometry, build_geometry, full_polytope_matrices, node_system, node_values
 from .utility import UtilityField
 
 ARBITRAGE_MARGIN = 1e-11
@@ -156,59 +155,6 @@ def _measure_system(geo: Geometry):
         return geo.A / prob[None, :], geo.b, prob
 
     return geo.memo("measure_system", build)
-
-
-def _node_system(geo: Geometry):
-    """Constraint system in node-measure coordinates m = P Z over ``geo.trimmed``.
-
-    Sparse rows, each divided by P(k) of its node k: m_root = 1, then the
-    balance m_k - sum_c m_c = 0 of every internal node, then its pricing
-    rows sum_c m_c (S_c - S_k) = 0.  For full rank a node keeps as many of
-    these as its price-change block has singular values above the primal's
-    min-norm cutoff, eps * max(width, n_active), times the node's price
-    level, so that a redundant asset, or one whose price moves by rounding
-    only, costs no row; a pivoted QR picks the assets that stay.
-    """
-
-    def build():
-        tree = geo.tree
-        trim = geo.trimmed
-        na = geo.model.n_active
-        prices = geo.model.assets.prices[:, :na]
-        internal = trim[geo.internal_mask[trim]]
-        # Every other trimmed node, grouped by its parent's index in internal.
-        kids = trim[1:]
-        kids = kids[np.argsort(np.searchsorted(internal, tree.parent[kids]), kind="stable")]
-        par = tree.parent[kids]
-        blk = np.searchsorted(internal, par)
-        d_s = prices[kids] - prices[par]
-
-        keep = np.ones((internal.size, na), dtype=bool)
-        if na:
-            slot = np.arange(kids.size) - np.searchsorted(blk, blk)
-            D = np.zeros((internal.size, int(slot.max()) + 1, na))
-            D[blk, slot] = d_s
-            level = np.abs(prices[internal]).max(axis=1)
-            np.maximum.at(level, blk, np.abs(prices[kids]).max(axis=1))
-            s = np.linalg.svd(D, compute_uv=False)
-            rank = np.sum(s > np.finfo(float).eps * max(D.shape[1:]) * level[:, None], axis=1)
-            for i in np.flatnonzero(rank < na):
-                keep[i] = False
-                keep[i, qr(D[i], mode="r", pivoting=True)[1][: rank[i]]] = True
-        n_rows = 1 + internal.size + int(keep.sum())
-        price_row = np.full(keep.shape, -1)
-        price_row[keep] = np.arange(1 + internal.size, n_rows)
-
-        k, a = np.nonzero(keep[blk])
-        inv_p = 1.0 / tree.path_prob
-        rows = np.concatenate(([0], 1 + np.arange(internal.size), 1 + blk, price_row[blk[k], a]))
-        cols = np.searchsorted(trim, np.concatenate(([trim[0]], internal, kids, kids[k])))
-        vals = np.concatenate(([1.0], inv_p[internal], -inv_p[par], d_s[k, a] * inv_p[par[k]]))
-        b = np.zeros(n_rows)
-        b[0] = 1.0
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, trim.size)), b
-
-    return geo.memo("node_system", build)
 
 
 def measure_interior(geo: Geometry) -> np.ndarray:
@@ -471,7 +417,9 @@ def _barrier_solve(obj, q, tol, max_iter):
     A, b, prob = _measure_system(geo)
     n = prob.size
     if obj.coords is geo.trimmed:
-        A, b = _node_system(geo)
+        A, b, _ = geo.memo(
+            "node_system", lambda: node_system(geo.model, geo.trimmed, geo.internal_mask)
+        )
         tree = geo.tree
         q = (tree.path_prob * node_values(tree, geo.solve_leaves, q / prob))[obj.coords]
 

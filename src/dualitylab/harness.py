@@ -22,7 +22,7 @@ from .dual import DualSolution, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import ExampleMarketSpec, MarketModel, build_example_market, truncate
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry, cumulative_spend, full_polytope_matrices, gains_matrix
+from .treeops import build_geometry, full_polytope_matrices, node_system
 from .utility import UtilityField
 
 MONOTONE_SLACK = 1e-7
@@ -346,33 +346,36 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
     return rates
 
 
+def _pricing_system(model: MarketModel, c):
+    """(spend, N, b, price_row): the claim's per-node spend rate * dkappa and
+    the whole-tree node-measure system that both pricing LPs share."""
+    tree = model.tree
+    spend = _rates_array(model, c) * model.clock.dkappa
+    return (spend,) + node_system(model, np.arange(tree.n_nodes), ~tree.is_leaf)
+
+
 def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     """Least initial capital financing the consumption stream c.
 
-    Solves min x over (x, holdings) subject to wealth staying nonnegative at
-    every node.  The wealth floor at the root keeps this program bounded
-    even on inconsistent markets, so the no-density condition is tested
-    explicitly up front and raises ``InfeasibleMarketError``; with a density
-    present, the program prices the claim and returns a certifying holdings
-    array (n_nodes, n_active).
+    The LP dual of :func:`dual_superrep_price` over the same node system:
+    min b'nu over free nu with N'nu >= spend.  Its multipliers are wealth
+    and holdings: nu_0 is the price, and the pricing row of internal node k
+    and asset a carries P(k) times the holding, which is zero where the row
+    was dropped as redundant.  With a density present, the holdings keep
+    wealth nonnegative at every node.  The program stays bounded even on
+    some inconsistent markets, so the no-density condition is tested up
+    front and raises ``InfeasibleMarketError``.  Returns the price and the
+    certifying holdings array (n_nodes, n_active).
     """
     from .dual import find_interior
 
-    rates = _rates_array(model, c)
-    A, b = full_polytope_matrices(model)
-    find_interior(A, b)
-    spend = cumulative_spend(model, rates)
-    G, h_slice = gains_matrix(model)
-    n_nodes, nh = G.shape
-
-    a_ub = np.hstack([-np.ones((n_nodes, 1)), -G])
-    cost = np.zeros(1 + nh)
-    cost[0] = 1.0
+    spend, N, b, price_row = _pricing_system(model, c)
+    find_interior(*full_polytope_matrices(model))
     res = linprog(
-        cost,
-        A_ub=a_ub,
+        b,
+        A_ub=-N.T,
         b_ub=-spend,
-        bounds=[(None, None)] * (1 + nh),
+        bounds=(None, None),
         method="highs",
         options=_LP_OPTS,
     )
@@ -383,30 +386,27 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     if res.status != 0 or res.x is None:
         raise ConvergenceError(f"superreplication LP failed: {res.message}")
 
-    H = np.zeros((n_nodes, model.n_active))
-    for pos, sl in h_slice.items():
-        H[pos] = res.x[1 + sl.start : 1 + sl.stop]
+    tree = model.tree
+    internal = np.flatnonzero(~tree.is_leaf)
+    H = np.zeros((tree.n_nodes, model.n_active))
+    H[internal] = np.where(price_row >= 0, res.x[price_row], 0.0) / tree.path_prob[internal, None]
     return SuperrepResult(price=float(res.x[0]), holdings=H)
 
 
 def dual_superrep_price(model: MarketModel, c) -> float:
     """Supremum over martingale densities of the expected discounted spend.
 
-    This is the linear-programming mirror of :func:`superreplication_price`;
-    on arbitrage-free models the two values coincide.  By the tower
-    property, the spend priced by a density with leaf values zeta is
-    sum_j P_j zeta_j times the cumulative spend at leaf j.
+    In node measures m = P Z the price of the stream is sum_k m_k spend_k,
+    maximized over m >= 0 with N m = b.  This is the linear-programming
+    mirror of :func:`superreplication_price`; on arbitrage-free models the
+    two values coincide.
     """
-    rates = _rates_array(model, c)
-    A, b = full_polytope_matrices(model)
-    leaves = model.tree.leaves
-    obj = model.tree.path_prob[leaves] * cumulative_spend(model, rates)[leaves]
-
+    spend, N, b, _ = _pricing_system(model, c)
     res = linprog(
-        -obj,
-        A_eq=A,
+        -spend,
+        A_eq=N,
         b_eq=b,
-        bounds=[(0.0, None)] * leaves.size,
+        bounds=(0.0, None),
         method="highs",
         options=_LP_OPTS,
     )

@@ -352,8 +352,8 @@ def build_tree(spec: dict) -> MarketModel:
         records.append((nid, int(entry["t"]), parent, 1.0 if parent is None else float(prob)))
     tree = ScenarioTree(records)
 
-    assets = AssetProcess(tree, _coerce_keys(prices, tree))
-    clock = StochasticClock(tree, _coerce_keys(clock_map, tree), float(bound))
+    assets = AssetProcess(tree, _coerce_keys(prices, tree.index_of))
+    clock = StochasticClock(tree, _coerce_keys(clock_map, tree.index_of), float(bound))
     report = validate_clock(clock, tree)
     if not report.passed:
         bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -363,11 +363,15 @@ def build_tree(spec: dict) -> MarketModel:
     return MarketModel(tree=tree, assets=assets, clock=clock, n_active=n_active)
 
 
-def _coerce_keys(mapping, tree: ScenarioTree) -> dict:
-    """Map JSON string keys back onto the tree's node ids where needed."""
+def _coerce_keys(mapping, names) -> dict:
+    """Map JSON string keys back onto node ids.
+
+    A key found in ``names`` (a container of node ids) names that node and
+    stays; any other becomes its int form where it has one.
+    """
     out = {}
     for key, val in mapping.items():
-        if key in tree.index_of:
+        if key in names:
             out[key] = val
             continue
         try:

@@ -359,7 +359,13 @@ def solve_primal(
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
-                    theta, value = _domain_line_search(obj, theta, value, step, g, mu)
+                    # Below stop_tol its gain is under the value's rounding,
+                    # which would decide an Armijo test, so the step is taken
+                    # whole wherever it stays in the domain.
+                    if lam2 / 2.0 <= stop_tol and obj.in_domain(theta + step):
+                        theta = theta + step
+                    else:
+                        theta, value = _domain_line_search(obj, theta, value, step, g, mu)
                 break
             theta, value = _domain_line_search(obj, theta, value, step, g, mu)
             if value > VALUE_CEILING:

@@ -26,7 +26,8 @@ trimmed leaves (effective leaves and dead roots).  The value at any other
 trimmed node is the conditional expectation of the leaf values
 (``node_values``), which is exactly the martingale property, so the equality
 constraints reduce to one normalization row and one row per (internal node,
-tradable asset).
+tradable asset).  In node-measure coordinates m = P Z on every node instead
+(``node_system``), the same constraints are node-local and sparse.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import qr
 
 from .errors import BudgetError
 from .market import MarketModel, _accumulate_down
@@ -150,6 +153,57 @@ def _density_system(
     return A, b
 
 
+def node_system(model: MarketModel, nodes: np.ndarray, internal_mask):
+    """Martingale constraints in node-measure coordinates m = P Z over ``nodes``.
+
+    The sparse twin of ``_density_system``, on the same kind of subtree.
+    Sparse rows, each divided by P(k) of its node k: m_root = 1, then the
+    balance m_k - sum_c m_c = 0 of every internal node, then its pricing
+    rows sum_c m_c (S_c - S_k) = 0.  For full rank a node keeps as many of
+    these as its price-change block has singular values above the primal's
+    min-norm cutoff, eps * max(width, n_active), times the node's price
+    level, so that a redundant asset, or one whose price moves by rounding
+    only, costs no row; a pivoted QR picks the assets that stay.  Returns
+    (N, b, price_row) with N m = b and ``price_row[k, a]`` the row of the
+    k-th internal node's asset a, or -1 where that row was dropped.
+    """
+    tree = model.tree
+    na = model.n_active
+    prices = model.assets.prices[:, :na]
+    internal = nodes[internal_mask[nodes]]
+    # Every other node, grouped by its parent's index in internal.
+    kids = nodes[1:]
+    kids = kids[np.argsort(np.searchsorted(internal, tree.parent[kids]), kind="stable")]
+    par = tree.parent[kids]
+    blk = np.searchsorted(internal, par)
+    d_s = prices[kids] - prices[par]
+
+    keep = np.ones((internal.size, na), dtype=bool)
+    if na:
+        slot = np.arange(kids.size) - np.searchsorted(blk, blk)
+        D = np.zeros((internal.size, int(slot.max()) + 1, na))
+        D[blk, slot] = d_s
+        level = np.abs(prices[internal]).max(axis=1)
+        np.maximum.at(level, blk, np.abs(prices[kids]).max(axis=1))
+        s = np.linalg.svd(D, compute_uv=False)
+        rank = np.sum(s > np.finfo(float).eps * max(D.shape[1:]) * level[:, None], axis=1)
+        for i in np.flatnonzero(rank < na):
+            keep[i] = False
+            keep[i, qr(D[i], mode="r", pivoting=True)[1][: rank[i]]] = True
+    n_rows = 1 + internal.size + int(keep.sum())
+    price_row = np.full(keep.shape, -1)
+    price_row[keep] = np.arange(1 + internal.size, n_rows)
+
+    k, a = np.nonzero(keep[blk])
+    inv_p = 1.0 / tree.path_prob
+    rows = np.concatenate(([0], 1 + np.arange(internal.size), 1 + blk, price_row[blk[k], a]))
+    cols = np.searchsorted(nodes, np.concatenate(([nodes[0]], internal, kids, kids[k])))
+    vals = np.concatenate(([1.0], inv_p[internal], -inv_p[par], d_s[k, a] * inv_p[par[k]]))
+    b = np.zeros(n_rows)
+    b[0] = 1.0
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, nodes.size)), b, price_row
+
+
 def build_geometry(model: MarketModel) -> Geometry:
     tree = model.tree
     parent = tree.parent
@@ -197,34 +251,6 @@ def full_polytope_matrices(model: MarketModel):
         model, np.arange(model.tree.n_nodes), model.tree.is_leaf, ~model.tree.is_leaf,
         "full density aggregation",
     )
-
-
-def gains_matrix(model: MarketModel):
-    """Affine gains map over the whole tree for superreplication programs.
-
-    Holdings live at every non-terminal node for the first ``n_active``
-    assets, one block per node in position order.  Returns (G, h_slice)
-    with gains-to-date at node k equal to G[k] @ h for the stacked holdings
-    vector h.
-    """
-    tree = model.tree
-    prices = model.assets.prices
-    na = model.n_active
-    n = tree.n_nodes
-    holders = np.flatnonzero(~tree.is_leaf) if na > 0 else np.arange(0)
-    h_slice = {int(pos): slice(na * k, na * k + na) for k, pos in enumerate(holders)}
-    _guard(n, na * holders.size, "gains map")
-
-    # Each row starts as the one-step gain into its node; accumulating down
-    # the tree then adds the gains along the path from the root.
-    G = np.zeros((n, na * holders.size))
-    if na > 0:
-        kids = np.flatnonzero(tree.parent >= 0)
-        par = tree.parent[kids]
-        block = np.full(n, -1)
-        block[holders] = na * np.arange(holders.size)
-        G[kids[:, None], block[par][:, None] + np.arange(na)] = prices[kids, :na] - prices[par, :na]
-    return _accumulate_down(G, tree.parent, tree.levels), h_slice
 
 
 def cumulative_spend(model: MarketModel, c: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import DualityLabError
+from .market import _coerce_keys
 
 FAMILIES = ("log", "power", "bounded")
 
@@ -248,14 +249,15 @@ class UtilityField:
         return _AffineBase()
 
     def weight(self, node) -> float:
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get(node, 1.0))
+        return float(self.weight_array([node])[0])
 
     def weight_array(self, node_ids) -> np.ndarray:
+        """Weights of ``node_ids``; a key that names none of them, such as a
+        numeric string from JSON, is read as its int form."""
         if self.weights is None:
             return np.ones(len(node_ids))
-        return np.array([self.weight(nid) for nid in node_ids])
+        weights = _coerce_keys(self.weights, set(node_ids))
+        return np.array([float(weights.get(nid, 1.0)) for nid in node_ids])
 
     # Pointwise API.  ``t`` and ``node`` identify where the field is read;
     # only the node matters because weights are attached per node.
@@ -392,13 +394,7 @@ def field_from_spec(spec: dict) -> UtilityField:
         raise DualityLabError(f"utility family must be one of {FAMILIES}, got {family!r}")
     weights = spec.get("weights")
     if weights is not None:
-        coerced = {}
-        for key, val in weights.items():
-            try:
-                coerced[int(key)] = float(val)
-            except (TypeError, ValueError):
-                coerced[key] = float(val)
-        weights = coerced
+        weights = {key: float(val) for key, val in weights.items()}
     return UtilityField(
         family=family,
         gamma=spec.get("gamma"),

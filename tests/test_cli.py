@@ -4,7 +4,7 @@ import os
 import pytest
 
 from dualitylab.cli import main
-from dualitylab.market import ExampleMarketSpec, build_example_market, save_model
+from dualitylab.market import ExampleMarketSpec, build_example_market, model_to_dict, save_model
 
 from conftest import single_path_model
 
@@ -20,6 +20,21 @@ def binom_path(tmp_path):
 def example3_path(tmp_path):
     path = tmp_path / "ex3.json"
     save_model(build_example_market(ExampleMarketSpec(3, (0.55, 0.6, 0.65))), path)
+    return str(path)
+
+
+@pytest.fixture(params=["int", "str"])
+def binom_ids_path(request, tmp_path):
+    """The p = 0.6 one-period market, its node ids 0, 1, 2 as ints or strings."""
+    spec = model_to_dict(build_example_market(ExampleMarketSpec(1, (0.6,))))
+    if request.param == "str":
+        for node in spec["nodes"]:
+            node["id"] = str(node["id"])
+            if node["parent"] is not None:
+                node["parent"] = str(node["parent"])
+    path = tmp_path / f"binom_{request.param}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
     return str(path)
 
 
@@ -141,6 +156,31 @@ class TestReports:
         assert code == 0
         doc = read_json(out / "superrep.json")
         assert doc["price"] == pytest.approx(1.0 / 3.0, abs=1e-8)
+
+
+class TestNodeIdKeys:
+    # Claim and weight files key nodes by JSON strings; "1" must name node 1
+    # whether the model's ids are ints or strings.
+    def test_claim_keys(self, binom_ids_path, tmp_path):
+        claim = tmp_path / "claim.json"
+        with open(claim, "w", encoding="utf-8") as fh:
+            json.dump({"1": 1.0}, fh)
+        out = tmp_path / "o"
+        code = main(["superrep", "--model", binom_ids_path, "--claim", str(claim), "--out", str(out)])
+        assert code == 0
+        assert read_json(out / "superrep.json")["price"] == pytest.approx(1.0 / 3.0, abs=1e-8)
+
+    def test_weight_keys(self, binom_ids_path, tmp_path):
+        spec = tmp_path / "utility.json"
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump({"family": "log", "weights": {"1": 3.0}}, fh)
+        out = tmp_path / "o"
+        code = main([
+            "solve-primal", "--model", binom_ids_path, "--utility", str(spec),
+            "--x", "1.0", "--out", str(out),
+        ])
+        assert code == 0
+        assert read_json(out / "primal.json")["value"] == pytest.approx(1.096581674118621, abs=1e-8)
 
 
 class TestSweeps:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from dualitylab.dual import solve_dual
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
@@ -27,10 +30,12 @@ from dualitylab.harness import (
     write_series,
 )
 from dualitylab.market import ExampleMarketSpec, build_example_market
-from dualitylab.primal import solve_primal
+from dualitylab.primal import admissibility_check, solve_primal
 from dualitylab.treeops import wealth_from_strategy
 
 from conftest import arbitrage_model
+from test_dual import _node_margin
+from test_treeops import random_models, ref_cumulative, ref_density, ref_rows
 
 U1 = 0.14834174943487516   # log binomial value at p = 0.6, x = 1
 V1 = -1.0 - (-U1)          # its conjugate value at y = 1
@@ -226,6 +231,60 @@ class TestSuperreplication:
     def test_negative_rates_rejected(self, binom1):
         with pytest.raises(DualityLabError):
             superreplication_price(binom1, np.full(binom1.n_nodes, -1.0))
+
+
+def dense_superrep_price(model, rates):
+    """Least capital x with x + G h >= cumulative spend at every node, G the
+    per-node reference gains rows of holdings at every non-terminal node."""
+    tree = model.tree
+    n = tree.n_nodes
+    G, _, _ = ref_rows(model, np.arange(n), ~tree.is_leaf, np.zeros(n, dtype=bool))
+    cost = np.zeros(1 + G.shape[1])
+    cost[0] = 1.0
+    res = linprog(
+        cost,
+        A_ub=np.hstack([-np.ones((n, 1)), -G]),
+        b_ub=-ref_cumulative(tree, rates * model.clock.dkappa),
+        bounds=(None, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return float(res.x[0])
+
+
+def has_nonnegative_density(model):
+    """Whether the reference leaf-density rows admit some zeta >= 0."""
+    tree = model.tree
+    _, A, b = ref_density(model, np.arange(tree.n_nodes), tree.leaves)
+    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+    return res.status == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(random_models(), random_models(martingale=True)),
+    st.integers(0, 2**32 - 1),
+)
+def test_superreplication_pair_on_random_trees(model, seed):
+    rng = np.random.default_rng(seed)
+    dk = model.clock.dkappa
+    rates = np.where(dk > 0.0, rng.uniform(0.0, 2.0, dk.size), 0.0)
+    try:
+        sup = superreplication_price(model, rates)
+    except InfeasibleMarketError:
+        # Draws within 1e-2 of the no-arbitrage boundary may go either way.
+        # The pricing LP must raise too unless some nonnegative density,
+        # zero on the subtree of an arbitrage, still exists.
+        assert _node_margin(model) < 1e-2
+        if not has_nonnegative_density(model):
+            with pytest.raises(InfeasibleMarketError):
+                dual_superrep_price(model, rates)
+        return
+    scale = max(1.0, abs(sup.price))
+    assert abs(dual_superrep_price(model, rates) - sup.price) <= 1e-8 * scale
+    assert abs(dense_superrep_price(model, rates) - sup.price) <= 1e-9 * scale
+    assert admissibility_check(model, sup.holdings, rates, sup.price).passed
 
 
 class TestConvergenceStudy:

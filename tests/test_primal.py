@@ -120,6 +120,17 @@ class TestLogBinomial:
         assert sol.kkt_residual <= 1e-10
 
 
+def test_power_plans_linear_in_wealth(power_field):
+    # Power plans scale exactly with x, so c and H at x = 1 are twice those at
+    # x = 1/2 up to rounding, provided the last Newton step is not decided by
+    # an Armijo test on a gain below the value's rounding.
+    model = binomial_model(9, 0.6, {t: 1.0 / 9.0 for t in range(1, 10)})
+    one = solve_primal(model, power_field, 1.0)
+    half = solve_primal(model, power_field, 0.5)
+    for got, want in ((one.c, 2.0 * half.c), (one.H, 2.0 * half.H)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
 class TestGeneralModels:
     def test_bounded_single_asset_positive_holding(self, binom1, bounded_field):
         # p = 0.6 exceeds the field's threshold, so the stock beats the bond.

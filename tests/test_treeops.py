@@ -23,7 +23,6 @@ from dualitylab.treeops import (
     build_geometry,
     cumulative_spend,
     full_polytope_matrices,
-    gains_matrix,
     node_values,
     wealth_from_strategy,
 )
@@ -251,11 +250,6 @@ def test_kernels_match_reference_loops(model, seed):
         zeta = rng.uniform(0.1, 3.0, leaves.size)
         assert_same(node_values(tree, leaves, zeta), ref_node_values(tree, leaves.tolist(), zeta))
 
-    G, h_slice, _ = ref_rows(model, everything, ~tree.is_leaf, np.zeros(tree.n_nodes, bool))
-    got_G, got_slice = gains_matrix(model)
-    assert_same(got_G, G)
-    assert_same(got_slice, h_slice)
-
     c = rng.uniform(0.0, 2.0, tree.n_nodes)
     H = rng.normal(size=(tree.n_nodes, model.n_active))
     assert_same(cumulative_spend(model, c), ref_cumulative(tree, c * model.clock.dkappa))
@@ -295,11 +289,10 @@ def test_wealth_passes_match_reference_rows(model, seed):
     [
         (build_geometry, 4, "density aggregation"),
         (full_polytope_matrices, 4, "full density aggregation"),
-        (gains_matrix, 2, "gains map"),
     ],
 )
 def test_dense_guards(monkeypatch, binom1, build, guard, what):
-    # binom1 has 3 nodes, 2 leaves and 1 holdings variable at its root.
+    # binom1 has 3 nodes and 2 leaves.
     monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", guard)
     with pytest.raises(BudgetError, match=f"^{what} would need"):
         build(binom1)
