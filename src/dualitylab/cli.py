@@ -31,8 +31,8 @@ from .errors import (
 )
 from .market import ExampleMarketSpec, _coerce_keys, load_model, validate_clock
 from .primal import solve_primal
+from .treeops import wealth_from_strategy
 from .utility import UtilityField, field_from_spec
-from .harness import default_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -294,8 +294,6 @@ def cmd_superrep(config: RunConfig) -> int:
         "passed": bool(gap <= max(config.check_tol, 1e-8)),
     })
     rates = harness._rates_array(model, claim)
-    from .treeops import wealth_from_strategy
-
     wealth = wealth_from_strategy(model, res.holdings, rates, res.price)
     times = sorted(set(int(t) for t in model.tree.times))
     mins = [float(np.min(wealth[model.tree.times == t])) for t in times]
@@ -310,7 +308,7 @@ def cmd_converge(config: RunConfig) -> int:
     model = _need_model(config)
     field = _load_utility(config.utility)
     n_max = config.n_max if config.n_max is not None else model.n_assets
-    grid = default_grid(config.grid_min, config.grid_max, config.grid_points)
+    grid = harness.default_grid(config.grid_min, config.grid_max, config.grid_points)
     curves = harness.value_convergence_study(
         model, field, grid, grid, range(1, n_max + 1), config.tol
     )

@@ -148,11 +148,13 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
 
 
 def _measure_system(geo: Geometry):
-    """Constraint system of the polytope in leaf-measure coordinates q = P zeta."""
+    """The trimmed leaf system in leaf-measure coordinates q = P zeta, built once."""
 
     def build():
         prob = geo.tree.path_prob[geo.solve_leaves]
-        return geo.A / prob[None, :], geo.b, prob
+        A, b = geo.leaf_system()
+        A /= prob[None, :]
+        return A, b, prob
 
     return geo.memo("measure_system", build)
 
@@ -176,31 +178,23 @@ def entropy_center(geo: Geometry) -> np.ndarray:
 
     Minimizes -sum_j P_j log q_j over the affine constraints: the natural
     well-scaled starting point, whose objective is its own barrier and whose
-    Hessian P_j / q_j^2 never flattens.
+    Hessian P_j / q_j^2 never flattens.  On nearly dependent rows the walk
+    can end off the constraints; the last iterate on them is returned.
     """
 
     def build():
         Aq, b, prob = _measure_system(geo)
-        q = measure_interior(geo)
+        q = on = measure_interior(geo)
         for _ in range(200):
             g = -prob / q
             h = prob / q**2
             step, lam2, _ = _kkt_step_core(Aq, b - Aq @ q, g, h)
             if lam2 / 2.0 <= 1e-14:
                 break
-            alpha = 1.0
-            neg = step < 0.0
-            if np.any(neg):
-                alpha = min(1.0, 0.995 * float(np.min(-q[neg] / step[neg])))
-            base = -float(np.dot(prob, np.log(q)))
-            slope = float(np.dot(g, step))
-            for _ in range(50):
-                cand = q + alpha * step
-                if np.min(cand) > 0.0 and -float(np.dot(prob, np.log(cand))) <= base + 1e-4 * alpha * slope:
-                    break
-                alpha *= 0.5
-            q = q + alpha * step
-        return q
+            q = _line_search(lambda z: -float(np.dot(prob, np.log(z))), q, step, g)
+            if float(np.max(np.abs(Aq @ q - b))) < 1e-8:  # as for a warm start
+                on = q
+        return on
 
     return geo.memo("entropy_center", build).copy()
 
@@ -354,8 +348,8 @@ def solve_dual(
     if field.family in ("log", "power") and y != 1.0:
         ref = _scaling_reference(geo, model, field, tol, max_iter)
         if field.family == "log":
-            wmass = _weighted_clock_mass(geo, field)
-            value = ref.value - wmass * math.log(y)
+            obj = _DualObjective(geo, field, y)  # coef . w = sum P dkappa w
+            value = ref.value - float(np.dot(obj.coef, obj.w)) * math.log(y)
         else:
             expo = field.gamma / (field.gamma - 1.0)
             value = ref.value * y**expo
@@ -418,7 +412,7 @@ def _barrier_solve(obj, q, tol, max_iter):
     n = prob.size
     if obj.coords is geo.trimmed:
         A, b, _ = geo.memo(
-            "node_system", lambda: node_system(geo.model, geo.trimmed, geo.internal_mask)
+            "node_system", lambda: node_system(geo.model, geo.trimmed, geo.markets())
         )
         tree = geo.tree
         q = (tree.path_prob * node_values(tree, geo.solve_leaves, q / prob))[obj.coords]
@@ -456,6 +450,10 @@ def _barrier_solve(obj, q, tol, max_iter):
         """
         nonlocal iterations
         bw = barrier_weights(mu)
+
+        def phi(z):
+            return obj.value(z) - float(np.dot(bw, np.log(z)))
+
         f_prev = None
         stall = 0
         nu = None
@@ -471,7 +469,7 @@ def _barrier_solve(obj, q, tol, max_iter):
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
-                    q = _line_search(obj, q, step, g, bw)
+                    q = _line_search(phi, q, step, g)
                 return q, nu
             f_now = obj.value(q)
             if f_prev is not None and abs(f_prev - f_now) <= f_stall:
@@ -481,7 +479,7 @@ def _barrier_solve(obj, q, tol, max_iter):
             else:
                 stall = 0
             f_prev = f_now
-            q = _line_search(obj, q, step, g, bw)
+            q = _line_search(phi, q, step, g)
         return q, nu
 
     for mu in mus[:-1]:
@@ -507,12 +505,13 @@ def _barrier_solve(obj, q, tol, max_iter):
     # Snap back onto the equality manifold: Newton steps meet A q = b only to
     # the accuracy of their linear solves, and the drift left over would leak
     # into the reported density.  The gap above is certified before this
-    # projection, which can move the value where the drift is large.
+    # projection, which can move the value; on nearly dependent rows it can
+    # miss A q = b, and the solve raises.
     r = b - A @ q
     drift = float(np.max(np.abs(r)))
     if drift > 1e-13:
         q = q + _min_norm_correction(A, r)
-        if float(np.min(q)) <= 0.0:
+        if float(np.min(q)) <= 0.0 or float(np.max(np.abs(b - A @ q))) > 1e-12:
             raise ConvergenceError(
                 f"dual solve at y={y} drifted {drift:.3g} off the density constraints"
             )
@@ -537,14 +536,6 @@ def _scaling_reference(geo, model, field, tol, max_iter) -> "DualSolution":
         sol = solve_dual(model, field, 1.0, tol=tol, max_iter=max_iter, _geometry=geo)
         cache[key] = (sol, tol)
     return cache[key][0]
-
-
-def _weighted_clock_mass(geo, field) -> float:
-    tree = geo.tree
-    dk = geo.model.clock.dkappa
-    cons = np.flatnonzero(dk > 0.0)
-    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
-    return float(np.dot(tree.path_prob[cons] * dk[cons], w))
 
 
 def _min_norm_correction(A, r):
@@ -613,10 +604,9 @@ def _scaled_newton_step(A, b, q, g_obj, h_obj, bw):
     return q * du, lam2, nu
 
 
-def _line_search(obj, x, step, g, bw):
-    def phi(z):
-        return obj.value(z) - float(np.dot(bw, np.log(z)))
-
+def _line_search(phi, x, step, g):
+    """Armijo backtracking on phi, whose gradient at x is g, from the largest
+    step inside the positive orthant; x itself when no point qualifies."""
     alpha = 1.0
     neg = step < 0.0
     if np.any(neg):
@@ -625,10 +615,8 @@ def _line_search(obj, x, step, g, bw):
     slope = float(np.dot(g, step))
     for _ in range(60):
         cand = x + alpha * step
-        if np.min(cand) > 0.0:
-            val = phi(cand)
-            if val <= base + 1e-4 * alpha * slope:
-                return cand
+        if np.min(cand) > 0.0 and phi(cand) <= base + 1e-4 * alpha * slope:
+            return cand
         alpha *= 0.5
     cand = x + alpha * step
     return cand if np.min(cand) > 0.0 else x

@@ -22,7 +22,7 @@ from .dual import DualSolution, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import ExampleMarketSpec, MarketModel, build_example_market, truncate
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry, full_polytope_matrices, node_system
+from .treeops import build_geometry, full_polytope_matrices, node_markets, node_system
 from .utility import UtilityField
 
 MONOTONE_SLACK = 1e-7
@@ -351,7 +351,8 @@ def _pricing_system(model: MarketModel, c):
     the whole-tree node-measure system that both pricing LPs share."""
     tree = model.tree
     spend = _rates_array(model, c) * model.clock.dkappa
-    return (spend,) + node_system(model, np.arange(tree.n_nodes), ~tree.is_leaf)
+    nodes = np.arange(tree.n_nodes)
+    return (spend,) + node_system(model, nodes, node_markets(model, nodes, ~tree.is_leaf))
 
 
 def superreplication_price(model: MarketModel, c) -> SuperrepResult:

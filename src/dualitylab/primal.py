@@ -41,10 +41,11 @@ factorization of -H + rho I, which has no fill, so a step costs
 O(nodes * (n_active + 1)^3), and in exact arithmetic a K_k fails Cholesky
 exactly when -H + rho I is not positive definite.
 
-Holdings are generally not unique when assets are redundant, so after
-convergence each internal node's holdings are re-extracted as the
+Each node trades the assets its market keeps (``treeops.node_markets``), the
+directions the dual prices.  Holdings are not unique when assets are
+redundant, so after convergence each node's holdings are re-extracted as the
 minimum-norm solution reproducing the converged one-step wealth transfers,
-from the pseudo-inverses of the price-change blocks of v, batched per date.
+from the pseudo-inverses of the price-change blocks, batched per date.
 """
 
 from __future__ import annotations
@@ -179,10 +180,11 @@ class _PrimalObjective:
 class _Date:
     """The internal trimmed nodes of one date and their children.
 
-    Children are padded to the widest node by spare slots that point at the
-    sentinel index ``n_trim`` and move no wealth.  Node k's block s_k is its
-    holdings then its rate slot, a dummy (``var`` = n_vars) when k does not
-    consume; row c of ``V[k]`` is v_c = (S(c) - S(k), -dkappa_k).
+    Spare child slots point at the sentinel index ``n_trim`` and move no
+    wealth.  Node k's block s_k is its holdings then its rate slot; ``var``
+    points at a dummy (n_vars) for the rate when k does not consume and for
+    each asset k's market does not keep, whose holding stays zero.  Row c of
+    ``V[k]`` is v_c = (S(c) - S(k), -dkappa_k), zero in the untraded assets.
     """
 
     nodes: np.ndarray  # (n,) trimmed indices
@@ -195,53 +197,36 @@ class _Date:
 
 class _TreeSystem:
     """Theta's layout and the date-by-date structure of the wealth map and the
-    Newton system (see module docstring)."""
+    Newton system (see module docstring) over ``Geometry.markets``."""
 
     def __init__(self, geo: Geometry):
-        tree = geo.tree
-        prices = geo.model.assets.prices
+        internal, _, _, dates, keep = geo.markets()
         na = geo.model.n_active
         trim = geo.trimmed
         self.n_trim = trim.size
-
-        t_of = np.full(tree.n_nodes, trim.size)
-        t_of[trim] = np.arange(trim.size)
-        internal = trim[geo.internal_mask[trim]]
-        blk_of = np.full(tree.n_nodes, -1)
-        blk_of[internal] = np.arange(internal.size)
+        internal = trim[internal]
+        consuming = geo.consuming[internal]
 
         # Holdings blocks, then the rates of the consuming internal nodes.
-        self.mid_pos = internal[geo.consuming[internal]]
+        self.mid_pos = internal[consuming]
         self.mid_idx = na * internal.size + np.arange(self.mid_pos.size)
         self.n_vars = na * internal.size + self.mid_pos.size
         var = np.full((internal.size, na + 1), self.n_vars)
         var[:, :na] = na * np.arange(internal.size)[:, None] + np.arange(na)
-        var[blk_of[self.mid_pos], na] = self.mid_idx
+        var[:, :na][~keep] = self.n_vars  # untraded assets
+        var[consuming, na] = self.mid_idx
 
-        # Every child of an internal node is trimmed; group them by parent
-        # block and number them within each group.
-        kids = trim[tree.parent[trim] >= 0]
-        kids = kids[np.argsort(blk_of[tree.parent[kids]], kind="stable")]
-        par = tree.parent[kids]
-        pblk = blk_of[par]
-        rank = np.arange(kids.size) - np.searchsorted(pblk, pblk)
-        v = np.zeros((kids.size, na + 1))
-        v[:, :na] = prices[kids, :na] - prices[par, :na]
-        v[:, na] = -geo.model.clock.dkappa[par]
-
+        rate = -geo.model.clock.dkappa[trim]
         self.dates = []
-        times = tree.times[internal]
-        for t in np.unique(times):
-            lo, hi = np.searchsorted(times, [t, t + 1])
-            k0, k1 = np.searchsorted(pblk, [lo, hi])
-            row, col = pblk[k0:k1] - lo, rank[k0:k1]
-            child = np.full((hi - lo, int(col.max()) + 1), trim.size)
-            child[row, col] = t_of[kids[k0:k1]]
+        for first, own, child, dS in dates:
+            span = slice(first, first + own.size)
+            real = child < trim.size
             V = np.zeros(child.shape + (na + 1,))
-            V[row, col] = v[k0:k1]
-            leaf_kids = not geo.internal_mask[kids[k0:k1]].any()
+            V[:, :, :na] = np.where(keep[span, None], dS, 0.0)
+            V[:, :, na] = np.where(real, rate[own, None], 0.0)
+            leaf_kids = not geo.internal_mask[trim[child[real]]].any()
             Vt = np.ascontiguousarray(np.swapaxes(V, 1, 2))
-            self.dates.append(_Date(t_of[internal[lo:hi]], child, V, Vt, var[lo:hi], leaf_kids))
+            self.dates.append(_Date(own, child, V, Vt, var[span], leaf_kids))
 
     def wealth(self, theta):
         """Wealth change from the root at every trimmed node: one root-to-leaf pass."""
@@ -440,16 +425,20 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     for pos in geo.untrimmed_levels():
         x_post[pos] = x_pre[pos] = x_post[tree.parent[pos]]
 
-    # Minimum-norm holdings reproducing each internal node's transfers, with
-    # lstsq's default cutoff; a spare child slot has a zero price change and
-    # a zero target.
+    # Minimum-norm holdings reproducing each internal node's transfers: the
+    # pseudo-inverse of its price changes on as many singular directions as
+    # it keeps assets.  A spare child slot has a zero price change and target.
     H = np.zeros((n, na))
     pre = np.append(x_pre[trim], 0.0)
-    for d in obj.system.dates if na else ():
-        pos = trim[d.nodes]
-        target = pre[d.child] - x_post[pos][:, None]
-        target[d.child == trim.size] = 0.0
-        pinv = np.linalg.pinv(d.V[:, :, :na], rcond=np.finfo(float).eps * max(d.child.shape[1], na))
+    _, _, _, dates, keep = geo.markets()
+    for first, own, child, dS in dates if na else ():
+        pos = trim[own]
+        target = pre[child] - x_post[pos][:, None]
+        target[child == trim.size] = 0.0
+        u, s, vt = np.linalg.svd(dS, full_matrices=False)
+        kept = np.arange(s.shape[1]) < keep[first : first + own.size].sum(axis=1)[:, None]
+        s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
+        pinv = np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
         H[pos] = (pinv @ target[:, :, None])[:, :, 0]
 
     # Re-derive the wealth path from the reported strategy so the returned

@@ -21,13 +21,18 @@ Within the trimmed view:
 - internal nodes with a positive clock increment consume at a rate that is
   a free variable.
 
+Both solvers read each internal node's one-period market from
+``node_markets``: the primal trades in it, the dual prices it.
+
 For the dual side, densities are parameterized by their values on the
 trimmed leaves (effective leaves and dead roots).  The value at any other
 trimmed node is the conditional expectation of the leaf values
 (``node_values``), which is exactly the martingale property, so the equality
 constraints reduce to one normalization row and one row per (internal node,
-tradable asset).  In node-measure coordinates m = P Z on every node instead
-(``node_system``), the same constraints are node-local and sparse.
+tradable asset); that dense system (``Geometry.leaf_system``) is built only
+where the dual asks for it.  In node-measure coordinates m = P Z on every
+node instead (``node_system``), the same constraints are node-local and
+sparse.
 """
 
 from __future__ import annotations
@@ -57,8 +62,6 @@ class Geometry:
     consuming: np.ndarray
     # dual side
     solve_leaves: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -73,20 +76,22 @@ class Geometry:
             value = self._memo[name] = build()
             return value
 
+    def markets(self):
+        """The trimmed view's ``node_markets``, built on first use and kept."""
+        return self.memo(
+            "node_markets", lambda: node_markets(self.model, self.trimmed, self.internal_mask)
+        )
+
+    def leaf_system(self):
+        """The trimmed view's dense ``_density_system`` (A, b), built anew each call."""
+        leaves, internal = self.eff_mask | self.dead_root_mask, self.internal_mask
+        return _density_system(self.model, self.trimmed, leaves, internal, "density aggregation")
+
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
         outside = np.ones(self.tree.n_nodes, dtype=bool)
         outside[self.trimmed] = False
         return [lv.start + np.flatnonzero(outside[lv]) for lv in self.tree.levels]
-
-
-def _guard(n_rows: int, n_cols: int, what: str) -> None:
-    """Refuse a dense (n_rows, n_cols) array beyond ``DENSE_ENTRY_GUARD``."""
-    if n_rows * max(n_cols, 1) > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"{what} would need {n_rows * n_cols} entries, "
-            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
 
 
 def node_values(tree, leaves: np.ndarray, zeta) -> np.ndarray:
@@ -125,7 +130,11 @@ def _density_system(
     na = model.n_active
     leaves = nodes[leaf_mask[nodes]]
     internal = nodes[internal_mask[nodes]]
-    _guard(nodes.size, leaves.size, what)
+    size = (1 + na * internal.size) * leaves.size
+    if size > DENSE_ENTRY_GUARD:
+        raise BudgetError(
+            f"{what} would need {size} entries, beyond the dense guard of {DENSE_ENTRY_GUARD}"
+        )
     first_row = np.full(tree.n_nodes, -1)
     first_row[internal] = 1 + na * np.arange(internal.size)
 
@@ -153,51 +162,73 @@ def _density_system(
     return A, b
 
 
-def node_system(model: MarketModel, nodes: np.ndarray, internal_mask):
-    """Martingale constraints in node-measure coordinates m = P Z over ``nodes``.
+def node_markets(model: MarketModel, nodes: np.ndarray, internal_mask):
+    """One-period markets of a subtree's internal nodes, grouped by date.
 
-    The sparse twin of ``_density_system``, on the same kind of subtree.
-    Sparse rows, each divided by P(k) of its node k: m_root = 1, then the
-    balance m_k - sum_c m_c = 0 of every internal node, then its pricing
-    rows sum_c m_c (S_c - S_k) = 0.  For full rank a node keeps as many of
-    these as its price-change block has singular values above the primal's
-    min-norm cutoff, eps * max(width, n_active), times the node's price
-    level, so that a redundant asset, or one whose price moves by rounding
-    only, costs no row; a pivoted QR picks the assets that stay.  Returns
-    (N, b, price_row) with N m = b and ``price_row[k, a]`` the row of the
-    k-th internal node's asset a, or -1 where that row was dropped.
+    On the kind of subtree ``_density_system`` takes, returns (internal,
+    kids, blk, dates, keep), indices into ``nodes``: the internal nodes, the
+    others grouped by parent in position order with their parents' indices
+    in ``internal``, one (first, own, child, dS) per date, whose nodes
+    ``own`` start at internal[first], and the tradable assets.  Row i of
+    ``child`` lists own[i]'s children, padded to the date's widest node by
+    spare slots holding ``len(nodes)``; ``dS[i, j]`` is their price change,
+    zero in spare slots.  A node's rank counts the singular values of dS[i]
+    above eps * max(width, n_active) times its largest price or a child's,
+    so that a redundant asset, or one whose price moves by rounding only, is
+    no tradable direction; a pivoted QR picks the rank's ``keep`` assets.
     """
     tree = model.tree
     na = model.n_active
-    prices = model.assets.prices[:, :na]
-    internal = nodes[internal_mask[nodes]]
-    # Every other node, grouped by its parent's index in internal.
-    kids = nodes[1:]
-    kids = kids[np.argsort(np.searchsorted(internal, tree.parent[kids]), kind="stable")]
-    par = tree.parent[kids]
-    blk = np.searchsorted(internal, par)
-    d_s = prices[kids] - prices[par]
+    prices = np.vstack((model.assets.prices[nodes, :na], np.zeros((1, na))))  # and the sentinel
+    internal = np.flatnonzero(internal_mask[nodes])
+    blk = np.searchsorted(nodes[internal], tree.parent[nodes[1:]])
+    kids = 1 + np.argsort(blk, kind="stable")
+    blk = blk[kids - 1]
+    slot = np.arange(kids.size) - np.searchsorted(blk, blk)
 
-    keep = np.ones((internal.size, na), dtype=bool)
-    if na:
-        slot = np.arange(kids.size) - np.searchsorted(blk, blk)
-        D = np.zeros((internal.size, int(slot.max()) + 1, na))
-        D[blk, slot] = d_s
-        level = np.abs(prices[internal]).max(axis=1)
-        np.maximum.at(level, blk, np.abs(prices[kids]).max(axis=1))
-        s = np.linalg.svd(D, compute_uv=False)
-        rank = np.sum(s > np.finfo(float).eps * max(D.shape[1:]) * level[:, None], axis=1)
-        for i in np.flatnonzero(rank < na):
-            keep[i] = False
-            keep[i, qr(D[i], mode="r", pivoting=True)[1][: rank[i]]] = True
+    keep = np.zeros((internal.size, na), dtype=bool)
+    dates = []
+    times = tree.times[nodes[internal]]
+    for t in np.unique(times):
+        lo, hi = np.searchsorted(times, [t, t + 1])
+        k0, k1 = np.searchsorted(blk, [lo, hi])
+        child = np.full((hi - lo, int(slot[k0:k1].max()) + 1), nodes.size)
+        child[blk[k0:k1] - lo, slot[k0:k1]] = kids[k0:k1]
+        own = internal[lo:hi]
+        dS = np.where((child < nodes.size)[:, :, None], prices[child] - prices[own, None], 0.0)
+        if na:
+            level = np.maximum(np.abs(prices[own]).max(axis=1),
+                               np.abs(prices[child]).max(axis=(1, 2)))
+            cut = np.finfo(float).eps * max(child.shape[1], na) * level
+            rank = np.sum(np.linalg.svd(dS, compute_uv=False) > cut[:, None], axis=1)
+            keep[lo:hi] = (rank == na)[:, None]
+            for i in np.flatnonzero((rank > 0) & (rank < na)):
+                keep[lo + i, qr(dS[i], mode="r", pivoting=True)[1][: rank[i]]] = True
+        dates.append((int(lo), own, child, dS))
+    return internal, kids, blk, dates, keep
+
+
+def node_system(model: MarketModel, nodes: np.ndarray, markets):
+    """Martingale constraints in node-measure coordinates m = P Z over ``nodes``.
+
+    The sparse twin of ``_density_system``, given the subtree's
+    ``node_markets``.  Sparse rows, each divided by P(k) of its node k:
+    m_root = 1, then every internal node's balance m_k - sum_c m_c = 0, then
+    its full-rank pricing rows sum_c m_c (S_c - S_k) = 0 in the assets it
+    keeps.  Returns (N, b, price_row) with N m = b and ``price_row[k, a]``
+    the row of the k-th internal node's asset a, or -1 where it has none.
+    """
+    internal, kids, blk, dates, keep = markets
     n_rows = 1 + internal.size + int(keep.sum())
     price_row = np.full(keep.shape, -1)
     price_row[keep] = np.arange(1 + internal.size, n_rows)
 
+    d_s = np.concatenate([dS[child < nodes.size] for _, _, child, dS in dates])
     k, a = np.nonzero(keep[blk])
-    inv_p = 1.0 / tree.path_prob
+    inv_p = 1.0 / model.tree.path_prob[nodes]
+    par = internal[blk]
     rows = np.concatenate(([0], 1 + np.arange(internal.size), 1 + blk, price_row[blk[k], a]))
-    cols = np.searchsorted(nodes, np.concatenate(([nodes[0]], internal, kids, kids[k])))
+    cols = np.concatenate(([0], internal, kids, kids[k]))
     vals = np.concatenate(([1.0], inv_p[internal], -inv_p[par], d_s[k, a] * inv_p[par[k]]))
     b = np.zeros(n_rows)
     b[0] = 1.0
@@ -221,9 +252,7 @@ def build_geometry(model: MarketModel) -> Geometry:
 
     trimmed = np.flatnonzero(alive | dead_root_mask)
 
-    leaf_mask = eff_mask | dead_root_mask
-    solve_leaves = trimmed[leaf_mask[trimmed]]
-    A, b = _density_system(model, trimmed, leaf_mask, internal_mask, "density aggregation")
+    solve_leaves = trimmed[(eff_mask | dead_root_mask)[trimmed]]
 
     return Geometry(
         model=model,
@@ -234,19 +263,12 @@ def build_geometry(model: MarketModel) -> Geometry:
         dead_root_mask=dead_root_mask,
         consuming=consuming,
         solve_leaves=solve_leaves,
-        A=A,
-        b=b,
     )
 
 
 def full_polytope_matrices(model: MarketModel):
-    """Constraint system of the martingale densities on the whole tree.
-
-    Densities are parameterized by their per-leaf values zeta; the value at
-    any node is the conditional expectation of zeta over the leaves below
-    it (``node_values``).  Returns (A, b) with A zeta = b the normalization
-    plus the per (non-terminal node, tradable asset) pricing rows.
-    """
+    """``_density_system`` of the whole tree: (A, b) with A zeta = b over
+    the leaf values zeta of the martingale densities."""
     return _density_system(
         model, np.arange(model.tree.n_nodes), model.tree.is_leaf, ~model.tree.is_leaf,
         "full density aggregation",

@@ -348,6 +348,89 @@ class TestRandomTrees:
         assert slopes[0] <= slopes[1] + 1e-9
 
 
+# A 9-node martingale tree whose root has two children with collinear price
+# changes: the trimmed leaf system has 7 rows of rank 6, and its Gram matrix a
+# condition number near 1e18.
+COLLINEAR_CHILDREN = {
+    "nodes": [
+        {"id": 7, "t": 0, "parent": None},
+        {"id": 3, "t": 1, "parent": 7, "prob": 0.6063170161744855},
+        {"id": 4, "t": 1, "parent": 7, "prob": 0.3936829838255145},
+        {"id": 0, "t": 2, "parent": 4, "prob": 0.39008192506319084},
+        {"id": 1, "t": 2, "parent": 4, "prob": 0.3648333795670023},
+        {"id": 2, "t": 2, "parent": 3, "prob": 0.26647037534073326},
+        {"id": 5, "t": 2, "parent": 3, "prob": 0.3491230978219958},
+        {"id": 6, "t": 2, "parent": 4, "prob": 0.24508469536980684},
+        {"id": 8, "t": 2, "parent": 3, "prob": 0.384406526837271},
+    ],
+    "prices": {
+        "7": [2.5872506009396665, 2.709943238519612],
+        "3": [3.1364005057862423, 2.74044319032311],
+        "4": [1.160958759724302, 2.630726558281919],
+        "0": [2.611015814731096, 1.7306937241414815],
+        "1": [0.7257142671342971, 2.848359694303124],
+        "2": [3.1058373437196565, 3.393163964248178],
+        "5": [3.2641031812540575, 2.1243351713063063],
+        "6": [0.858981604221328, 2.8818135176160657],
+        "8": [3.050192756735322, 2.6327263543286934],
+    },
+    "clock": {"7": 0.0, "3": 0.0, "4": 0.0, "0": 1.0, "1": 1.0, "2": 1.0, "5": 1.0,
+              "6": 1.0, "8": 1.0},
+    "A": 2.0,
+    "n_active": 2,
+}
+
+
+def test_nearly_dependent_rows_keep_the_density_on_the_polytope(bounded_field):
+    # The polytope is a single point.  The leaf-measure snap-back misses the
+    # constraints by up to 0.06 here, so the solve must fall back to node
+    # measures rather than return that point's neighbour with a value 7.6%
+    # too high.
+    model = build_tree(COLLINEAR_CHILDREN)
+    poly = martingale_polytope(model)
+    leaves = model.tree.leaves
+    for y in (1e-2, 1.0, 1e2):
+        sol = solve_dual(model, bounded_field, y, 1e-10)
+        assert poly.residual(sol.Z[leaves]) <= 1e-12
+        if y == 1.0:
+            assert sol.value == pytest.approx(1.058700480496, abs=1e-11)
+
+
+# Nodes 4 and 10 each have two children with collinear price changes, and the
+# polytope is one point.  The entropy centre's walk ended 0.06 off the
+# constraints there, and no node-measure solve started from it certified.
+SINGLETON_SPREAD = {
+    "nodes": [{"id": 0, "t": 0, "parent": None}] + [
+        {"id": nid, "t": t, "parent": pid, "prob": p} for nid, t, pid, p in [
+            (1, 1, 0, 0.16196002412051635), (4, 1, 0, 0.44955043676677875),
+            (10, 1, 0, 0.3884895391127048), (2, 2, 1, 0.20127039976828495),
+            (3, 2, 4, 0.6033332807337349), (5, 2, 1, 0.4002133353012166),
+            (6, 2, 4, 0.396666719266265), (7, 2, 10, 0.47151886477062066),
+            (8, 2, 1, 0.3985162649304984), (9, 2, 10, 0.5284811352293793)]
+    ],
+    "prices": {
+        0: [2.707749844314052, 2.356414893217424], 1: [2.6044661745488327, 2.152703563132138],
+        4: [2.578319504082137, 2.3853074490171338], 10: [3.136743056197372, 2.643473010312676],
+        2: [1.8561452143190929, 1.2754120736625918], 3: [1.8736971685255503, 3.9758024472192877],
+        5: [3.9179833671038184, 3.2992749846026266], 6: [3.082212357005396, 1.247905153117454],
+        7: [3.8686549265552803, 3.3409087468821443], 8: [0.6978684889737288, 0.7242084830062274],
+        9: [1.3575776813833218, 0.9481138230712535],
+    },
+    "clock": {nid: (0.0 if nid == 0 else 0.5) for nid in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)},
+    "A": 2.0,
+    "n_active": 2,
+}
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_TREE_FIELDS))
+def test_singleton_polytope_with_collinear_children_certifies(family):
+    model = build_tree(SINGLETON_SPREAD)
+    poly = martingale_polytope(model)
+    for y in (0.3, 1.0, 3.0):
+        sol = solve_dual(model, RANDOM_TREE_FIELDS[family], y, 1e-10)
+        assert poly.residual(sol.Z[model.tree.leaves]) <= 1e-12
+
+
 class TestDualOverMeasures:
     @pytest.mark.parametrize("y", [0.05, 0.4, 1.0, 6.0])
     def test_matches_solve_dual_binomial(self, binom1, log_field, y):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualitylab import treeops
+from dualitylab.dual import solve_dual
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
-from dualitylab.market import truncate
+from dualitylab.market import build_tree, load_model, truncate
 from dualitylab.primal import (
     _ascent_step,
     _PrimalObjective,
@@ -23,13 +25,15 @@ from conftest import (
     binomial_model,
     binomial_two_period_partial_clock,
 )
-from test_treeops import random_models, ref_rows
+from test_treeops import random_models, ref_rows, traded_assets
 
 
 def trimmed_rows(geo):
-    """(rows, h_slice, c_index) of the dense trimmed wealth map."""
+    """(rows, h_slice, c_index) of the dense trimmed wealth map, each node
+    trading the assets its market keeps."""
     internal = geo.internal_mask
-    return ref_rows(geo.model, geo.trimmed, internal, internal & geo.consuming)
+    return ref_rows(geo.model, geo.trimmed, internal, internal & geo.consuming,
+                    traded_assets(geo))
 
 
 def closed_form_log_binomial(p, x):
@@ -312,26 +316,28 @@ class TestTreeNewtonStep:
         ridge = ridge_rel * float(np.max(np.diag(neg_h)))
         m = neg_h + ridge * np.eye(obj.system.n_vars)
         if np.linalg.cond(m) > 1e6:
-            # Only a ridge-free system may be this ill-conditioned (redundant
-            # assets, or branches whose only curvature is a vanished barrier);
-            # the duplicated-asset test covers that case.
+            # Only a ridge-free system may be this ill-conditioned (untraded
+            # holdings, whose dense rows are zero, or branches whose only
+            # curvature is a vanished barrier); the duplicated-asset test
+            # covers the first case.
             assert ridge == 0.0
             return
         want = np.linalg.solve(m, g)
         got = obj.system.solve(g, a, pd, ridge)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
-    def test_duplicated_assets_refused_at_zero_ridge(self, duplicates, log_field):
-        # Identical price columns make the root's pivot block exactly singular.
+    def test_duplicated_asset_is_no_variable_of_the_step(self, duplicates, log_field):
+        # The root's market keeps one of the two identical assets.  The other's
+        # holding is no variable of the Newton system, which therefore solves
+        # at zero ridge: the untraded holding does not move, and the step
+        # solves the dense system, whose row for that holding is zero.
         geo = build_geometry(duplicates)
         obj = _PrimalObjective(geo, log_field, 1.0)
         theta = np.zeros(obj.system.n_vars)
         g, a, pd = obj.grad_curv(theta, 0.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            obj.system.solve(g, a, pd, 0.0)
-        # The ridge schedule then finds a Newton step of the singular system.
-        step, lam2 = _ascent_step(obj.system, g, a, pd)
-        assert lam2 > 0.0
+        step = obj.system.solve(g, a, pd, 0.0)
+        traded = traded_assets(geo)[duplicates.tree.root]
+        assert traded.sum() == 1 and not step[:2][~traded].any()
         neg_h = self.dense_neg_hessian(geo, log_field, 1.0, theta, 0.0)
         np.testing.assert_allclose(neg_h @ step, g, rtol=1e-9)
 
@@ -368,3 +374,157 @@ def test_spread_tree_needs_no_dense_wealth_map(monkeypatch, log_field):
     monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", tree.n_nodes * tree.leaves.size)
     sol = solve_primal(model, log_field, 1.0, 1e-10)
     assert sol.kkt_residual <= 1e-9
+
+
+def one_ulp_model():
+    # One child, prob 1, whose price moves by one ulp: a rounding move, not a
+    # tradable one.
+    return build_tree({
+        "nodes": [{"id": 0, "t": 0, "parent": None}, {"id": 1, "t": 1, "parent": 0, "prob": 1.0}],
+        "prices": {0: [1.7], 1: [float(np.nextafter(1.7, 2.0))]},
+        "clock": {0: 0.0, 1: 1.0},
+        "A": 1.0,
+        "n_active": 1,
+    })
+
+
+def test_one_ulp_price_move_is_not_traded(log_field, bounded_field):
+    # The dual prices this market with the single density Z = 1, so weak
+    # duality caps u(1) at min_y v(y) + y, which is u(1) itself.
+    model = one_ulp_model()
+    sol = solve_primal(model, bounded_field, 1.0, 1e-10)
+    assert not sol.H.any()
+    assert sol.value == pytest.approx(2.0, abs=1e-12)
+    for y in (0.5, 1.0, 2.0):
+        assert sol.value <= solve_dual(model, bounded_field, y, 1e-10).value + y + 1e-12
+    assert solve_primal(model, log_field, 1.0, 1e-10).value == pytest.approx(0.0, abs=1e-12)
+
+
+RANDOM_TREE_FIELDS = {
+    "log": UtilityField(family="log"),
+    "power-1": UtilityField(family="power", gamma=-1.0),
+    "power0.5": UtilityField(family="power", gamma=0.5),
+    "bounded": UtilityField(family="bounded", alpha=0.5, beta=2.0),
+}
+
+
+class TestRandomTrees:
+    @staticmethod
+    def solve(model, field, xs):
+        try:
+            return [solve_primal(model, field, x, 1e-10) for x in xs]
+        except InfeasibleMarketError:
+            return None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(sorted(RANDOM_TREE_FIELDS)),
+    )
+    def test_weak_duality(self, model, family):
+        field = RANDOM_TREE_FIELDS[family]
+        sols = self.solve(model, field, (0.5, 1.0, 2.0))
+        assume(sols is not None)
+        for y in (0.3, 1.0, 3.0):
+            v = solve_dual(model, field, y, 1e-10).value
+            for sol in sols:
+                u = sol.value
+                assert u <= v + sol.x * y + 1e-8 * max(1.0, abs(u), abs(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(["log", "power-1", "power0.5"]),
+    )
+    def test_scaling_laws(self, model, family):
+        # u(2x) = 2^gamma u(x) for power, u(x) + sum P dkappa w log 2 for log,
+        # to within the two solutions' own residuals.
+        field = RANDOM_TREE_FIELDS[family]
+        sols = self.solve(model, field, (0.5, 1.0, 2.0))
+        assume(sols is not None)
+        tree, dk = model.tree, model.clock.dkappa
+        mass = float(np.dot(tree.path_prob * dk, field.weight_array(list(tree.ids))))
+        for lo, hi in zip(sols, sols[1:]):
+            if field.family == "log":
+                scale, want = 1.0, lo.value + mass * math.log(2.0)
+            else:
+                scale = 2.0**field.gamma
+                want = scale * lo.value
+            tol = hi.kkt_residual + scale * lo.kkt_residual + 1e-12 * max(1.0, abs(lo.value))
+            assert abs(hi.value - want) <= tol
+
+
+def tree_from_edges(edges, prices, clock, bound):
+    """A tree from (id, parent id, prob) edges, root first, two active assets."""
+    times = {edges[0][0]: 0}
+    for nid, pid, _ in edges[1:]:
+        times[nid] = times[pid] + 1
+    return build_tree({
+        "nodes": [{"id": edges[0][0], "t": 0, "parent": None}]
+        + [{"id": nid, "t": times[nid], "parent": pid, "prob": p} for nid, pid, p in edges[1:]],
+        "prices": prices,
+        "clock": clock,
+        "A": bound,
+        "n_active": 2,
+    })
+
+
+# Node 1's two children have collinear price changes, so its market keeps one
+# asset; nodes 2 and 6 have one child each, priced as the node itself.
+# Trading the dropped direction, the primal ran out of Newton iterations.
+COLLINEAR_PRIMAL = tree_from_edges(
+    [(4, None, None), (1, 4, 0.3493927735244332), (2, 4, 0.21759163858127462),
+     (6, 4, 0.4330155878942921), (0, 1, 0.31587296748213306), (3, 2, 1.0), (5, 6, 1.0),
+     (7, 1, 0.6841270325178669)],
+    {4: [2.080565236257827, 2.6732211112549193], 1: [1.5876555047398502, 1.6583887249879328],
+     2: [2.716195790774662, 2.8104959044763134], 6: [1.8571483911192324, 3.095145479330946],
+     0: [0.633699707207779, 3.4366312654980766], 3: [2.716195790774662, 2.8104959044763134],
+     5: [1.8571483911192324, 3.095145479330946], 7: [2.048814713171031, 0.7987546365932443]},
+    {4: 0.0, 1: 0.9025399634006415, 2: 0.0, 6: 0.0, 0: 0.7959493086839348, 3: 0.0, 5: 0.0,
+     7: 0.5},
+    2.0,
+)
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_TREE_FIELDS))
+def test_primal_trades_only_the_kept_assets(family):
+    field = RANDOM_TREE_FIELDS[family]
+    for x in (0.5, 1.0, 2.0):
+        sol = solve_primal(COLLINEAR_PRIMAL, field, x, 1e-10)
+        assert sol.kkt_residual <= 1e-9
+        assert admissibility_check(COLLINEAR_PRIMAL, sol.H, sol.c, x).passed
+
+
+def test_holdings_span_only_the_kept_directions(log_field, bounded_field):
+    # The root's two children have collinear price changes, and rounding
+    # leaves a singular value of 2.5e-16, above a pseudo-inverse cutoff
+    # relative to the largest one but below the market's.  Inverting it
+    # put noise into the holdings, and the plan's wealth went negative.
+    model = build_tree({
+        "nodes": [{"id": 0, "t": 0, "parent": None},
+                  {"id": 1, "t": 1, "parent": 0, "prob": 0.5661349921740436},
+                  {"id": 2, "t": 1, "parent": 0, "prob": 0.43386500782595633}],
+        "prices": {0: [1.2540730839091865, 3.016253317431587],
+                   1: [1.5032106835577987, 2.9837854587483403],
+                   2: [1.0056172976089772, 3.0486323215241353]},
+        "clock": {0: 0.0, 1: 1.0, 2: 1.0},
+        "A": 1.0,
+        "n_active": 2,
+    })
+    for field in (log_field, bounded_field):
+        for x in (0.5, 1.0, 2.0):
+            sol = solve_primal(model, field, x, 1e-10)
+            assert sol.kkt_residual <= 1e-12
+            assert admissibility_check(model, sol.H, sol.c, x).passed
+
+
+def test_untraded_holdings_keep_the_newton_step_exact():
+    # 66 nodes with 14 dead roots and several nodes whose children's price
+    # changes are collinear.  Kept as exactly singular variables, the
+    # untraded holdings needed a ridge of 1e-12 times the dead-root barrier
+    # curvature, and the last barrier stage crawled to 500 iterations.
+    model = load_model(Path(__file__).with_name("data") / "collinear_dead_roots.json")
+    for family in ("log", "power0.5"):
+        for x in (0.5, 1.0, 2.0):
+            sol = solve_primal(model, RANDOM_TREE_FIELDS[family], x, 1e-10)
+            assert sol.kkt_residual <= 1e-8

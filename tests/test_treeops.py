@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualitylab import treeops
+from dualitylab.dual import _measure_system
 from dualitylab.errors import BudgetError
 from dualitylab.market import build_tree
 from dualitylab.primal import _TreeSystem
@@ -23,6 +24,8 @@ from dualitylab.treeops import (
     build_geometry,
     cumulative_spend,
     full_polytope_matrices,
+    node_markets,
+    node_system,
     node_values,
     wealth_from_strategy,
 )
@@ -103,9 +106,14 @@ def ref_cumulative(tree, values):
     return out
 
 
-def ref_rows(model, nodes, holds, spends):
-    """Wealth rows over ``nodes``: the parent's row plus one step's gains."""
+def ref_rows(model, nodes, holds, spends, traded=None):
+    """Wealth rows over ``nodes``: the parent's row plus one step's gains.
+
+    ``traded`` maps a holding node's position to the assets it trades, all
+    of them by default; the others move no wealth.
+    """
     tree, prices, na = model.tree, model.assets.prices, model.n_active
+    traded = traded or {}
     h_slice, c_index, n_vars = {}, {}, 0
     for pos in nodes:
         if holds[pos] and na > 0:
@@ -125,9 +133,16 @@ def ref_rows(model, nodes, holds, spends):
         if int(p) in c_index:
             row[c_index[int(p)]] -= model.clock.dkappa[p]
         if int(p) in h_slice:
-            row[h_slice[int(p)]] += prices[pos, :na] - prices[p, :na]
+            move = prices[pos, :na] - prices[p, :na]
+            row[h_slice[int(p)]] += np.where(traded.get(int(p), True), move, 0.0)
         rows[row_of[int(pos)]] = row
     return rows, h_slice, c_index
+
+
+def traded_assets(geo):
+    """Each trimmed internal node's kept assets, by position."""
+    internal, _, _, _, keep = geo.markets()
+    return dict(zip(geo.trimmed[internal].tolist(), keep))
 
 
 def ref_density(model, nodes, leaves):
@@ -232,8 +247,11 @@ def test_kernels_match_reference_loops(model, seed):
     assert_same(model.clock.cumulative, ref_cumulative(tree, model.clock.dkappa))
 
     geo = build_geometry(model)
-    for name, want in ref_geometry(model).items():
-        assert_same(getattr(geo, name), want)
+    want = ref_geometry(model)
+    for name, got in zip("Ab", geo.leaf_system()):
+        assert_same(got, want.pop(name))
+    for name, value in want.items():
+        assert_same(getattr(geo, name), value)
 
     everything = np.arange(tree.n_nodes)
     _, A, b = ref_density(model, everything, tree.leaves)
@@ -262,10 +280,12 @@ def test_kernels_match_reference_loops(model, seed):
 @given(random_models(), st.integers(0, 2**32 - 1))
 def test_wealth_passes_match_reference_rows(model, seed):
     # The primal's date passes against the dense trimmed wealth map, with the
-    # variables laid out as holdings blocks then rates, in position order.
+    # variables laid out as holdings blocks then rates, in position order,
+    # and each node trading the assets its market keeps.
     geo = build_geometry(model)
     internal = geo.internal_mask
-    rows, _, _ = ref_rows(model, geo.trimmed, internal, internal & geo.consuming)
+    rows, _, _ = ref_rows(model, geo.trimmed, internal, internal & geo.consuming,
+                          traded_assets(geo))
     system = _TreeSystem(geo)
     assert system.n_vars == rows.shape[1]
 
@@ -284,15 +304,83 @@ def test_wealth_passes_match_reference_rows(model, seed):
     assert_close(system.wealth_t(a, squared=True), (rows**2).T @ a, (rows**2).T @ a)
 
 
+def ref_node_system(model, nodes, internal_mask, keep):
+    """Rows of the node-measure system, one node at a time, as (row, col) -> value."""
+    tree, prices = model.tree, model.assets.prices
+    col_of = {int(pos): j for j, pos in enumerate(nodes)}
+    internal = [int(pos) for pos in nodes if internal_mask[pos]]
+    entries = {(0, 0): 1.0}
+    for i, k in enumerate(internal):
+        inv_p = 1.0 / tree.path_prob[k]
+        entries[1 + i, col_of[k]] = inv_p
+        for ch in tree.children[k]:
+            entries[1 + i, col_of[int(ch)]] = -inv_p
+    row = 1 + len(internal)
+    for i, k in enumerate(internal):
+        for a in np.flatnonzero(keep[i]):
+            for ch in tree.children[k]:
+                move = prices[ch, a] - prices[k, a]
+                entries[row, col_of[int(ch)]] = move * (1.0 / tree.path_prob[k])
+            row += 1
+    return entries, row
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_models(), random_models(martingale=True)))
+def test_node_system_matches_reference_loop(model):
+    # On the trimmed view and on the whole tree: the layout lists each
+    # internal node's children in position order with their price changes,
+    # keeps as many assets as its rank, and the sparse system carries the
+    # reference rows of exactly those assets.
+    tree, na = model.tree, model.n_active
+    geo = build_geometry(model)
+    for nodes, mask in ((geo.trimmed, geo.internal_mask), (np.arange(tree.n_nodes), ~tree.is_leaf)):
+        markets = node_markets(model, nodes, mask)
+        internal, kids, blk, dates, keep = markets
+        assert_same(nodes[internal], nodes[mask[nodes]])
+        grouped = []
+        for first, own, child, dS in dates:
+            assert_same(own, internal[first : first + own.size])
+            for i, k in enumerate(nodes[own]):
+                real = child[i][child[i] < nodes.size]
+                grouped += [(first + i, c) for c in real]
+                assert nodes[real].tolist() == sorted(tree.children[k])
+                r = keep[first + i].sum()
+                moves = model.assets.prices[nodes[real], :na] - model.assets.prices[k, :na]
+                assert_same(dS[i, : real.size], moves)
+                assert not dS[i, real.size :].any()
+                if r:
+                    s = np.linalg.svd(dS[i][:, keep[first + i]], compute_uv=False)
+                    level = np.abs(model.assets.prices[np.append(nodes[real], k), :na]).max()
+                    assert np.sum(s > np.finfo(float).eps * max(child.shape[1], na) * level) == r
+        assert grouped == list(zip(blk.tolist(), kids.tolist()))
+
+        N, b, price_row = node_system(model, nodes, markets)
+        entries, n_rows = ref_node_system(model, nodes, mask, keep)
+        assert N.shape == (n_rows, nodes.size)
+        coo = N.tocoo()
+        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
+        assert_same(b, np.eye(1, n_rows)[0])
+        assert np.array_equal(price_row >= 0, keep)
+
+
 @pytest.mark.parametrize(
-    "build, guard, what",
+    "build, what",
     [
-        (build_geometry, 4, "density aggregation"),
-        (full_polytope_matrices, 4, "full density aggregation"),
+        pytest.param(lambda m: _measure_system(build_geometry(m)), "density aggregation",
+                     id="leaf_system"),
+        pytest.param(full_polytope_matrices, "full density aggregation",
+                     id="full_polytope_matrices"),
     ],
 )
-def test_dense_guards(monkeypatch, binom1, build, guard, what):
-    # binom1 has 3 nodes and 2 leaves.
-    monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", guard)
-    with pytest.raises(BudgetError, match=f"^{what} would need"):
-        build(binom1)
+@pytest.mark.parametrize("model", ["binom1", "example3", "two_period_mid_clock"])
+def test_dense_guards(request, monkeypatch, model, build, what):
+    # The guard counts the entries of the (1 + n_active * internal) x leaves
+    # array the builder allocates.
+    model = request.getfixturevalue(model)
+    A = build(model)[0]
+    monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", A.size - 1)
+    with pytest.raises(BudgetError, match=f"^{what} would need {A.size} entries"):
+        build(model)
+    monkeypatch.setattr(treeops, "DENSE_ENTRY_GUARD", A.size)
+    assert np.array_equal(build(model)[0], A)
