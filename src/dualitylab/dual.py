@@ -16,6 +16,14 @@ else node measures m_k = P(k) Z(k) on the whole trimmed tree, whose
 constraints m_root = 1, m_k = sum_c m_c and sum_c m_c (S_c - S_k) = 0 are
 node-local (Steinbach, "Tree-sparse convex programs", 2002).
 
+Every solve first runs the no-arbitrage gate ``ensure_full_density``: the
+product of one strictly positive one-step martingale measure per node
+(``treeops.martingale_density``), which raises ``InfeasibleMarketError``
+naming a node and its arbitrage.  Its density P Z starts the node-measure
+solve and continues the optimal density below the trimmed view.  Only the
+leaf-measure solve builds the dense leaf system; it starts from the entropy
+centre, seeded by ``find_interior``.
+
 Since the conjugate of any admissible field descends infinitely steeply at
 0, minimizers stay strictly positive wherever the objective looks; a
 logarithmic barrier on the trimmed-leaf measures, with decreasing weight,
@@ -31,7 +39,7 @@ Newton multipliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,7 +49,15 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
-from .treeops import Geometry, build_geometry, full_polytope_matrices, node_system, node_values
+from .treeops import (
+    Geometry,
+    build_geometry,
+    full_polytope_matrices,
+    martingale_density,
+    node_markets,
+    node_system,
+    node_values,
+)
 from .utility import UtilityField
 
 ARBITRAGE_MARGIN = 1e-11
@@ -65,7 +81,6 @@ class MartingalePolytope:
     A: np.ndarray
     b: np.ndarray
     leaves: np.ndarray
-    _interior: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
     def n_leaves(self) -> int:
@@ -86,9 +101,8 @@ class MartingalePolytope:
         return bool(np.min(zeta) >= -tol and self.residual(zeta) <= tol)
 
     def interior_point(self) -> np.ndarray:
-        if self._interior is None:
-            self._interior = find_interior(self.A, self.b)
-        return self._interior.copy()
+        """The leaf values of ``ensure_full_density``'s density."""
+        return ensure_full_density(build_geometry(self.model))[self.leaves]
 
 
 def martingale_polytope(model: MarketModel) -> MartingalePolytope:
@@ -97,12 +111,13 @@ def martingale_polytope(model: MarketModel) -> MartingalePolytope:
 
 
 def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
-    """Strictly positive solution of A x = b, or raise on arbitrage.
+    """Strictly positive solution of A x = b, or raise.
 
     First tries the least-norm shift of ``center`` (ones by default); when
     that leaves the positive orthant, falls back to a max-margin LP.  A
-    nonpositive optimal margin means no strictly positive point exists,
-    which for the density polytope is exactly the presence of arbitrage.
+    nonpositive optimal margin means no strictly positive point exists.
+    Its one remaining use is to seed the leaf-coordinate dual
+    (``measure_interior``); the no-arbitrage gate is ``ensure_full_density``.
     """
     n = A.shape[1]
     x0 = np.ones(n) if center is None else np.asarray(center, dtype=float)
@@ -162,8 +177,9 @@ def _measure_system(geo: Geometry):
 def measure_interior(geo: Geometry) -> np.ndarray:
     """Strictly positive feasible leaf measure, cached on the geometry.
 
-    Doubles as the no-arbitrage gate for the trimmed view: projection of the
-    physical leaf measure first, max-margin LP as fallback.
+    The start of ``entropy_center``, hence of the leaf-coordinate dual:
+    projection of the physical leaf measure first, max-margin LP as
+    fallback.
     """
 
     def build():
@@ -202,19 +218,20 @@ def entropy_center(geo: Geometry) -> np.ndarray:
 def ensure_full_density(geo: Geometry) -> np.ndarray:
     """Per-node values of one strictly positive density on the whole tree.
 
-    Raises ``InfeasibleMarketError`` when none exists, so this doubles as
-    the no-arbitrage gate used by both solvers.  Cached on the geometry.
+    The product of the node-local martingale measures of
+    ``treeops.martingale_density``, cached on the geometry.  It is the
+    no-arbitrage gate of both solvers: it raises ``InfeasibleMarketError``,
+    naming a node and its arbitrage, when no such density exists.  It also
+    starts the node-measure dual and extends densities below the trimmed
+    view.
     """
 
     def build():
-        tree = geo.tree
-        if geo.trimmed.size == tree.n_nodes:
-            prob = tree.path_prob[geo.solve_leaves]
-            return node_values(tree, geo.solve_leaves, measure_interior(geo) / prob)
-        A, b = full_polytope_matrices(geo.model)
-        return node_values(tree, tree.leaves, find_interior(A, b))
+        nodes = np.arange(geo.tree.n_nodes)
+        markets = node_markets(geo.model, nodes, ~geo.tree.is_leaf)
+        return martingale_density(geo.model, nodes, markets)
 
-    return geo.memo("full_interior_nodes", build)
+    return geo.memo("full_density", build)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +275,34 @@ class _DualObjective:
         self.cols = np.searchsorted(coords, cons)
         self.leaf_cols = np.searchsorted(coords, geo.solve_leaves)
         self.col_scale = 1.0 / tree.path_prob[cons]
+
+    @property
+    def in_nodes(self) -> bool:
+        return self.coords is self.geo.trimmed
+
+    def constraints(self):
+        """(A, b) with A q = b in these coordinates."""
+        geo = self.geo
+        if self.in_nodes:
+            return geo.memo(
+                "node_system", lambda: node_system(geo.model, geo.trimmed, geo.markets())
+            )[:2]
+        return _measure_system(geo)[:2]
+
+    def measures(self, zeta: np.ndarray) -> np.ndarray:
+        """These coordinates of the density with trimmed-leaf values ``zeta``."""
+        tree = self.geo.tree
+        if self.in_nodes:
+            z = node_values(tree, self.geo.solve_leaves, zeta)
+            return (tree.path_prob * z)[self.coords]
+        return zeta * tree.path_prob[self.coords]
+
+    def start(self) -> np.ndarray:
+        """A fixed strictly positive feasible point: P Z of
+        ``ensure_full_density`` in node measures, else the entropy centre."""
+        if self.in_nodes:
+            return (self.geo.tree.path_prob * ensure_full_density(self.geo))[self.coords]
+        return entropy_center(self.geo)
 
     def node_args(self, q: np.ndarray) -> np.ndarray:
         return self.y * (q[self.cols] * self.col_scale) / self.w
@@ -364,28 +409,28 @@ def solve_dual(
             field=field,
         )
 
-    Aq, b, prob = _measure_system(geo)
+    obj = _DualObjective(geo, field, y)
     q = None
-    if warm_start is not None and np.asarray(warm_start).size == prob.size:
-        cand = np.asarray(warm_start, dtype=float) * prob
-        if np.min(cand) > 0.0 and np.max(np.abs(Aq @ cand - b)) < 1e-8:
+    if warm_start is not None and np.asarray(warm_start).size == geo.solve_leaves.size:
+        cand = obj.measures(np.asarray(warm_start, dtype=float))
+        A, b = obj.constraints()
+        if np.min(cand) > 0.0 and np.max(np.abs(A @ cand - b)) < 1e-8:
             q = cand
     if q is None:
-        q = entropy_center(geo)
+        q = obj.start()
 
-    obj = _DualObjective(geo, field, y)
     try:
         q, iterations = _barrier_solve(obj, q, tol, max_iter)
     except ConvergenceError:
-        if obj.coords is geo.trimmed:
+        if obj.in_nodes:
             raise
         # Leaf-measure steps lose feasibility where the curvature spans many
         # orders of magnitude, and stall on rows at the rounding level of the
         # prices; node-measure steps solve their sparse KKT system exactly.
         obj = _DualObjective(geo, field, y, geo.trimmed)
-        q, iterations = _barrier_solve(obj, entropy_center(geo), tol, max_iter)
+        q, iterations = _barrier_solve(obj, obj.start(), tol, max_iter)
 
-    zeta = q[obj.leaf_cols] / prob
+    zeta = q[obj.leaf_cols] / geo.tree.path_prob[geo.solve_leaves]
     zfull = _extend_density(geo, zeta)
     z_cons = obj.node_args(q) * obj.w / y
     return DualSolution(
@@ -403,19 +448,14 @@ def solve_dual(
 def _barrier_solve(obj, q, tol, max_iter):
     """Barrier continuation and certification in ``obj``'s coordinates.
 
-    Starts from the strictly positive feasible leaf measure ``q``; returns
-    the certified measure in ``obj.coords`` and the Newton iteration count.
+    Starts from the strictly positive feasible point ``q`` in
+    ``obj.coords``; returns the certified measure there and the Newton
+    iteration count.
     """
     geo = obj.geo
     y = obj.y
-    A, b, prob = _measure_system(geo)
-    n = prob.size
-    if obj.coords is geo.trimmed:
-        A, b, _ = geo.memo(
-            "node_system", lambda: node_system(geo.model, geo.trimmed, geo.markets())
-        )
-        tree = geo.tree
-        q = (tree.path_prob * node_values(tree, geo.solve_leaves, q / prob))[obj.coords]
+    A, b = obj.constraints()
+    n = geo.solve_leaves.size
 
     # Barrier weights: plain mu on the trimmed-leaf measures, none on inner
     # nodes; coordinates the objective never sees keep a small floor so they
@@ -637,8 +677,7 @@ def _extend_density(geo: Geometry, zeta) -> np.ndarray:
     z_int = ensure_full_density(geo)
     for pos in geo.untrimmed_levels():
         p = tree.parent[pos]
-        ref = z_int[p]
-        z[pos] = np.where(ref > 0, z[p] * (z_int[pos] / ref), 0.0)
+        z[pos] = z[p] * (z_int[pos] / z_int[p])
     return z
 
 

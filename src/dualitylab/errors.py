@@ -22,7 +22,18 @@ class BudgetError(DualityLabError):
 
 
 class InfeasibleMarketError(DualityLabError):
-    """No strictly positive martingale density exists: the market has arbitrage."""
+    """No strictly positive martingale density exists: the market has arbitrage.
+
+    Where the arbitrage was located, ``node`` is the id of the node whose
+    one-period market admits it and ``holdings`` (one entry per tradable
+    asset) gain nothing negative at any of its children and a positive
+    amount at one; both are None otherwise.
+    """
+
+    def __init__(self, message, node=None, holdings=None):
+        super().__init__(message)
+        self.node = node
+        self.holdings = holdings
 
 
 class ConvergenceError(DualityLabError):

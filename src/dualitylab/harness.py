@@ -19,10 +19,11 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from .dual import DualSolution, solve_dual
-from .errors import BudgetError, ConvergenceError, DualityLabError, InfeasibleMarketError
+from .errors import BudgetError, ConvergenceError, DualityLabError
 from .market import ExampleMarketSpec, MarketModel, build_example_market, truncate
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry, full_polytope_matrices, node_markets, node_system
+from .treeops import build_geometry, martingale_density, node_markets, node_system
+from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
 from .utility import UtilityField
 
 MONOTONE_SLACK = 1e-7
@@ -348,11 +349,19 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
 
 def _pricing_system(model: MarketModel, c):
     """(spend, N, b, price_row): the claim's per-node spend rate * dkappa and
-    the whole-tree node-measure system that both pricing LPs share."""
+    the whole-tree node-measure system that both pricing LPs share.
+
+    The claim is validated first, then the no-arbitrage gate runs on the
+    system's node markets: on a market with arbitrage both LPs raise
+    ``InfeasibleMarketError`` naming the node, where the density LP alone
+    could still price over the closed polytope.
+    """
     tree = model.tree
     spend = _rates_array(model, c) * model.clock.dkappa
     nodes = np.arange(tree.n_nodes)
-    return (spend,) + node_system(model, nodes, node_markets(model, nodes, ~tree.is_leaf))
+    markets = node_markets(model, nodes, ~tree.is_leaf)
+    martingale_density(model, nodes, markets)
+    return (spend,) + node_system(model, nodes, markets)
 
 
 def superreplication_price(model: MarketModel, c) -> SuperrepResult:
@@ -363,15 +372,11 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     and holdings: nu_0 is the price, and the pricing row of internal node k
     and asset a carries P(k) times the holding, which is zero where the row
     was dropped as redundant.  With a density present, the holdings keep
-    wealth nonnegative at every node.  The program stays bounded even on
-    some inconsistent markets, so the no-density condition is tested up
-    front and raises ``InfeasibleMarketError``.  Returns the price and the
+    wealth nonnegative at every node.  Markets with arbitrage raise
+    ``InfeasibleMarketError`` before the LP runs.  Returns the price and the
     certifying holdings array (n_nodes, n_active).
     """
-    from .dual import find_interior
-
     spend, N, b, price_row = _pricing_system(model, c)
-    find_interior(*full_polytope_matrices(model))
     res = linprog(
         b,
         A_ub=-N.T,
@@ -380,10 +385,6 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
         method="highs",
         options=_LP_OPTS,
     )
-    if res.status == 3:
-        raise InfeasibleMarketError(
-            "superreplication program is unbounded below: the market admits arbitrage"
-        )
     if res.status != 0 or res.x is None:
         raise ConvergenceError(f"superreplication LP failed: {res.message}")
 
@@ -400,7 +401,8 @@ def dual_superrep_price(model: MarketModel, c) -> float:
     In node measures m = P Z the price of the stream is sum_k m_k spend_k,
     maximized over m >= 0 with N m = b.  This is the linear-programming
     mirror of :func:`superreplication_price`; on arbitrage-free models the
-    two values coincide.
+    two values coincide, and on the others both raise
+    ``InfeasibleMarketError``.
     """
     spend, N, b, _ = _pricing_system(model, c)
     res = linprog(
@@ -411,10 +413,6 @@ def dual_superrep_price(model: MarketModel, c) -> float:
         method="highs",
         options=_LP_OPTS,
     )
-    if res.status == 2:
-        raise InfeasibleMarketError(
-            "density polytope is empty: the market admits arbitrage"
-        )
     if res.status != 0 or res.x is None:
         raise ConvergenceError(f"density pricing LP failed: {res.message}")
     return float(-res.fun)

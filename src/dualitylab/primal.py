@@ -303,10 +303,11 @@ def solve_primal(
 ) -> PrimalSolution:
     """Solve the consumption-investment problem at initial wealth x.
 
-    Requires a strictly positive martingale density to exist (checked via
-    the dual feasibility machinery); raises ``InfeasibleMarketError``
-    otherwise, and ``ConvergenceError`` when the Newton iteration exhausts
-    its budget before certifying the gap estimate.
+    Requires a strictly positive martingale density to exist (checked by
+    the node-local gate ``ensure_full_density``); raises
+    ``InfeasibleMarketError`` naming a node and its arbitrage otherwise,
+    and ``ConvergenceError`` when the Newton iteration exhausts its budget
+    before certifying the gap estimate.
     """
     if x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive, got {x}")

@@ -22,7 +22,9 @@ Within the trimmed view:
   a free variable.
 
 Both solvers read each internal node's one-period market from
-``node_markets``: the primal trades in it, the dual prices it.
+``node_markets``: the primal trades in it, the dual prices it, and
+``martingale_density`` finds one strictly positive martingale measure in
+it or an arbitrage, which is the no-arbitrage gate.
 
 For the dual side, densities are parameterized by their values on the
 trimmed leaves (effective leaves and dead roots).  The value at any other
@@ -42,11 +44,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import qr
+from scipy.optimize import linprog
 
-from .errors import BudgetError
+from .errors import BudgetError, ConvergenceError, InfeasibleMarketError
 from .market import MarketModel, _accumulate_down
 
 DENSE_ENTRY_GUARD = 50_000_000
+# The gate's Newton: iteration budget, the largest change of any log q_c in
+# a settled node's last step, and the ridge that keeps a node's Hessian
+# invertible where an arbitrage flattens it.  An arbitrage LP must find a
+# total gain above the step tolerance, in units of the node's largest move.
+_GATE_ITERS = 100
+_GATE_STEP_TOL = 1e-9
+_GATE_RIDGE = 1e-14
 
 
 @dataclass
@@ -206,6 +216,121 @@ def node_markets(model: MarketModel, nodes: np.ndarray, internal_mask):
                 keep[lo + i, qr(dS[i], mode="r", pivoting=True)[1][: rank[i]]] = True
         dates.append((int(lo), own, child, dS))
     return internal, kids, blk, dates, keep
+
+
+def martingale_density(model: MarketModel, nodes: np.ndarray, markets) -> np.ndarray:
+    """A strictly positive martingale density over a subtree, or raise.
+
+    A tree is arbitrage-free exactly when every one-period node market is
+    (Föllmer & Schied, *Stochastic Finance*, ch. 5).  At each internal node
+    of the subtree's ``node_markets``, a damped Newton minimizes
+    phi(lam) = log sum_c p_c exp(lam . dS_c) in the node's kept assets, one
+    date at a time over the padded layout; at the minimizer,
+    q_c = p_c exp(lam . dS_c) / sum is a strictly positive one-step
+    martingale measure (Rogers, Stochastics 1994).  Their products along the
+    paths give Z over ``nodes``, Z = 1 at the root.  Where a node's Newton
+    fails, one small LP on that node finds holdings whose gains are
+    nonnegative at every child and positive at one, and
+    ``InfeasibleMarketError`` carries the node's id and those holdings.
+    """
+    _, _, _, dates, keep = markets
+    p = np.append(model.tree.cond_prob[nodes], 1.0)  # and the sentinel's
+    z = np.ones(nodes.size + 1)
+    for first, own, child, dS in dates:
+        real = child < nodes.size
+        logp = np.where(real, np.log(p[child]), -np.inf)
+        q, failed = _one_step_measures(logp, dS * keep[first : first + own.size, None, :])
+        if failed.any():
+            i = int(np.flatnonzero(failed)[0])
+            _raise_arbitrage(model, nodes[own[i]], dS[i][real[i]], keep[first + i])
+        z[child] = z[own, None] * (q / p[child])
+    return z[:-1]
+
+
+def _one_step_measures(logp: np.ndarray, dS: np.ndarray):
+    """Batched damped Newton on phi(lam) = log sum_c exp(logp_c + lam . dS_c).
+
+    ``logp`` is (nodes, slots), -inf in spare slots; ``dS`` is (nodes,
+    slots, assets), zero outside each node's kept assets.  Returns the
+    measures q and the nodes whose Newton found no minimizer: their steps
+    in log q did not settle within the iteration budget, or left q at 0.
+    """
+    scale = np.abs(dS).max(axis=(1, 2), initial=0.0)
+    x = dS / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    free = ~x.any(axis=1)  # an asset the node does not trade
+    lam = np.zeros(x.shape[::2])
+    diag = np.arange(lam.shape[1])
+    done = free.all(axis=1)
+    failed = np.zeros(done.shape, dtype=bool)
+
+    def logits(i, lam_i):
+        a = logp[i] + (x[i] @ lam_i[:, :, None])[:, :, 0]
+        top = a.max(axis=1, keepdims=True)
+        return a, top[:, 0] + np.log(np.exp(a - top).sum(axis=1))
+
+    # Where a node has arbitrage, lam runs off to infinity.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_GATE_ITERS):
+            i = np.flatnonzero(~done)
+            if not i.size:
+                break
+            a, phi = logits(i, lam[i])
+            q = np.exp(a - phi[:, None])
+            g = np.einsum("bc,bca->ba", q, x[i])
+            xc = x[i] - g[:, None, :]
+            h = np.einsum("bc,bca,bcd->bad", q, xc, xc)
+            h[:, diag, diag] += free[i] + _GATE_RIDGE
+            d = -np.linalg.solve(h, g[:, :, None])[:, :, 0]
+            settled = np.abs(x[i] @ d[:, :, None]).max(axis=(1, 2)) <= _GATE_STEP_TOL
+            t = np.ones(i.size)
+            slope = np.sum(g * d, axis=1)
+            # Armijo backtracking, except where the decrement -slope is so
+            # small that rounding would decide the test: there the whole step
+            # is taken.
+            whole = settled | (-slope <= 1e-10)
+            for _ in range(60):
+                trial = logits(i, lam[i] + t[:, None] * d)[1]
+                short = ~whole & ~(trial <= phi + 1e-4 * t * slope)
+                if not short.any():
+                    break
+                t[short] *= 0.5
+            lam[i] += t[:, None] * d
+            bad = ~np.isfinite(lam[i]).all(axis=1)
+            failed[i[bad]] = True
+            done[i[settled | bad]] = True
+    failed |= ~done
+    a, phi = logits(np.arange(lam.shape[0]), np.where(failed[:, None], 0.0, lam))
+    q = np.exp(a - phi[:, None])
+    failed |= np.any((q <= 0.0) & np.isfinite(logp), axis=1)
+    return q, failed
+
+
+def _raise_arbitrage(model: MarketModel, pos: int, dS: np.ndarray, keep: np.ndarray):
+    """Raise ``InfeasibleMarketError`` for node ``pos`` with an arbitrage.
+
+    ``dS`` holds the price changes of the node's children.  The LP finds
+    holdings h in the kept assets, scaled to the box [-1, 1], whose gains
+    dS h are nonnegative and whose total gain is largest.
+    """
+    node = model.tree.ids[pos]
+    scale = np.abs(dS[:, keep]).max()
+    x = dS[:, keep] / scale
+    res = linprog(-x.sum(axis=0), A_ub=-x, b_ub=np.zeros(x.shape[0]), bounds=(-1.0, 1.0),
+                  method="highs")
+    if res.status != 0 or -res.fun <= _GATE_STEP_TOL:
+        raise ConvergenceError(
+            f"no-arbitrage gate found neither a martingale measure nor an arbitrage "
+            f"at node {node!r}"
+        )
+    holdings = np.zeros(keep.size)
+    holdings[keep] = res.x / scale
+    raise InfeasibleMarketError(
+        f"the market admits arbitrage at node {node!r}: holdings "
+        f"{np.array2string(holdings, precision=6)} gain nothing negative at any "
+        "child and a positive amount at one",
+        node=node,
+        holdings=holdings,
+    )
 
 
 def node_system(model: MarketModel, nodes: np.ndarray, markets):

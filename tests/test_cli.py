@@ -6,7 +6,7 @@ import pytest
 from dualitylab.cli import main
 from dualitylab.market import ExampleMarketSpec, build_example_market, model_to_dict, save_model
 
-from conftest import single_path_model
+from conftest import arbitrage_model, single_path_model
 
 
 @pytest.fixture()
@@ -112,6 +112,20 @@ class TestSolvers:
 
     def test_bad_utility_shorthand_exits_1(self, binom_path):
         assert main(["solve-primal", "--model", binom_path, "--utility", "what"]) == 1
+
+
+    @pytest.mark.parametrize("command", [
+        ["solve-primal", "--utility", "log", "--x", "1.0"],
+        ["solve-dual", "--utility", "log", "--y", "1.0"],
+        ["superrep"],
+    ])
+    def test_arbitrage_names_the_node(self, command, tmp_path, capsys):
+        path = tmp_path / "arb.json"
+        save_model(arbitrage_model(), path)
+        code = main(command[:1] + ["--model", str(path)] + command[1:] + ["--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "admits arbitrage at node 0: holdings [1.]" in err
 
 
 class TestReports:

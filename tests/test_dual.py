@@ -6,19 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dualitylab import dual
+from dualitylab import dual, treeops
 from dualitylab.dual import (
     dual_over_measures,
+    ensure_full_density,
     find_interior,
     martingale_polytope,
     solve_dual,
 )
 from dualitylab.errors import DualityLabError, InfeasibleMarketError
-from dualitylab.market import build_tree, truncate
-from dualitylab.treeops import build_geometry, full_polytope_matrices
+from dualitylab.harness import dual_superrep_price, superreplication_price
+from dualitylab.market import build_tree, model_to_dict, truncate
+from dualitylab.primal import solve_primal
+from dualitylab.treeops import build_geometry, full_polytope_matrices, node_markets, node_system
 from dualitylab.utility import UtilityField
 
-from conftest import arbitrage_model, binomial_model
+from conftest import arbitrage_model, binomial_model, binomial_two_period_partial_clock
 from test_treeops import random_models
 
 
@@ -311,6 +314,75 @@ def _node_margin(model):
         )
         margin = min(margin, res.x[-1] if res.status == 0 else -math.inf)
     return margin
+
+
+class TestGate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_models(), random_models(martingale=True)))
+    def test_density_or_checkable_arbitrage(self, model):
+        # Either a strictly positive density on the constraints of both
+        # builders, or a node whose one-period market the error's holdings
+        # arbitrage: gains nonnegative at every child and positive at one.
+        tree, na, prices = model.tree, model.n_active, model.assets.prices
+        try:
+            z = ensure_full_density(build_geometry(model))
+        except InfeasibleMarketError as err:
+            assert _node_margin(model) < 1e-2
+            k = tree.index_of[err.node]
+            assert not tree.is_leaf[k]
+            kids = np.flatnonzero(tree.parent == k)
+            gains = (prices[kids, :na] - prices[k, :na]) @ err.holdings
+            level = np.abs(prices[np.append(kids, k), :na]).max()
+            assert gains.min() >= -1e-12 * level
+            assert gains.max() > 0.0
+            return
+        assert float(np.min(z)) > 0.0
+        nodes = np.arange(tree.n_nodes)
+        N, b, _ = node_system(model, nodes, node_markets(model, nodes, ~tree.is_leaf))
+        assert np.max(np.abs(N @ (tree.path_prob * z) - b)) <= 1e-12
+        assert martingale_polytope(model).contains(z[tree.leaves], 1e-12)
+
+    def test_arbitrage_model_names_the_root(self):
+        with pytest.raises(InfeasibleMarketError) as info:
+            ensure_full_density(build_geometry(arbitrage_model()))
+        assert info.value.node == 0
+        assert info.value.holdings.tolist() == [1.0]
+
+
+def _consuming_inner_partial_clock():
+    """The up-subtree partial-clock tree with consumption at the up node too,
+    so that its dual takes node measures and extends below a dead root."""
+    spec = model_to_dict(binomial_two_period_partial_clock(up_subtree_only=True))
+    spec["clock"]["1"] = 0.5
+    spec["A"] = 1.5
+    return build_tree(spec)
+
+
+@pytest.mark.parametrize("model, node_dual", [
+    pytest.param(lambda: binomial_model(8, 0.6, {t: 0.125 for t in range(1, 9)}), True,
+                 id="spread8"),
+    pytest.param(lambda: binomial_two_period_partial_clock(True), False, id="partial-up"),
+    pytest.param(lambda: binomial_two_period_partial_clock(False), False, id="partial-mid"),
+    pytest.param(_consuming_inner_partial_clock, True, id="partial-inner"),
+])
+def test_no_dense_system_outside_the_leaf_dual(monkeypatch, log_field, model, node_dual):
+    # The gate, the primal, the node-measure dual and both pricing LPs work
+    # on node-local and sparse structures only.
+    model = model()
+    geo = build_geometry(model)
+    assert (not geo.eff_mask[geo.consuming].all()) == node_dual
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense density system built")
+
+    monkeypatch.setattr(treeops, "_density_system", refuse)
+    solve_primal(model, log_field, 1.0)
+    if node_dual:
+        sol = solve_dual(model, log_field, 1.0)
+        assert float(np.min(sol.Z)) > 0.0
+    rates = np.where(model.clock.dkappa > 0.0, 1.0, 0.0)
+    price = superreplication_price(model, rates).price
+    assert dual_superrep_price(model, rates) == pytest.approx(price, abs=1e-8)
 
 
 RANDOM_TREE_FIELDS = {

@@ -35,7 +35,7 @@ from dualitylab.treeops import wealth_from_strategy
 
 from conftest import arbitrage_model
 from test_dual import _node_margin
-from test_treeops import random_models, ref_cumulative, ref_density, ref_rows
+from test_treeops import random_models, ref_cumulative, ref_rows
 
 U1 = 0.14834174943487516   # log binomial value at p = 0.6, x = 1
 V1 = -1.0 - (-U1)          # its conjugate value at y = 1
@@ -253,14 +253,6 @@ def dense_superrep_price(model, rates):
     return float(res.x[0])
 
 
-def has_nonnegative_density(model):
-    """Whether the reference leaf-density rows admit some zeta >= 0."""
-    tree = model.tree
-    _, A, b = ref_density(model, np.arange(tree.n_nodes), tree.leaves)
-    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
-    return res.status == 0
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.one_of(random_models(), random_models(martingale=True)),
@@ -273,13 +265,11 @@ def test_superreplication_pair_on_random_trees(model, seed):
     try:
         sup = superreplication_price(model, rates)
     except InfeasibleMarketError:
-        # Draws within 1e-2 of the no-arbitrage boundary may go either way.
-        # The pricing LP must raise too unless some nonnegative density,
-        # zero on the subtree of an arbitrage, still exists.
+        # Draws within 1e-2 of the no-arbitrage boundary may go either way,
+        # but both LPs must go the same way.
         assert _node_margin(model) < 1e-2
-        if not has_nonnegative_density(model):
-            with pytest.raises(InfeasibleMarketError):
-                dual_superrep_price(model, rates)
+        with pytest.raises(InfeasibleMarketError):
+            dual_superrep_price(model, rates)
         return
     scale = max(1.0, abs(sup.price))
     assert abs(dual_superrep_price(model, rates) - sup.price) <= 1e-8 * scale
