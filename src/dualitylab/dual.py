@@ -54,7 +54,6 @@ from .treeops import (
     build_geometry,
     full_polytope_matrices,
     martingale_density,
-    node_markets,
     node_system,
     node_values,
 )
@@ -159,7 +158,7 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Geometry-scoped caches (measure coordinates)
+# Per-model memos: the leaf-measure system, its seeds and the gate's density
 
 
 def _measure_system(geo: Geometry):
@@ -175,7 +174,7 @@ def _measure_system(geo: Geometry):
 
 
 def measure_interior(geo: Geometry) -> np.ndarray:
-    """Strictly positive feasible leaf measure, cached on the geometry.
+    """Strictly positive feasible leaf measure, kept in the model's memo.
 
     The start of ``entropy_center``, hence of the leaf-coordinate dual:
     projection of the physical leaf measure first, max-margin LP as
@@ -219,19 +218,14 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
     """Per-node values of one strictly positive density on the whole tree.
 
     The product of the node-local martingale measures of
-    ``treeops.martingale_density``, cached on the geometry.  It is the
-    no-arbitrage gate of both solvers: it raises ``InfeasibleMarketError``,
-    naming a node and its arbitrage, when no such density exists.  It also
-    starts the node-measure dual and extends densities below the trimmed
-    view.
+    ``treeops.martingale_density`` over ``Geometry.full_markets``, kept in
+    the model's memo.  It is the no-arbitrage gate of both solvers and both
+    pricing LPs: it raises ``InfeasibleMarketError``, naming a node and its
+    arbitrage, when no such density exists.  It also starts the node-measure
+    dual and extends densities below the trimmed view.
     """
-
-    def build():
-        nodes = np.arange(geo.tree.n_nodes)
-        markets = node_markets(geo.model, nodes, ~geo.tree.is_leaf)
-        return martingale_density(geo.model, nodes, markets)
-
-    return geo.memo("full_density", build)
+    nodes, markets = np.arange(geo.tree.n_nodes), geo.full_markets()
+    return geo.memo("full_density", lambda: martingale_density(geo.model, nodes, markets))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +364,6 @@ def solve_dual(
     tol: float = 1e-8,
     max_iter: int = 500,
     warm_start: Optional[np.ndarray] = None,
-    _geometry: Optional[Geometry] = None,
 ) -> DualSolution:
     """Minimize the clock-weighted conjugate over the density polytope.
 
@@ -379,35 +372,27 @@ def solve_dual(
     of the tree; on subtrees the clock never reaches, the density is
     extended with a scaled copy of a fixed interior density so that it
     satisfies all polytope constraints even though the value ignores it.
+    The gate's density, the constraint systems and the log and power
+    families' y = 1 reference stay in the model's memo for later solves.
     """
     if y <= 0.0:
         raise DualityLabError(f"dual argument must be positive, got {y}")
     if field.family == "affine-test":
         raise DualityLabError("affine test field is not admissible for solving")
-    geo = _geometry if _geometry is not None else build_geometry(model)
+    geo = build_geometry(model)
     ensure_full_density(geo)
 
     # The log and power conjugates factorize in y, so their minimizing
     # density does not depend on y: solve once at y = 1 (well scaled) and
     # map the value through the exact scaling law.
     if field.family in ("log", "power") and y != 1.0:
-        ref = _scaling_reference(geo, model, field, tol, max_iter)
+        value, fields = _scaling_reference(geo, field, tol, max_iter)
         if field.family == "log":
             obj = _DualObjective(geo, field, y)  # coef . w = sum P dkappa w
-            value = ref.value - float(np.dot(obj.coef, obj.w)) * math.log(y)
+            value -= float(np.dot(obj.coef, obj.w)) * math.log(y)
         else:
-            expo = field.gamma / (field.gamma - 1.0)
-            value = ref.value * y**expo
-        return DualSolution(
-            Z=ref.Z,
-            zeta=ref.zeta,
-            y=y,
-            value=value,
-            attained_on_boundary=ref.attained_on_boundary,
-            iterations=ref.iterations,
-            model=model,
-            field=field,
-        )
+            value *= y ** (field.gamma / (field.gamma - 1.0))
+        return DualSolution(y=y, value=value, model=model, field=field, **fields)
 
     obj = _DualObjective(geo, field, y)
     q = None
@@ -558,24 +543,24 @@ def _barrier_solve(obj, q, tol, max_iter):
     return q, iterations
 
 
-def _field_key(field: UtilityField):
-    wkey = None if field.weights is None else frozenset(field.weights.items())
-    return (field.family, field.gamma, field.alpha, field.beta, wkey)
-
-
-def _scaling_reference(geo, model, field, tol, max_iter) -> "DualSolution":
-    """Dual solution at y = 1, cached per geometry and field.
-
-    Re-solves when a tighter tolerance is requested than the cached entry
-    was produced with.
+def _scaling_reference(geo, field, tol, max_iter):
+    """(value, fields) of the dual solution at y = 1, kept per model and field
+    values.  The fields are the read-only Z and zeta, the boundary flag and
+    the iteration count; a ``DualSolution`` would refer back to the model.
+    Re-solves when asked for a tighter tolerance than the kept entry's.
     """
+    weights = None if field.weights is None else frozenset(field.weights.items())
+    key = (field.family, field.gamma, field.alpha, field.beta, weights)
     cache = geo.memo("dual_reference", dict)
-    key = _field_key(field)
     hit = cache.get(key)
-    if hit is None or hit[1] > tol:
-        sol = solve_dual(model, field, 1.0, tol=tol, max_iter=max_iter, _geometry=geo)
-        cache[key] = (sol, tol)
-    return cache[key][0]
+    if hit is None or hit[0] > tol:
+        sol = solve_dual(geo.model, field, 1.0, tol=tol, max_iter=max_iter)
+        sol.Z.flags.writeable = sol.zeta.flags.writeable = False
+        hit = cache[key] = tol, sol.value, dict(
+            Z=sol.Z, zeta=sol.zeta, attained_on_boundary=sol.attained_on_boundary,
+            iterations=sol.iterations,
+        )
+    return hit[1:]
 
 
 def _min_norm_correction(A, r):

@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
-from .dual import DualSolution, solve_dual
+from .dual import DualSolution, ensure_full_density, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError
 from .market import ExampleMarketSpec, MarketModel, build_example_market, truncate
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry, martingale_density, node_markets, node_system
+from .treeops import build_geometry, node_system
 from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
 from .utility import UtilityField
 
@@ -59,10 +59,9 @@ def pair_solutions(
     is exact at the optimum; ``marginal_value_estimate`` gives the centered
     difference instead.  Returns (primal, dual, y).
     """
-    geo = build_geometry(model)
-    primal = solve_primal(model, field, x, tol, _geometry=geo)
+    primal = solve_primal(model, field, x, tol)
     y = primal.y_estimate
-    dual = solve_dual(model, field, y, tol, _geometry=geo)
+    dual = solve_dual(model, field, y, tol)
     return primal, dual, y
 
 
@@ -70,16 +69,16 @@ def marginal_value_estimate(
     model: MarketModel, field: UtilityField, x: float, tol: float = 1e-8
 ) -> float:
     """Centered-difference estimate of u'(x) with relative step ``FD_STEP``."""
-    geo = build_geometry(model)
     h = FD_STEP * x
-    up = solve_primal(model, field, x + h, tol, _geometry=geo)
-    dn = solve_primal(model, field, x - h, tol, _geometry=geo)
+    up = solve_primal(model, field, x + h, tol)
+    dn = solve_primal(model, field, x - h, tol)
     return (up.value - dn.value) / (2.0 * h)
 
 
 @dataclass
 class RelationsReport:
-    """Node-wise marginal relation and the budget identity at a paired (x, y)."""
+    """Node-wise marginal relation and the budget identity at a paired (x, y);
+    ``marginal_rel`` holds the relation's relative error per consuming node."""
 
     x: float
     y: float
@@ -88,6 +87,7 @@ class RelationsReport:
     budget_value: float
     budget_rel: float
     tol: float
+    marginal_rel: np.ndarray
 
     @property
     def marginal_ok(self) -> bool:
@@ -135,6 +135,7 @@ def optimality_relations_check(
         budget_value=budget,
         budget_rel=abs(budget - x * y) / (x * y),
         tol=tol,
+        marginal_rel=rel,
     )
 
 
@@ -270,11 +271,10 @@ def min_conjugate_over_y(
     bracketed on the log axis, so the result recovers u(x) up to solver
     tolerance rather than grid resolution.
     """
-    geo = build_geometry(model)
     state = {"warm": None}
 
     def objective(t: float) -> float:
-        sol = solve_dual(model, field, float(np.exp(t)), tol, warm_start=state["warm"], _geometry=geo)
+        sol = solve_dual(model, field, float(np.exp(t)), tol, warm_start=state["warm"])
         state["warm"] = sol.zeta
         return sol.value + x * float(np.exp(t))
 
@@ -351,17 +351,18 @@ def _pricing_system(model: MarketModel, c):
     """(spend, N, b, price_row): the claim's per-node spend rate * dkappa and
     the whole-tree node-measure system that both pricing LPs share.
 
-    The claim is validated first, then the no-arbitrage gate runs on the
-    system's node markets: on a market with arbitrage both LPs raise
+    The claim is validated first, then the solvers' no-arbitrage gate
+    ``ensure_full_density`` runs: on a market with arbitrage both LPs raise
     ``InfeasibleMarketError`` naming the node, where the density LP alone
-    could still price over the closed polytope.
+    could still price over the closed polytope.  The system is built from
+    the gate's whole-tree node markets and kept beside them in the model's
+    memo.
     """
-    tree = model.tree
     spend = _rates_array(model, c) * model.clock.dkappa
-    nodes = np.arange(tree.n_nodes)
-    markets = node_markets(model, nodes, ~tree.is_leaf)
-    martingale_density(model, nodes, markets)
-    return (spend,) + node_system(model, nodes, markets)
+    geo = build_geometry(model)
+    ensure_full_density(geo)
+    nodes, markets = np.arange(model.n_nodes), geo.full_markets()
+    return (spend,) + geo.memo("full_node_system", lambda: node_system(model, nodes, markets))
 
 
 def superreplication_price(model: MarketModel, c) -> SuperrepResult:
@@ -478,14 +479,11 @@ def value_convergence_study(
 
     def run_level(n: int):
         sub = truncate(model, n)
-        geo = build_geometry(sub)
-        u_row = np.array(
-            [solve_primal(sub, field, float(x), tol, _geometry=geo).value for x in x_grid]
-        )
+        u_row = np.array([solve_primal(sub, field, float(x), tol).value for x in x_grid])
         v_row = np.empty(y_grid.size)
         warm = None
         for j, y in enumerate(y_grid):
-            sol = solve_dual(sub, field, float(y), tol, warm_start=warm, _geometry=geo)
+            sol = solve_dual(sub, field, float(y), tol, warm_start=warm)
             v_row[j] = sol.value
             warm = sol.zeta
         return u_row, v_row

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,6 +147,9 @@ class ScenarioTree:
         for lv in self.levels:
             path_prob[lv] *= path_prob[parent[lv]]
         self.path_prob = path_prob
+        for a in (self.times, parent, cond_prob, path_prob, self.is_leaf, self.leaves,
+                  *self.children):
+            a.flags.writeable = False  # what is derived from the tree stays valid
 
     def internal_nodes(self) -> np.ndarray:
         return np.flatnonzero(~self.is_leaf)
@@ -186,6 +189,7 @@ class AssetProcess:
                 )
             rows.append(row)
         self.prices = np.vstack(rows) if rows else np.zeros((0, 0))
+        self.prices.flags.writeable = False
         self.n_assets = int(n_assets or 0)
         if self.n_assets and (
             not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0)
@@ -211,6 +215,7 @@ class StochasticClock:
         self.dkappa = dk
 
         self.cumulative = _accumulate_down(dk.copy(), tree.parent, tree.levels)
+        dk.flags.writeable = self.cumulative.flags.writeable = False
 
     def terminal_totals(self) -> np.ndarray:
         """Total clock mass accumulated along each path, indexed by leaf."""
@@ -290,12 +295,17 @@ def validate_clock(clock: StochasticClock, tree: ScenarioTree) -> ClockReport:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Immutable bundle of tree, prices, clock, and the tradable-asset count."""
+    """Immutable bundle of tree, prices, clock, and the tradable-asset count.
+
+    Their arrays are read-only, so ``_memo`` keeps what the solvers derive
+    from the model for its lifetime; no entry refers back to the model, and
+    a ``truncate`` copy starts empty."""
 
     tree: ScenarioTree
     assets: AssetProcess
     clock: StochasticClock
     n_active: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.assets.tree is not self.tree or self.clock.tree is not self.tree:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -299,7 +298,6 @@ def solve_primal(
     x: float,
     tol: float = 1e-8,
     max_iter: int = 500,
-    _geometry: Optional[Geometry] = None,
 ) -> PrimalSolution:
     """Solve the consumption-investment problem at initial wealth x.
 
@@ -307,14 +305,15 @@ def solve_primal(
     the node-local gate ``ensure_full_density``); raises
     ``InfeasibleMarketError`` naming a node and its arbitrage otherwise,
     and ``ConvergenceError`` when the Newton iteration exhausts its budget
-    before certifying the gap estimate.
+    before certifying the gap estimate.  The gate's density and the tree
+    system stay in the model's memo for later solves.
     """
     if x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive, got {x}")
     if field.family == "affine-test":
         raise DualityLabError("affine test field is not admissible for solving")
 
-    geo = _geometry if _geometry is not None else build_geometry(model)
+    geo = build_geometry(model)
     ensure_full_density(geo)  # no-arbitrage gate
 
     obj = _PrimalObjective(geo, field, x)

@@ -39,7 +39,7 @@ sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -61,7 +61,9 @@ _GATE_RIDGE = 1e-14
 
 @dataclass
 class Geometry:
-    """Trimmed-problem structure for one model (see module docstring)."""
+    """Trimmed-problem structure for one model (see module docstring): a view
+    built anew by each ``build_geometry``, whose derived structures ``memo``
+    keeps on the model."""
 
     model: MarketModel
     alive: np.ndarray
@@ -72,18 +74,19 @@ class Geometry:
     consuming: np.ndarray
     # dual side
     solve_leaves: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tree(self):
         return self.model.tree
 
     def memo(self, name: str, build):
-        """``build()``, computed on the first call for ``name`` and kept."""
+        """``build()``, computed on the first call for ``name`` and kept in the
+        model's memo; nothing it returns may refer back to the model."""
+        memo = self.model._memo
         try:
-            return self._memo[name]
+            return memo[name]
         except KeyError:
-            value = self._memo[name] = build()
+            value = memo[name] = build()
             return value
 
     def markets(self):
@@ -91,6 +94,12 @@ class Geometry:
         return self.memo(
             "node_markets", lambda: node_markets(self.model, self.trimmed, self.internal_mask)
         )
+
+    def full_markets(self):
+        """The whole tree's ``node_markets``, built on first use and kept."""
+        tree = self.tree
+        return self.memo("full_markets",
+                         lambda: node_markets(self.model, np.arange(tree.n_nodes), ~tree.is_leaf))
 
     def leaf_system(self):
         """The trimmed view's dense ``_density_system`` (A, b), built anew each call."""
@@ -361,6 +370,8 @@ def node_system(model: MarketModel, nodes: np.ndarray, markets):
 
 
 def build_geometry(model: MarketModel) -> Geometry:
+    """The trimmed view of ``model``: a few boolean passes over the tree,
+    not cached; what the solvers derive from it is (``Geometry.memo``)."""
     tree = model.tree
     parent = tree.parent
     consuming = model.clock.dkappa > 0.0

@@ -14,7 +14,7 @@ from dualitylab.dual import (
     martingale_polytope,
     solve_dual,
 )
-from dualitylab.errors import DualityLabError, InfeasibleMarketError
+from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.harness import dual_superrep_price, superreplication_price
 from dualitylab.market import build_tree, model_to_dict, truncate
 from dualitylab.primal import solve_primal
@@ -250,15 +250,14 @@ class TestSolveDual:
         assert warm.value == pytest.approx(cold.value, abs=1e-10)
 
     def test_scaling_cache_follows_weight_values(self, binom1):
-        # The y = 1 reference solve is cached per field; mutating the weights
-        # in place must not hand back the solution for the old weights.
-        geo = build_geometry(binom1)
+        # The y = 1 reference solve is kept per model and field; mutating the
+        # weights in place must not hand back the solution for the old weights.
         weights = {1: 2.0, 2: 0.5}
         field = UtilityField(family="log", weights=weights)
-        solve_dual(binom1, field, 2.0, _geometry=geo)
+        solve_dual(binom1, field, 2.0)
         weights.clear()
         weights[1] = 4.0
-        reused = solve_dual(binom1, field, 2.0, _geometry=geo)
+        reused = solve_dual(binom1, field, 2.0)
         fresh = solve_dual(binom1, UtilityField(family="log", weights={1: 4.0}), 2.0)
         assert reused.value == pytest.approx(fresh.value, abs=1e-9)
 
@@ -529,3 +528,23 @@ class TestDualOverMeasures:
         base = bounded_field.base()
         assert math.isfinite(float(base.v(0.0)))
         assert float(base.v(0.0)) == pytest.approx(base.sup_u)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="tiny leaf probabilities on a terminal-clock tree: the leaf-measure "
+    "solve ends 1.8e6 and 4.2e6 off the density constraints, and its "
+    "node-measure fallback still 5.8e-11 and 5.6e-9, which the projection "
+    "back cannot repair (ROADMAP item 5)",
+)
+@pytest.mark.parametrize(
+    "periods, p, family",
+    [(2, 0.999999, "bounded"), (4, 0.999, "log")],
+    ids=["two-period-bounded", "four-period-log"],
+)
+def test_tiny_leaf_probability_terminal_clock(periods, p, family, bounded_field, log_field):
+    field = {"bounded": bounded_field, "log": log_field}[family]
+    model = binomial_model(periods, p, {periods: 1.0})
+    sol = solve_dual(model, field, 1.0)
+    assert martingale_polytope(model).contains(sol.Z[model.tree.leaves])

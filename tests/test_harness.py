@@ -1,5 +1,8 @@
 import csv
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dualitylab import dual, harness, treeops
 from dualitylab.dual import solve_dual
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.harness import (
@@ -29,11 +33,11 @@ from dualitylab.harness import (
     write_example_csv,
     write_series,
 )
-from dualitylab.market import ExampleMarketSpec, build_example_market
+from dualitylab.market import ExampleMarketSpec, build_example_market, truncate
 from dualitylab.primal import admissibility_check, solve_primal
 from dualitylab.treeops import wealth_from_strategy
 
-from conftest import arbitrage_model
+from conftest import arbitrage_model, binomial_model
 from test_dual import _node_margin
 from test_treeops import random_models, ref_cumulative, ref_rows
 
@@ -330,6 +334,64 @@ class TestConvergenceStudy:
             for i, x in enumerate(curves.x_grid):
                 bound = curves.v[k] + curves.y_grid * x
                 assert np.all(curves.u[k, i] <= bound + 1e-8)
+
+
+class TestModelMemo:
+    """What the solvers derive from a model is built once per model."""
+
+    def test_one_gate_and_one_reference_solve_per_model(self, monkeypatch, power_field):
+        model = binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (treeops, dual, harness):
+            if hasattr(module, "martingale_density"):
+                spy(module, "martingale_density")
+        spy(dual, "_barrier_solve")
+        for x in (0.5, 1.0, 2.0):
+            pair_solutions(model, power_field, x)
+        claim = unit_terminal_claim(model)
+        superreplication_price(model, claim)
+        dual_superrep_price(model, claim)
+        assert calls == {"martingale_density": 1, "_barrier_solve": 1}
+
+    def test_memo_refers_no_cycle_back_to_its_model(self, log_field):
+        # Were a memo entry to hold the model, dropping the last reference
+        # would leave the model to the cycle collector.
+        model = binomial_model(2, 0.6, {1: 0.5, 2: 0.5})
+        gc.disable()
+        try:
+            solve_dual(model, log_field, 2.0)
+            superreplication_price(model, unit_terminal_claim(model))
+            assert {"full_density", "dual_reference", "full_node_system"} <= model._memo.keys()
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_truncation_starts_afresh(self, bounded_field):
+        spec = ExampleMarketSpec(3, (0.55, 0.6, 0.65))
+        level1 = truncate(build_example_market(spec), 1)
+        solve_primal(level1, bounded_field, 1.0)
+        solve_dual(level1, bounded_field, 2.0)
+        level2 = truncate(level1, 2)
+        assert not level2._memo
+        fresh = truncate(build_example_market(spec), 2)
+        for solve, arg, fields in ((solve_primal, 1.0, ("c", "H", "value")),
+                                   (solve_dual, 2.0, ("Z", "value"))):
+            got = solve(level2, bounded_field, arg)
+            want = solve(fresh, bounded_field, arg)
+            for name in fields:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestShapeChecks:

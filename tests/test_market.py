@@ -148,6 +148,17 @@ class TestTruncate:
         assert sub.assets is example3.assets
 
 
+@pytest.mark.parametrize("owner, name", [("assets", "prices"), ("clock", "dkappa"),
+                                         ("tree", "path_prob")])
+def test_model_arrays_are_read_only(owner, name):
+    # The solvers keep what they derive from a model for its lifetime, so
+    # the arrays it is derived from must not change under them.
+    model = build_tree(one_period_spec())
+    values = getattr(getattr(model, owner), name)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.5
+
+
 class TestClockValidation:
     def test_terminal_unit_mass_passes(self, binom1):
         assert validate_clock(binom1.clock, binom1.tree).passed

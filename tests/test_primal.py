@@ -528,3 +528,15 @@ def test_untraded_holdings_keep_the_newton_step_exact():
         for x in (0.5, 1.0, 2.0):
             sol = solve_primal(model, RANDOM_TREE_FIELDS[family], x, 1e-10)
             assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="a leaf probability of 1e-6 on a terminal-clock tree: the Newton "
+    "iteration exhausts its 500-step budget (ROADMAP item 5)",
+)
+def test_tiny_leaf_probability_terminal_clock(bounded_field):
+    model = binomial_model(2, 0.999999, {2: 1.0})
+    sol = solve_primal(model, bounded_field, 1.0)
+    assert sol.kkt_residual <= 1e-8
