@@ -21,6 +21,7 @@ from .market import (
     build_tree,
     load_model,
     model_to_dict,
+    quotient,
     save_model,
     truncate,
     validate_clock,

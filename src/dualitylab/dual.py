@@ -234,7 +234,12 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
 
 @dataclass
 class DualSolution:
-    """Optimal density and value of the dual problem at a given y."""
+    """Optimal density and value of the dual problem at a given y.
+
+    ``iterations`` counts the Newton steps the call ran: a log or power
+    solution at y != 1 reads the y = 1 reference's count when the call
+    solved that reference, and 0 when the model's kept one served it.
+    """
 
     Z: np.ndarray
     zeta: np.ndarray
@@ -546,21 +551,24 @@ def _barrier_solve(obj, q, tol, max_iter):
 def _scaling_reference(geo, field, tol, max_iter):
     """(value, fields) of the dual solution at y = 1, kept per model and field
     values.  The fields are the read-only Z and zeta, the boundary flag and
-    the iteration count; a ``DualSolution`` would refer back to the model.
-    Re-solves when asked for a tighter tolerance than the kept entry's.
+    the Newton steps this call ran: the reference's count when it solved the
+    reference, 0 when the kept entry served; a ``DualSolution`` would refer
+    back to the model.  Re-solves when asked for a tighter tolerance than
+    the kept entry's.
     """
     weights = None if field.weights is None else frozenset(field.weights.items())
     key = (field.family, field.gamma, field.alpha, field.beta, weights)
     cache = geo.memo("dual_reference", dict)
     hit = cache.get(key)
+    iterations = 0
     if hit is None or hit[0] > tol:
         sol = solve_dual(geo.model, field, 1.0, tol=tol, max_iter=max_iter)
         sol.Z.flags.writeable = sol.zeta.flags.writeable = False
+        iterations = sol.iterations
         hit = cache[key] = tol, sol.value, dict(
             Z=sol.Z, zeta=sol.zeta, attained_on_boundary=sol.attained_on_boundary,
-            iterations=sol.iterations,
         )
-    return hit[1:]
+    return hit[1], dict(hit[2], iterations=iterations)
 
 
 def _min_norm_correction(A, r):

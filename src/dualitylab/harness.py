@@ -5,7 +5,10 @@ through the marginal value of wealth, checks the conjugacy and marginal
 relations between them, prices consumption streams with two independent
 linear programs (minimal superreplicating capital vs. the supremum of
 density prices), and sweeps truncated markets to study how the value
-functions grow toward their large-market limits.
+functions grow toward their large-market limits.  Each truncation level is
+solved on its ``market.quotient``: sibling subtrees that the traded prices,
+the clock and the utility weights cannot tell apart are one node there,
+which leaves the values unchanged and the level's tree smaller.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.optimize import linprog, minimize_scalar
 
 from .dual import DualSolution, ensure_full_density, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError
-from .market import ExampleMarketSpec, MarketModel, build_example_market, truncate
+from .market import ExampleMarketSpec, MarketModel, build_example_market, quotient, truncate
 from .primal import PrimalSolution, solve_primal
 from .treeops import build_geometry, node_system
 from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
@@ -461,9 +464,13 @@ def value_convergence_study(
 ) -> ValueCurves:
     """Sample u_n and v_n over the grids for each truncation level in n_range.
 
-    Both value families must be nondecreasing in n (nested strategy and
-    density sets); a violation beyond the slack signals that the solver
-    tolerance is too loose and raises ``ConvergenceError``.
+    Level n is solved on ``quotient(truncate(model, n), weights)``, with the
+    field's weights at the model's nodes, which has the same values (see
+    ``market.quotient``); on N independent one-period assets it keeps 2**n
+    of the 2**N leaves.  Both value families must be nondecreasing in n
+    (nested strategy and density sets); a violation beyond the slack
+    signals that the solver tolerance is too loose and raises
+    ``ConvergenceError``.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -477,8 +484,10 @@ def value_convergence_study(
     if total > SOLVE_BUDGET:
         raise BudgetError(f"study would need {total} solves, beyond {SOLVE_BUDGET}")
 
+    weights = field.weight_array(model.tree.ids)
+
     def run_level(n: int):
-        sub = truncate(model, n)
+        sub = quotient(truncate(model, n), weights)
         u_row = np.array([solve_primal(sub, field, float(x), tol).value for x in x_grid])
         v_row = np.empty(y_grid.size)
         warm = None

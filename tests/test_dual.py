@@ -261,6 +261,18 @@ class TestSolveDual:
         fresh = solve_dual(binom1, UtilityField(family="log", weights={1: 4.0}), 2.0)
         assert reused.value == pytest.approx(fresh.value, abs=1e-9)
 
+    @pytest.mark.parametrize("field", [
+        UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
+    ], ids=["log", "power"])
+    def test_scaled_solves_count_their_own_newton_steps(self, field):
+        # The y = 1 reference is solved by the first scaled call only; the
+        # later ones run no Newton step of their own.
+        model = binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
+        steps = solve_dual(model, field, 1.0).iterations
+        assert steps > 0
+        assert solve_dual(model, field, 2.0).iterations == steps
+        assert [solve_dual(model, field, y).iterations for y in (0.5, 3.0)] == [0, 0]
+
     def test_tight_tolerance_with_dead_roots(self, log_field):
         # Each dead coordinate keeps a barrier floor, and the floors enter
         # the certified gap; a fixed floor of 1e-10 left a gap of 3.56e-10.

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualitylab.dual import solve_dual
 from dualitylab.errors import BudgetError, ClockError, MalformedTreeError, PriceError
 from dualitylab.market import (
     ExampleMarketSpec,
@@ -10,10 +13,16 @@ from dualitylab.market import (
     build_tree,
     load_model,
     model_to_dict,
+    quotient,
     save_model,
     truncate,
     validate_clock,
 )
+from dualitylab.primal import solve_primal
+from dualitylab.utility import UtilityField
+
+from conftest import binomial_model
+from test_treeops import random_models
 
 
 def one_period_spec(prices_up=2.0, prices_down=0.5, p=0.6, dk=1.0):
@@ -146,6 +155,122 @@ class TestTruncate:
     def test_prices_retained(self, example3):
         sub = truncate(example3, 1)
         assert sub.assets is example3.assets
+
+
+LADDER = (0.55, 0.6, 0.65, 0.7, 0.75)
+QUOTIENT_TOL = 1e-9
+
+
+def _values(model, field):
+    """u(1) and v(1) at ``QUOTIENT_TOL``."""
+    return (solve_primal(model, field, 1.0, QUOTIENT_TOL).value,
+            solve_dual(model, field, 1.0, QUOTIENT_TOL).value)
+
+
+def _refine(model, pick, q):
+    """``model`` refined by an unobserved coin: the subtree of position
+    ``pick`` copied under its parent, with the same prices and clock.  The
+    original keeps q (>= 1/2) of its conditional probability p and the copy
+    the exact rest, so the two sum back to p bit for bit.  Returns the
+    refined model and the map from each copied id to its copy's."""
+    tree = model.tree
+    inside = np.zeros(tree.n_nodes, dtype=bool)
+    inside[pick] = True
+    for k in range(pick + 1, tree.n_nodes):
+        inside[k] = inside[tree.parent[k]]
+    offset = max(tree.ids) + 1
+    twin = {tree.ids[k]: tree.ids[k] + offset for k in np.flatnonzero(inside)}
+    p = float(tree.cond_prob[pick])
+    spec = model_to_dict(model)
+    for entry in list(spec["nodes"]):
+        nid = entry["id"]
+        if nid not in twin:
+            continue
+        copy = dict(entry, id=twin[nid], parent=twin.get(entry["parent"], entry["parent"]))
+        if nid == tree.ids[pick]:
+            entry["prob"] = q * p
+            copy["prob"] = p - entry["prob"]
+        spec["nodes"].append(copy)
+        for part in ("prices", "clock"):
+            spec[part][str(twin[nid])] = spec[part][str(nid)]
+    return build_tree(spec), twin
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("N, n", [(N, n) for N in range(1, 6) for n in range(N)])
+    def test_ladder_level_keeps_one_leaf_per_traded_outcome(self, N, n, bounded_field):
+        full = truncate(build_example_market(ExampleMarketSpec(N, LADDER[:N])), n)
+        merged = quotient(full)
+        assert merged.n_nodes == 2**n + 1
+        assert merged.n_active == n
+        if n:
+            small = build_example_market(ExampleMarketSpec(n, LADDER[:n]))
+            assert np.array_equal(merged.assets.prices, small.assets.prices)
+            np.testing.assert_allclose(merged.tree.path_prob, small.tree.path_prob,
+                                       rtol=0.0, atol=1e-14)
+        else:
+            np.testing.assert_allclose(merged.tree.path_prob, 1.0, rtol=0.0, atol=1e-14)
+        for got, want in zip(_values(merged, bounded_field), _values(full, bounded_field)):
+            assert got == pytest.approx(want, abs=2.0 * QUOTIENT_TOL * (1.0 + abs(want)))
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: build_example_market(ExampleMarketSpec(3, LADDER[:3])),
+                     id="full-ladder"),
+        pytest.param(lambda: binomial_model(3, 0.6, {3: 1.0}), id="binomial"),
+    ])
+    def test_nothing_to_merge_returns_the_model(self, model):
+        model = model()
+        assert quotient(model) is model
+        assert quotient(model, np.ones(model.n_nodes)) is model
+        with pytest.raises(MalformedTreeError, match="node weights"):
+            quotient(model, np.ones(model.n_nodes - 1))
+
+    @pytest.mark.parametrize("q, n_nodes", [(0.6, 4), (0.5, 7)])
+    def test_children_probabilities_tell_siblings_apart(self, q, n_nodes):
+        # Nodes 1 and 2 look alike and so do their children, two by two;
+        # they merge only when their children's probabilities agree too.
+        nodes = [(0, 0, None, 1.0), (1, 1, 0, 0.5), (2, 1, 0, 0.5),
+                 (3, 2, 1, 0.6), (4, 2, 1, 0.4), (5, 2, 2, q), (6, 2, 2, 1.0 - q)]
+        model = build_tree({
+            "nodes": [{"id": i, "t": t, "parent": p, "prob": r} for i, t, p, r in nodes],
+            "prices": {i: [2.0 if i in (3, 5) else 0.5 if i in (4, 6) else 1.0]
+                       for i, *_ in nodes},
+            "clock": {i: float(t == 2) for i, t, *_ in nodes},
+            "A": 1.0,
+        })
+        merged = quotient(model)
+        assert merged.n_nodes == n_nodes
+        if n_nodes == model.n_nodes:
+            assert merged is model
+        else:
+            assert merged.tree.ids == [0, 1, 3, 4]
+            assert merged.tree.cond_prob.tolist() == [1.0, 1.0, 0.6, 0.4]
+
+    @settings(max_examples=12, deadline=None)
+    @given(random_models(martingale=True), st.data())
+    def test_undoes_an_unobserved_coin(self, model, data):
+        # Weights drawn per node tell every pair of siblings of the draw
+        # apart, so only the refinement's copy can merge.
+        tree = model.tree
+        pick = data.draw(st.integers(1, tree.n_nodes - 1), label="pick")
+        q = data.draw(st.floats(0.5, 0.95), label="q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        weights = dict(zip(tree.ids, rng.uniform(0.5, 2.0, tree.n_nodes).tolist()))
+        field = UtilityField(family="log", weights=weights)
+        assert quotient(model, field.weight_array(tree.ids)) is model
+
+        refined, twin = _refine(model, pick, q)
+        ids = refined.tree.ids
+        same = UtilityField(family="log",
+                            weights={**weights, **{twin[n]: weights[n] for n in twin}})
+        merged = quotient(refined, same.weight_array(ids))
+        assert merged.tree.ids == tree.ids
+        for got, want in zip(_values(merged, same), _values(model, field)):
+            assert got == pytest.approx(want, abs=2.0 * QUOTIENT_TOL * (1.0 + abs(want)))
+
+        top = twin[tree.ids[pick]]
+        apart = UtilityField(family="log", weights={**same.weights, top: 2.5})
+        assert quotient(refined, apart.weight_array(ids)) is refined
 
 
 @pytest.mark.parametrize("owner, name", [("assets", "prices"), ("clock", "dkappa"),
