@@ -337,58 +337,48 @@ def truncate(model: MarketModel, n: int) -> MarketModel:
     return replace(model, n_active=n)
 
 
-def quotient(model: MarketModel, weights=None) -> MarketModel:
+def quotient(model: MarketModel, weights) -> MarketModel:
     """Merge the sibling subtrees that the traded assets, the clock and the
-    per-node ``weights`` (aligned with tree positions, 1 by default) cannot
-    tell apart.
+    per-node utility ``weights`` (aligned with tree positions) cannot tell
+    apart.
 
-    Two nodes are alike when their traded prices, clock increments and
-    weights are equal bit for bit and their children fall into the same
-    classes with the same summed conditional probabilities; classes are
-    found one date at a time, from the leaves up.  Alike siblings merge into
-    the first of them, which keeps its id, its subtree and their summed
-    conditional probability, so every path probability of a class is kept.
-    Every utility problem of the solvers is invariant under a swap of alike
-    siblings, so by concavity (convexity on the dual side) an optimum can be
-    averaged over each class: the primal and dual values do not change.
-    The merged market trades the same assets and carries no untraded ones.
-    Returns ``model`` itself when nothing merges.
+    Two nodes are alike when they sit at the same date, their traded prices,
+    clock increments and weights are equal bit for bit, and their children
+    fall into the same classes with the same summed conditional
+    probabilities; classes are found from the leaves up.  Alike siblings
+    merge into the first of them, which keeps its id, its subtree and their
+    summed conditional probability, so every path probability of a class is
+    kept.  The primal and dual values do not change.  Alike siblings see the
+    same traded prices, so they start with the same wealth in the same
+    continuation problem, and one plan serves them all.  A density's
+    conditional expectation given the classes is still a martingale density
+    of the traded assets, and by convexity of the dual objective (Jensen) it
+    costs no more.  The merged market trades the same assets and carries no
+    untraded ones.  Returns ``model`` itself when nothing merges.
     """
     tree = model.tree
-    n = tree.n_nodes
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise MalformedTreeError(f"expected {n} node weights, got shape {w.shape}")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (tree.n_nodes,):
+        raise MalformedTreeError(f"expected {tree.n_nodes} node weights, got shape {w.shape}")
     own = np.column_stack([model.assets.prices[:, : model.n_active], model.clock.dkappa, w])
-    own = own.view(np.int64)  # bit patterns, so that alike means identical
-    cls = np.zeros(n, dtype=np.int64)  # class of each node among its date's
-    prob = tree.cond_prob.copy()  # a first sibling's summed probability
-    first = np.ones(n, dtype=bool)  # first of its class among its siblings
-
-    dates = [slice(tree.root, tree.root + 1)] + tree.levels
-    for t in range(tree.horizon, -1, -1):
-        lv = dates[t]
-        key = own[lv]
-        if t < tree.horizon:
-            kids = dates[t + 1]
-            n_cls = int(cls[kids].max()) + 1
-            pairs, at, inv = np.unique(tree.parent[kids] * n_cls + cls[kids],
-                                       return_index=True, return_inverse=True)
-            merged = np.bincount(inv, weights=tree.cond_prob[kids])
-            prob[kids] = merged[inv]
-            first[kids] = False
-            first[kids.start + at] = True
-            # One row per node: its children's (class, probability) pairs in
-            # class order, padded to the date's widest node.
-            row = pairs // n_cls - lv.start
-            col = np.arange(pairs.size) - np.searchsorted(row, row)
-            width = int(col.max()) + 1
-            kid_cls = np.full((lv.stop - lv.start, width), -1, dtype=np.int64)
-            kid_prob = np.zeros((lv.stop - lv.start, width))
-            kid_cls[row, col] = pairs % n_cls
-            kid_prob[row, col] = merged
-            key = np.hstack([key, kid_cls, kid_prob.view(np.int64)])
-        cls[lv] = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    times = tree.times.tolist()
+    cond = tree.cond_prob.tolist()
+    prob = list(cond)  # of a first sibling: its class's summed probability
+    first = np.zeros(tree.n_nodes, dtype=bool)  # first of its class among its siblings
+    first[tree.root] = True
+    cls = [0] * tree.n_nodes
+    classes: dict = {}
+    for k in range(tree.n_nodes - 1, -1, -1):  # children sit after their parent
+        firsts: dict = {}  # class of a child -> the first child in it
+        for c in tree.children[k].tolist():
+            f = firsts.setdefault(cls[c], c)
+            if f != c:
+                prob[f] += cond[c]
+        for f in firsts.values():
+            first[f] = True
+            prob[f] = min(prob[f], 1.0)  # alike children may sum past 1 by rounding
+        kids = tuple(sorted((cls[f], prob[f]) for f in firsts.values()))
+        cls[k] = classes.setdefault((times[k], own[k].tobytes(), kids), len(classes))
 
     if first.all():
         return model
@@ -396,8 +386,8 @@ def quotient(model: MarketModel, weights=None) -> MarketModel:
     kept = np.flatnonzero(keep).tolist()
     ids = tree.ids
     sub = ScenarioTree(
-        (ids[k], int(tree.times[k]), ids[tree.parent[k]] if k != tree.root else None,
-         float(prob[k]))
+        (ids[k], times[k], ids[tree.parent[k]] if k != tree.root else None,
+         prob[k])
         for k in kept
     )
     prices = model.assets.prices[:, : model.n_active]

@@ -200,7 +200,7 @@ class TestQuotient:
     @pytest.mark.parametrize("N, n", [(N, n) for N in range(1, 6) for n in range(N)])
     def test_ladder_level_keeps_one_leaf_per_traded_outcome(self, N, n, bounded_field):
         full = truncate(build_example_market(ExampleMarketSpec(N, LADDER[:N])), n)
-        merged = quotient(full)
+        merged = quotient(full, np.ones(full.n_nodes))
         assert merged.n_nodes == 2**n + 1
         assert merged.n_active == n
         if n:
@@ -220,7 +220,6 @@ class TestQuotient:
     ])
     def test_nothing_to_merge_returns_the_model(self, model):
         model = model()
-        assert quotient(model) is model
         assert quotient(model, np.ones(model.n_nodes)) is model
         with pytest.raises(MalformedTreeError, match="node weights"):
             quotient(model, np.ones(model.n_nodes - 1))
@@ -238,13 +237,33 @@ class TestQuotient:
             "clock": {i: float(t == 2) for i, t, *_ in nodes},
             "A": 1.0,
         })
-        merged = quotient(model)
+        merged = quotient(model, np.ones(model.n_nodes))
         assert merged.n_nodes == n_nodes
         if n_nodes == model.n_nodes:
             assert merged is model
         else:
             assert merged.tree.ids == [0, 1, 3, 4]
             assert merged.tree.cond_prob.tolist() == [1.0, 1.0, 0.6, 0.4]
+
+    def test_alike_children_summing_past_one_merge_into_probability_one(self, log_field):
+        # The three children differ only in the untraded second asset, and
+        # their probabilities sum to 1 + 1e-12, inside the tree's tolerance.
+        probs = (0.333333333334, 0.333333333333, 0.333333333334)
+        model = build_tree({
+            "nodes": [{"id": 0, "t": 0, "parent": None}]
+                     + [{"id": i, "t": 1, "parent": 0, "prob": p}
+                        for i, p in enumerate(probs, start=1)],
+            "prices": {0: [1.0, 1.0], 1: [1.0, 2.0], 2: [1.0, 1.0], 3: [1.0, 0.5]},
+            "clock": {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0},
+            "A": 1.0,
+            "n_active": 1,
+        })
+        assert sum(probs) > 1.0
+        merged = quotient(model, np.ones(model.n_nodes))
+        assert merged.tree.ids == [0, 1]
+        assert merged.tree.cond_prob.tolist() == [1.0, 1.0]
+        for got, want in zip(_values(merged, log_field), _values(model, log_field)):
+            assert got == pytest.approx(want, abs=2.0 * QUOTIENT_TOL * (1.0 + abs(want)))
 
     @settings(max_examples=12, deadline=None)
     @given(random_models(martingale=True), st.data())
