@@ -45,6 +45,14 @@ class ConfigError(Exception):
     pass
 
 
+# The study needs a bounded field; this one clears a p_start of 0.5 while
+# keeping the leverage corner inside float range.
+EXAMPLE_FIELD = UtilityField(family="bounded", alpha=0.3, beta=1.3)
+
+# Accepted value types per ``RunConfig`` annotation; a bool is no number.
+_FIELD_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -63,10 +71,16 @@ class RunConfig:
     claim: str = None
     p_start: float = 0.5
     p_step: float = 0.05
-    alpha: float = 0.3
-    beta: float = 1.3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
         if self.tol <= 0 or self.check_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.grid_points < 2 or not 0 < self.grid_min < self.grid_max:
@@ -106,8 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--claim", help="JSON file {node id: consumption rate}")
     parser.add_argument("--p-start", type=float, dest="p_start")
     parser.add_argument("--p-step", type=float, dest="p_step")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
     return parser
 
 
@@ -129,26 +141,26 @@ def _resolve_config(args) -> RunConfig:
     unknown = set(values) - set(known)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    try:
-        return RunConfig(command=args.command, **values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(command=args.command, **values)
 
 
 def _load_utility(spec: str) -> UtilityField:
     if spec is None:
         return UtilityField(family="log")
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return field_from_spec(json.load(fh))
-    name, _, params = spec.partition(":")
-    if name == "log" and not params:
+    try:
+        if os.path.exists(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                return field_from_spec(json.load(fh))
+        name, _, params = spec.partition(":")
+        values = [float(v) for v in params.split(",")] if params else []
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse utility spec {spec!r}: {exc}") from exc
+    if name == "log" and not values:
         return UtilityField(family="log")
-    if name == "power" and params:
-        return UtilityField(family="power", gamma=float(params))
-    if name == "bounded" and params:
-        alpha, beta = (float(v) for v in params.split(","))
-        return UtilityField(family="bounded", alpha=alpha, beta=beta)
+    if name == "power" and len(values) == 1:
+        return UtilityField(family="power", gamma=values[0])
+    if name == "bounded" and len(values) == 2:
+        return UtilityField(family="bounded", alpha=values[0], beta=values[1])
     raise ConfigError(f"cannot parse utility spec {spec!r}")
 
 
@@ -335,12 +347,7 @@ def cmd_example(config: RunConfig) -> int:
     n_max = config.n_max if config.n_max is not None else 8
     probs = tuple(config.p_start + config.p_step * i for i in range(n_max))
     spec = ExampleMarketSpec(n_assets=n_max, p=probs)
-    if config.utility is not None:
-        field = _load_utility(config.utility)
-    else:
-        # The study needs a bounded field; the default clears a p_start of
-        # 0.5 while keeping the leverage corner inside float range.
-        field = UtilityField(family="bounded", alpha=config.alpha, beta=config.beta)
+    field = _load_utility(config.utility) if config.utility is not None else EXAMPLE_FIELD
     report = harness.example_portfolio_study(spec, field, tol=config.tol)
     os.makedirs(config.out, exist_ok=True)
     harness.write_example_csv(report, os.path.join(config.out, "example.csv"))

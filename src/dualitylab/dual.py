@@ -116,7 +116,7 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
     that leaves the positive orthant, falls back to a max-margin LP.  A
     nonpositive optimal margin means no strictly positive point exists.
     Its one remaining use is to seed the leaf-coordinate dual
-    (``measure_interior``); the no-arbitrage gate is ``ensure_full_density``.
+    (``entropy_center``); the no-arbitrage gate is ``ensure_full_density``.
     """
     n = A.shape[1]
     x0 = np.ones(n) if center is None else np.asarray(center, dtype=float)
@@ -173,33 +173,20 @@ def _measure_system(geo: Geometry):
     return geo.memo("measure_system", build)
 
 
-def measure_interior(geo: Geometry) -> np.ndarray:
-    """Strictly positive feasible leaf measure, kept in the model's memo.
-
-    The start of ``entropy_center``, hence of the leaf-coordinate dual:
-    projection of the physical leaf measure first, max-margin LP as
-    fallback.
-    """
-
-    def build():
-        Aq, b, prob = _measure_system(geo)
-        return find_interior(Aq, b, center=prob)
-
-    return geo.memo("measure_interior", build).copy()
-
-
 def entropy_center(geo: Geometry) -> np.ndarray:
     """Probability-weighted log center of the polytope, in measure coordinates.
 
     Minimizes -sum_j P_j log q_j over the affine constraints: the natural
     well-scaled starting point, whose objective is its own barrier and whose
-    Hessian P_j / q_j^2 never flattens.  On nearly dependent rows the walk
-    can end off the constraints; the last iterate on them is returned.
+    Hessian P_j / q_j^2 never flattens.  The walk starts at
+    ``find_interior``'s strictly positive leaf measure, centred on the
+    physical one.  On nearly dependent rows it can end off the constraints;
+    the last iterate on them is returned.
     """
 
     def build():
         Aq, b, prob = _measure_system(geo)
-        q = on = measure_interior(geo)
+        q = on = find_interior(Aq, b, center=prob)
         for _ in range(200):
             g = -prob / q
             h = prob / q**2

@@ -604,7 +604,9 @@ def example_portfolio_study(
     nonnegative quantity, the holdings increase along the asset index, and
     each is capped by 1/(N - i + 1), which forces every fixed asset's
     holding toward zero as the market grows even though the value stays
-    strictly above the bond-only value u(1).
+    strictly above the bond-only value u(1).  The N-asset market is built
+    once, and level n is solved on its ``quotient(truncate(model, n), ...)``,
+    as in ``value_convergence_study``.
     """
     if field.family != "bounded":
         raise DualityLabError("the portfolio study requires the bounded family")
@@ -620,10 +622,11 @@ def example_portfolio_study(
     levels = [int(n) for n in (n_range if n_range is not None else range(1, spec.n_assets + 1))]
     if any(not 1 <= n <= spec.n_assets for n in levels):
         raise DualityLabError(f"levels must lie in [1, {spec.n_assets}]")
+    model = build_example_market(spec)
+    weights = np.ones(model.n_nodes)
 
     def run_level(n: int):
-        sub_spec = ExampleMarketSpec(n_assets=n, p=spec.p[:n])
-        sub = build_example_market(sub_spec)
+        sub = quotient(truncate(model, n), weights)
         sol = solve_primal(sub, field, 1.0, tol)
         shares = sol.H[sub.tree.root].copy()
         bond = 1.0 - float(np.sum(shares))  # initial prices are all 1

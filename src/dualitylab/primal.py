@@ -422,8 +422,6 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     x_post = np.zeros(n)
     trim = geo.trimmed
     x_post[trim] = x_pre[trim] - c[trim] * clock.dkappa[trim]
-    for pos in geo.untrimmed_levels():
-        x_post[pos] = x_pre[pos] = x_post[tree.parent[pos]]
 
     # Minimum-norm holdings reproducing each internal node's transfers: the
     # pseudo-inverse of its price changes on as many singular directions as

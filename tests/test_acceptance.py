@@ -220,7 +220,6 @@ def test_criterion_6_portfolio_phenomenon(portfolio_report):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the cap 1/(N-i+1) needs a nonnegative bond position, which "
     "finite-tree admissibility does not force: the optimizer levers the bond "
     "to -1 for every admissible field and ladder (see the decisions ledger); "

@@ -232,7 +232,7 @@ class TestSweeps:
     def test_example_below_threshold_exits_1(self, tmp_path):
         code = main([
             "example", "--n-max", "2", "--p-start", "0.34", "--p-step", "0.01",
-            "--alpha", "0.5", "--beta", "2.0", "--out", str(tmp_path / "o"),
+            "--utility", "bounded:0.5,2", "--out", str(tmp_path / "o"),
         ])
         assert code == 1
 
@@ -293,6 +293,26 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("command, utility, config", [
+        ("solve-primal", "bounded:0.5", {}),
+        ("solve-primal", "bounded:0.5,2,3", {}),
+        ("solve-primal", "power:abc", {}),
+        ("solve-primal", "log", {"x": "abc"}),
+        ("converge", "log", {"n_max": "3"}),
+        ("converge", "log", {"grid_points": 2.5}),
+    ])
+    def test_unparsable_values_exit_1(self, example3_path, tmp_path, capsys,
+                                      command, utility, config):
+        cfg = tmp_path / "run.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = main([
+            command, "--config", str(cfg), "--model", example3_path,
+            "--utility", utility, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_env_guard_maps_to_model_exit(monkeypatch, tmp_path):

@@ -543,7 +543,6 @@ class TestDualOverMeasures:
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=ConvergenceError,
     reason="tiny leaf probabilities on a terminal-clock tree: the leaf-measure "
     "solve ends 1.8e6 and 4.2e6 off the density constraints, and its "

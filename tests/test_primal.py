@@ -531,7 +531,6 @@ def test_untraded_holdings_keep_the_newton_step_exact():
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=ConvergenceError,
     reason="a leaf probability of 1e-6 on a terminal-clock tree: the Newton "
     "iteration exhausts its 500-step budget (ROADMAP item 5)",
