@@ -367,8 +367,8 @@ def solve_dual(
     The gate's density, the constraint systems and the log and power
     families' y = 1 reference stay in the model's memo for later solves.
     """
-    if y <= 0.0:
-        raise DualityLabError(f"dual argument must be positive, got {y}")
+    if not math.isfinite(y) or y <= 0.0:
+        raise DualityLabError(f"dual argument must be positive and finite, got {y}")
     if field.family == "affine-test":
         raise DualityLabError("affine test field is not admissible for solving")
     geo = build_geometry(model)
@@ -673,8 +673,8 @@ def dual_over_measures(
     on all tree leaves, builds the dense objective and derivatives, and
     hands the constrained program to a general-purpose solver.
     """
-    if y <= 0.0:
-        raise DualityLabError(f"dual argument must be positive, got {y}")
+    if not math.isfinite(y) or y <= 0.0:
+        raise DualityLabError(f"dual argument must be positive and finite, got {y}")
     poly = martingale_polytope(model)
     tree = model.tree
     clock = model.clock

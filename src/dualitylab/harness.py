@@ -434,11 +434,19 @@ def unit_terminal_claim(model: MarketModel) -> np.ndarray:
 
 
 def terminal_payoff_claim(model: MarketModel, payoff) -> np.ndarray:
-    """Rates consuming a per-leaf payoff at the terminal time."""
+    """Rates consuming a per-leaf payoff at the terminal time.
+
+    ``payoff`` holds one finite entry per leaf, in the order of
+    ``model.tree.leaves``.
+    """
     tree = model.tree
     dk = model.clock.dkappa
     rates = np.zeros(tree.n_nodes)
     payoff = np.asarray(payoff, dtype=float)
+    if payoff.shape != tree.leaves.shape or not np.all(np.isfinite(payoff)):
+        raise DualityLabError(
+            f"payoff must hold {tree.leaves.size} finite entries, one per leaf"
+        )
     for j, pos in enumerate(tree.leaves):
         if payoff[j] == 0.0:
             continue
@@ -467,10 +475,11 @@ def value_convergence_study(
     Level n is solved on ``quotient(truncate(model, n), weights)``, with the
     field's weights at the model's nodes, which has the same values (see
     ``market.quotient``); on N independent one-period assets it keeps 2**n
-    of the 2**N leaves.  Both value families must be nondecreasing in n
-    (nested strategy and density sets); a violation beyond the slack
-    signals that the solver tolerance is too loose and raises
-    ``ConvergenceError``.
+    of the 2**N leaves.  Along each grid, every solve is warm-started from
+    the previous point's solution on the same level.  Both value families
+    must be nondecreasing in n (nested strategy and density sets); a
+    violation beyond the slack signals that the solver tolerance is too
+    loose and raises ``ConvergenceError``.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -488,7 +497,11 @@ def value_convergence_study(
 
     def run_level(n: int):
         sub = quotient(truncate(model, n), weights)
-        u_row = np.array([solve_primal(sub, field, float(x), tol).value for x in x_grid])
+        u_row = np.empty(x_grid.size)
+        warm = None
+        for i, x in enumerate(x_grid):
+            warm = solve_primal(sub, field, float(x), tol, warm_start=warm)
+            u_row[i] = warm.value
         v_row = np.empty(y_grid.size)
         warm = None
         for j, y in enumerate(y_grid):

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -207,6 +208,7 @@ class _TreeSystem:
         consuming = geo.consuming[internal]
 
         # Holdings blocks, then the rates of the consuming internal nodes.
+        self.block_pos = internal
         self.mid_pos = internal[consuming]
         self.mid_idx = na * internal.size + np.arange(self.mid_pos.size)
         self.n_vars = na * internal.size + self.mid_pos.size
@@ -214,11 +216,17 @@ class _TreeSystem:
         var[:, :na] = na * np.arange(internal.size)[:, None] + np.arange(na)
         var[:, :na][~keep] = self.n_vars  # untraded assets
         var[consuming, na] = self.mid_idx
+        self.var = var
 
         rate = -geo.model.clock.dkappa[trim]
         self.dates = []
+        self.recast = []  # (block, P): P maps holdings to the kept assets' same transfers
         for first, own, child, dS in dates:
             span = slice(first, first + own.size)
+            for i in np.flatnonzero(keep[span].any(axis=1) & ~keep[span].all(axis=1)):
+                P = np.zeros((na, na))
+                P[keep[first + i]] = np.linalg.pinv(dS[i][:, keep[first + i]]) @ dS[i]
+                self.recast.append((first + i, P))
             real = child < trim.size
             V = np.zeros(child.shape + (na + 1,))
             V[:, :, :na] = np.where(keep[span, None], dS, 0.0)
@@ -236,6 +244,17 @@ class _TreeSystem:
             # The root's own change is zero.
             w[d.child] = step if d is self.dates[0] else w[d.nodes, None] + step
         return w[:-1]
+
+    def plan_theta(self, H, c):
+        """Theta of a per-node plan: the holdings rows ``H`` and the rates ``c``
+        read at the internal trimmed nodes.  Where a node keeps some of its
+        assets only, its holdings are recast on those with the same transfers."""
+        h = H[self.block_pos]
+        for i, P in self.recast:
+            h[i] = P @ h[i]
+        theta = np.zeros(self.n_vars + 1)  # and the dummy slot
+        theta[self.var] = np.column_stack((h, c[self.block_pos]))
+        return theta[:-1]
 
     def wealth_t(self, y, squared: bool = False):
         """Transpose of ``wealth`` at values y on the trimmed nodes: one
@@ -298,6 +317,7 @@ def solve_primal(
     x: float,
     tol: float = 1e-8,
     max_iter: int = 500,
+    warm_start: Optional[PrimalSolution] = None,
 ) -> PrimalSolution:
     """Solve the consumption-investment problem at initial wealth x.
 
@@ -307,9 +327,16 @@ def solve_primal(
     and ``ConvergenceError`` when the Newton iteration exhausts its budget
     before certifying the gap estimate.  The gate's density and the tree
     system stay in the model's memo for later solves.
+
+    ``warm_start`` accepts a previous solution on the same model (any other
+    is ignored).  Wealth is jointly homogeneous in (x, plan), so its plan
+    scaled by x / warm_start.x is feasible at x, and optimal where the field
+    is a pure power.  Newton starts there when that plan lies strictly
+    inside the domain, entering the dead-root barrier at its final weight,
+    and from the cold start otherwise.
     """
-    if x <= 0.0:
-        raise DualityLabError(f"initial wealth must be positive, got {x}")
+    if not math.isfinite(x) or x <= 0.0:
+        raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
     if field.family == "affine-test":
         raise DualityLabError("affine test field is not admissible for solving")
 
@@ -317,16 +344,26 @@ def solve_primal(
     ensure_full_density(geo)  # no-arbitrage gate
 
     obj = _PrimalObjective(geo, field, x)
-    theta = np.zeros(obj.system.n_vars)
-    if obj.mid_idx.size:
-        theta[obj.mid_idx] = x / (2.0 * model.clock.bound)
-    if not obj.in_domain(theta):
-        raise DualityLabError("could not construct a strictly feasible starting plan")
+    theta = None
+    if warm_start is not None and warm_start.model is model:
+        cand = obj.system.plan_theta(warm_start.H, warm_start.c) * (x / warm_start.x)
+        if obj.in_domain(cand):
+            theta = cand
+    warm = theta is not None
+    if not warm:
+        theta = np.zeros(obj.system.n_vars)
+        if obj.mid_idx.size:
+            theta[obj.mid_idx] = x / (2.0 * model.clock.bound)
+        if not obj.in_domain(theta):
+            raise DualityLabError("could not construct a strictly feasible starting plan")
 
     stop_tol = max(min(tol, 1e-8) * 1e-4, 1e-16)
     mus = [0.0]
     if obj.n_dead:
         mus = [1e-2 * x, 1e-6 * x, max(min(tol, 1e-9) * x, 1e-14)]
+        if warm:
+            # The warm plan already sits near the final barrier's path.
+            mus = mus[-1:]
 
     iterations = 0
     for stage, mu in enumerate(mus):

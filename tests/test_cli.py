@@ -110,6 +110,17 @@ class TestSolvers:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command", [
+        ["solve-primal", "--x", "inf"],
+        ["solve-primal", "--x", "nan"],
+        ["solve-dual", "--y", "nan"],
+        ["solve-dual", "--y", "inf"],
+    ])
+    def test_nonfinite_argument_exits_1(self, binom_path, tmp_path, command):
+        out = tmp_path / "o"
+        args = command + ["--model", binom_path, "--utility", "log", "--out", str(out)]
+        assert main(args) == 1
+
     def test_bad_utility_shorthand_exits_1(self, binom_path):
         assert main(["solve-primal", "--model", binom_path, "--utility", "what"]) == 1
 

@@ -231,6 +231,16 @@ class TestSuperreplication:
         with pytest.raises(InfeasibleMarketError):
             dual_superrep_price(model, unit_terminal_claim(model))
 
+    @pytest.mark.parametrize("payoff", [
+        [1.0, 0.0, 5.0],
+        [1.0],
+        1.0,
+        [math.nan, 1.0],
+    ], ids=["longer", "shorter", "scalar", "nan"])
+    def test_payoff_needs_one_finite_entry_per_leaf(self, binom1, payoff):
+        with pytest.raises(DualityLabError, match="one per leaf"):
+            terminal_payoff_claim(binom1, payoff)
+
     def test_negative_rates_rejected(self, binom1):
         with pytest.raises(DualityLabError):
             superreplication_price(binom1, np.full(binom1.n_nodes, -1.0))
@@ -325,6 +335,46 @@ class TestConvergenceStudy:
             value_convergence_study(example2, log_field, [1.0, 0.5], [1.0], [1], 1e-8)
         with pytest.raises(DualityLabError):
             value_convergence_study(example2, log_field, [1.0], [1.0], [5], 1e-8)
+
+    def test_each_level_warm_starts_along_the_x_grid(self, bounded_field, monkeypatch):
+        model = build_example_market(ExampleMarketSpec(4, TestPortfolioStudy.P4))
+        grid, tol, levels = default_grid(), 1e-9, range(1, 5)
+        calls = []
+        real = harness.solve_primal
+
+        def spy(sub, field, x, tol, warm_start=None):
+            sol = real(sub, field, x, tol, warm_start=warm_start)
+            calls.append((sub, x, warm_start, sol))
+            return sol
+
+        monkeypatch.setattr(harness, "solve_primal", spy)
+        curves = value_convergence_study(model, bounded_field, grid, grid, levels, tol)
+        monkeypatch.undo()
+
+        assert len(calls) == len(levels) * grid.size
+        weights = bounded_field.weight_array(model.tree.ids)
+        warm_iters = cold_iters = 0
+        for k, n in enumerate(levels):
+            level = calls[k * grid.size : (k + 1) * grid.size]
+            assert level[0][2] is None
+            for prev, call in zip(level, level[1:]):
+                assert call[2] is prev[3]
+            sub = level[0][0]
+            cold = [solve_primal(sub, bounded_field, x, tol) for _, x, _, _ in level]
+            want = np.array([sol.value for sol in cold])
+            assert np.all(np.abs(curves.u[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            warm_iters += sum(call[3].iterations for call in level)
+            cold_iters += sum(sol.iterations for sol in cold)
+
+            # The dual side takes nothing from the primal: a y-chained solve.
+            sub = quotient(truncate(model, n), weights)
+            zeta, v = None, []
+            for y in grid:
+                sol = solve_dual(sub, bounded_field, float(y), tol, warm_start=zeta)
+                zeta = sol.zeta
+                v.append(sol.value)
+            assert np.array_equal(curves.v[k], v)
+        assert warm_iters <= cold_iters / 2
 
     def test_weak_duality_all_pairs(self, example2, bounded_field):
         grid = default_grid(points=8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,10 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualitylab import dual as dual_module
+from dualitylab import primal as primal_module
 from dualitylab import treeops
 from dualitylab.dual import solve_dual
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
-from dualitylab.market import build_tree, load_model, truncate
+from dualitylab.market import (
+    ExampleMarketSpec,
+    build_example_market,
+    build_tree,
+    load_model,
+    truncate,
+)
 from dualitylab.primal import (
     _ascent_step,
     _PrimalObjective,
@@ -227,6 +236,20 @@ class TestErrors:
     def test_affine_field_rejected(self, binom1):
         with pytest.raises(DualityLabError):
             solve_primal(binom1, UtilityField(family="affine-test"), 1.0)
+
+
+@pytest.mark.parametrize("solver", ["primal", "dual"])
+@pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf])
+def test_nonfinite_argument_rejected_before_the_gate(monkeypatch, binom1, bounded_field,
+                                                     solver, arg):
+    def gate(geo):
+        raise AssertionError("the no-arbitrage gate ran")
+
+    monkeypatch.setattr(primal_module, "ensure_full_density", gate)
+    monkeypatch.setattr(dual_module, "ensure_full_density", gate)
+    solve = solve_primal if solver == "primal" else solve_dual
+    with pytest.raises(DualityLabError, match="positive and finite"):
+        solve(binom1, bounded_field, arg)
 
 
 class TestAdmissibilityCheck:
@@ -452,6 +475,67 @@ class TestRandomTrees:
                 want = scale * lo.value
             tol = hi.kkt_residual + scale * lo.kkt_residual + 1e-12 * max(1.0, abs(lo.value))
             assert abs(hi.value - want) <= tol
+
+
+class TestWarmStart:
+    """A solve started from another wealth's plan, scaled to x."""
+
+    PARAMS = {"log": {}, "power": {"gamma": -1.5}, "bounded": {"alpha": 0.5, "beta": 2.0}}
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in ("c", "H", "X", "value", "kkt_residual", "y_estimate", "iterations"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(sorted(PARAMS)),
+        st.booleans(),
+        st.floats(0.05, 20.0),
+        st.floats(0.5, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_warm_equals_cold(self, model, family, weighted, x0, ratio, seed):
+        rng = np.random.default_rng(seed)
+        tree = model.tree
+        weights = {nid: float(rng.uniform(0.5, 2.0)) for nid in tree.ids} if weighted else None
+        field = UtilityField(family=family, weights=weights, **self.PARAMS[family])
+        try:
+            start = solve_primal(model, field, x0, 1e-10)
+        except InfeasibleMarketError:
+            assume(False)
+        x = x0 * ratio
+        cold = solve_primal(model, field, x, 1e-10)
+        warm = solve_primal(model, field, x, 1e-10, warm_start=start)
+        tol = warm.kkt_residual + cold.kkt_residual + 1e-12 * max(1.0, abs(cold.value))
+        assert abs(warm.value - cold.value) <= tol
+        if family != "bounded":
+            # The scaled plan is optimal.  One step certifies it; the barrier
+            # on wealth parked at dead roots may take a few to recentre.
+            assert warm.iterations <= cold.iterations
+            if not build_geometry(model).dead_root_mask.any():
+                assert warm.iterations == 1
+
+    def test_start_from_another_model_is_ignored(self, binom1, bounded_field):
+        twin = build_example_market(ExampleMarketSpec(1, (0.6,)))  # equal, not the same
+        start = solve_primal(twin, bounded_field, 1.0)
+        cold = solve_primal(binom1, bounded_field, 1.0)
+        self.assert_same(solve_primal(binom1, bounded_field, 1.0, warm_start=start), cold)
+
+    @pytest.mark.parametrize("spoil", ["rates", "holdings"])
+    def test_start_outside_the_domain_falls_back(self, two_period_mid_clock, bounded_field,
+                                                 spoil):
+        model = two_period_mid_clock
+        start = solve_primal(model, bounded_field, 1.0)
+        if spoil == "rates":
+            start = dataclasses.replace(start, c=-start.c)
+        else:
+            start = dataclasses.replace(start, H=-1e3 * start.H)
+        obj = _PrimalObjective(build_geometry(model), bounded_field, 1.5)
+        assert not obj.in_domain(obj.system.plan_theta(start.H, start.c))
+        cold = solve_primal(model, bounded_field, 1.5)
+        self.assert_same(solve_primal(model, bounded_field, 1.5, warm_start=start), cold)
 
 
 def tree_from_edges(edges, prices, clock, bound):
