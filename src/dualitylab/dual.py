@@ -187,13 +187,15 @@ def entropy_center(geo: Geometry) -> np.ndarray:
     def build():
         Aq, b, prob = _measure_system(geo)
         q = on = find_interior(Aq, b, center=prob)
+        phi = -float(np.dot(prob, np.log(q)))
         for _ in range(200):
             g = -prob / q
             h = prob / q**2
             step, lam2, _ = _kkt_step_core(Aq, b - Aq @ q, g, h)
             if lam2 / 2.0 <= 1e-14:
                 break
-            q = _line_search(lambda z: -float(np.dot(prob, np.log(z))), q, step, g)
+            # The walk's objective is the barrier with weights prob alone.
+            q, _, phi = _line_search(lambda z: 0.0, q, step, g, 0.0, phi, prob)
             if float(np.max(np.abs(Aq @ q - b))) < 1e-8:  # as for a warm start
                 on = q
         return on
@@ -224,7 +226,7 @@ class DualSolution:
     """Optimal density and value of the dual problem at a given y.
 
     ``iterations`` counts the Newton steps the call ran: a log or power
-    solution at y != 1 reads the y = 1 reference's count when the call
+    solution, at any y, reads the y = 1 reference's count when the call
     solved that reference, and 0 when the model's kept one served it.
     """
 
@@ -296,20 +298,17 @@ class _DualObjective:
     def value(self, q: np.ndarray) -> float:
         return float(np.dot(self.coef * self.w, self.base.v(self.node_args(q))))
 
-    def grad(self, q: np.ndarray) -> np.ndarray:
+    def derivatives(self, q: np.ndarray):
+        """The gradient of F at q and its Hessian's diagonal."""
         args = self.node_args(q)
         # dV(node)/dZ = y v'(arg); v' = -inverse marginal of the base
         gnode = -self.coef * self.y * self.base.inv_u_prime(args)
-        out = np.zeros(q.size)
-        np.add.at(out, self.cols, gnode * self.col_scale)
-        return out
-
-    def hess_diag(self, q: np.ndarray) -> np.ndarray:
-        args = self.node_args(q)
+        g = np.zeros(q.size)
+        np.add.at(g, self.cols, gnode * self.col_scale)
         curv = self.coef * (self.y**2 / self.w) * _v_second(self.base, args)
-        d = np.zeros(q.size)
-        np.add.at(d, self.cols, curv * self.col_scale**2)
-        return d
+        h = np.zeros(q.size)
+        np.add.at(h, self.cols, curv * self.col_scale**2)
+        return g, h
 
     def lower_bound(self, A, b, nu) -> float:
         """Lagrangian lower bound on the polytope minimum, for any multipliers.
@@ -377,15 +376,34 @@ def solve_dual(
     # The log and power conjugates factorize in y, so their minimizing
     # density does not depend on y: solve once at y = 1 (well scaled) and
     # map the value through the exact scaling law.
-    if field.family in ("log", "power") and y != 1.0:
-        value, fields = _scaling_reference(geo, field, tol, max_iter)
+    if field.degree is not None:
+        def solve():
+            sol = _solve_dual(geo, field, 1.0, tol, max_iter, None)
+            return dict(value=sol.value, Z=sol.Z, zeta=sol.zeta,
+                        attained_on_boundary=sol.attained_on_boundary), sol.iterations
+
+        ref, iterations = scaling_reference(geo, "dual", field, tol, solve)
+        value = ref["value"]
         if field.family == "log":
             obj = _DualObjective(geo, field, y)  # coef . w = sum P dkappa w
             value -= float(np.dot(obj.coef, obj.w)) * math.log(y)
         else:
             value *= y ** (field.gamma / (field.gamma - 1.0))
-        return DualSolution(y=y, value=value, model=model, field=field, **fields)
+        return DualSolution(
+            Z=ref["Z"],
+            zeta=ref["zeta"],
+            y=y,
+            value=value,
+            attained_on_boundary=ref["attained_on_boundary"],
+            iterations=iterations,
+            model=model,
+            field=field,
+        )
+    return _solve_dual(geo, field, y, tol, max_iter, warm_start)
 
+
+def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
+    """``solve_dual`` at y on the gated geometry, without the scaling law."""
     obj = _DualObjective(geo, field, y)
     q = None
     if warm_start is not None and np.asarray(warm_start).size == geo.solve_leaves.size:
@@ -397,7 +415,7 @@ def solve_dual(
         q = obj.start()
 
     try:
-        q, iterations = _barrier_solve(obj, q, tol, max_iter)
+        q, value, iterations = _barrier_solve(obj, q, tol, max_iter)
     except ConvergenceError:
         if obj.in_nodes:
             raise
@@ -405,7 +423,7 @@ def solve_dual(
         # orders of magnitude, and stall on rows at the rounding level of the
         # prices; node-measure steps solve their sparse KKT system exactly.
         obj = _DualObjective(geo, field, y, geo.trimmed)
-        q, iterations = _barrier_solve(obj, obj.start(), tol, max_iter)
+        q, value, iterations = _barrier_solve(obj, obj.start(), tol, max_iter)
 
     zeta = q[obj.leaf_cols] / geo.tree.path_prob[geo.solve_leaves]
     zfull = _extend_density(geo, zeta)
@@ -414,10 +432,10 @@ def solve_dual(
         Z=zfull,
         zeta=zeta,
         y=y,
-        value=obj.value(q),
+        value=value,
         attained_on_boundary=bool(np.min(z_cons) < BOUNDARY_FLAG_LEVEL),
         iterations=iterations,
-        model=model,
+        model=geo.model,
         field=field,
     )
 
@@ -426,8 +444,8 @@ def _barrier_solve(obj, q, tol, max_iter):
     """Barrier continuation and certification in ``obj``'s coordinates.
 
     Starts from the strictly positive feasible point ``q`` in
-    ``obj.coords``; returns the certified measure there and the Newton
-    iteration count.
+    ``obj.coords``; returns the certified measure there, its value F and the
+    Newton iteration count.
     """
     geo = obj.geo
     y = obj.y
@@ -459,18 +477,16 @@ def _barrier_solve(obj, q, tol, max_iter):
     eps = np.finfo(float).eps
     iterations = 0
 
-    def newton_pass(q, mu, inner_tol, budget, f_stall):
-        """Damped Newton until the decrement or the value progress dies.
+    def newton_pass(q, f, mu, inner_tol, budget, f_stall):
+        """Damped Newton from q, whose value is f, until the decrement or the
+        value progress dies.
 
-        Returns the final iterate and the last KKT multipliers, which feed
-        the Lagrangian gap certificate.
+        Returns the final iterate, its value and the last KKT multipliers,
+        which feed the Lagrangian gap certificate.
         """
         nonlocal iterations
         bw = barrier_weights(mu)
-
-        def phi(z):
-            return obj.value(z) - float(np.dot(bw, np.log(z)))
-
+        phi = f - float(np.dot(bw, np.log(q)))  # the barrier objective at q
         f_prev = None
         stall = 0
         nu = None
@@ -480,39 +496,39 @@ def _barrier_solve(obj, q, tol, max_iter):
                     f"dual solve at y={y} exceeded {max_iter} Newton iterations"
                 )
             iterations += 1
-            g_obj = obj.grad(q)
+            g_obj, h_obj = obj.derivatives(q)
             g = g_obj - bw / q
-            step, lam2, nu = _scaled_newton_step(A, b, q, g_obj, obj.hess_diag(q), bw)
+            step, lam2, nu = _scaled_newton_step(A, b, q, g_obj, h_obj, bw)
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
-                    q = _line_search(phi, q, step, g)
-                return q, nu
-            f_now = obj.value(q)
-            if f_prev is not None and abs(f_prev - f_now) <= f_stall:
+                    q, f, phi = _line_search(obj.value, q, step, g, f, phi, bw)
+                return q, f, nu
+            if f_prev is not None and abs(f_prev - f) <= f_stall:
                 stall += 1
                 if stall >= 3:
-                    return q, nu
+                    return q, f, nu
             else:
                 stall = 0
-            f_prev = f_now
-            q = _line_search(phi, q, step, g)
-        return q, nu
+            f_prev = f
+            q, f, phi = _line_search(obj.value, q, step, g, f, phi, bw)
+        return q, f, nu
 
+    f = obj.value(q)
     for mu in mus[:-1]:
-        scale = 1.0 + abs(obj.value(q))
-        q, _ = newton_pass(
-            q, mu, max(0.05 * mu * n, 1e-16), 120, max(0.02 * tol, 8.0 * eps) * scale
+        scale = 1.0 + abs(f)
+        q, f, _ = newton_pass(
+            q, f, mu, max(0.05 * mu * n, 1e-16), 120, max(0.02 * tol, 8.0 * eps) * scale
         )
 
     # Final stage, certified by the Lagrangian (separable Fenchel) gap at the
     # Newton multipliers.
-    scale = 1.0 + abs(obj.value(q))
-    q, nu = newton_pass(
-        q, mus[-1], max(1e-3 * tol, 5.0 * eps) * scale, 80,
+    scale = 1.0 + abs(f)
+    q, f, nu = newton_pass(
+        q, f, mus[-1], max(1e-3 * tol, 5.0 * eps) * scale, 80,
         max(1e-3 * tol, 8.0 * eps) * scale,
     )
-    gap = obj.value(q) - obj.lower_bound(A, b, nu)
+    gap = f - obj.lower_bound(A, b, nu)
     if gap > tol * scale:
         raise ConvergenceError(
             f"dual solve at y={y} could not certify tolerance {tol} "
@@ -532,30 +548,34 @@ def _barrier_solve(obj, q, tol, max_iter):
             raise ConvergenceError(
                 f"dual solve at y={y} drifted {drift:.3g} off the density constraints"
             )
-    return q, iterations
+        f = obj.value(q)
+    return q, f, iterations
 
 
-def _scaling_reference(geo, field, tol, max_iter):
-    """(value, fields) of the dual solution at y = 1, kept per model and field
-    values.  The fields are the read-only Z and zeta, the boundary flag and
-    the Newton steps this call ran: the reference's count when it solved the
-    reference, 0 when the kept entry served; a ``DualSolution`` would refer
-    back to the model.  Re-solves when asked for a tighter tolerance than
-    the kept entry's.
+def scaling_reference(geo: Geometry, side: str, field: UtilityField, tol: float, solve):
+    """The log or power field's reference solve of one side, kept in the
+    model's memo per field values: the primal's plan at x = 1 and the dual's
+    solution at y = 1, from which the exact scaling law gives every other
+    wealth or y.
+
+    ``solve()`` returns (entry, steps): a dict of floats and arrays, none of
+    which refers back to the model, and the Newton steps it ran.  The arrays
+    are kept read-only.  Returns the entry and the steps this call ran: the
+    reference's when it solved it, 0 when the kept entry served.  Re-solves
+    when asked for a tighter tolerance than the kept entry's.
     """
     weights = None if field.weights is None else frozenset(field.weights.items())
     key = (field.family, field.gamma, field.alpha, field.beta, weights)
-    cache = geo.memo("dual_reference", dict)
+    cache = geo.memo(f"{side}_reference", dict)
     hit = cache.get(key)
-    iterations = 0
-    if hit is None or hit[0] > tol:
-        sol = solve_dual(geo.model, field, 1.0, tol=tol, max_iter=max_iter)
-        sol.Z.flags.writeable = sol.zeta.flags.writeable = False
-        iterations = sol.iterations
-        hit = cache[key] = tol, sol.value, dict(
-            Z=sol.Z, zeta=sol.zeta, attained_on_boundary=sol.attained_on_boundary,
-        )
-    return hit[1], dict(hit[2], iterations=iterations)
+    if hit is not None and hit[0] <= tol:
+        return hit[1], 0
+    entry, steps = solve()
+    for value in entry.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    cache[key] = tol, entry
+    return entry, steps
 
 
 def _min_norm_correction(A, r):
@@ -624,22 +644,35 @@ def _scaled_newton_step(A, b, q, g_obj, h_obj, bw):
     return q * du, lam2, nu
 
 
-def _line_search(phi, x, step, g):
-    """Armijo backtracking on phi, whose gradient at x is g, from the largest
-    step inside the positive orthant; x itself when no point qualifies."""
+def _line_search(value, x, step, g, f, phi, bw):
+    """Armijo backtracking from the largest step inside the positive orthant.
+
+    The merit is phi(z) = value(z) - bw . log(z), whose gradient at x is g;
+    ``f`` and ``phi`` are value and phi at x.  Returns the accepted point
+    with its value and phi; x itself when no point qualifies.
+    """
+
+    def merit(z, fz):
+        return fz - float(np.dot(bw, np.log(z)))
+
     alpha = 1.0
     neg = step < 0.0
     if np.any(neg):
         alpha = min(1.0, 0.995 * float(np.min(-x[neg] / step[neg])))
-    base = phi(x)
     slope = float(np.dot(g, step))
     for _ in range(60):
         cand = x + alpha * step
-        if np.min(cand) > 0.0 and phi(cand) <= base + 1e-4 * alpha * slope:
-            return cand
+        if np.min(cand) > 0.0:
+            f_cand = value(cand)
+            phi_cand = merit(cand, f_cand)
+            if phi_cand <= phi + 1e-4 * alpha * slope:
+                return cand, f_cand, phi_cand
         alpha *= 0.5
     cand = x + alpha * step
-    return cand if np.min(cand) > 0.0 else x
+    if np.min(cand) > 0.0:
+        f_cand = value(cand)
+        return cand, f_cand, merit(cand, f_cand)
+    return x, f, phi
 
 
 def _extend_density(geo: Geometry, zeta) -> np.ndarray:

@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import ensure_full_density
+from .dual import ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
 from .market import MarketModel
 from .treeops import Geometry, build_geometry, wealth_from_strategy
@@ -74,7 +74,9 @@ class PrimalSolution:
     (n_nodes, n_active) with rows read at the node where the holdings are
     chosen.  ``kkt_residual`` bounds the optimality gap estimate plus the
     worst admissibility violation; ``y_estimate`` is the marginal value of
-    wealth implied by the budget identity.
+    wealth implied by the budget identity.  ``iterations`` counts the Newton
+    steps the call ran: a log or power solve's own steps from its scaled
+    x = 1 plan, plus that plan's steps when the call solved it.
     """
 
     c: np.ndarray
@@ -115,6 +117,7 @@ class _PrimalObjective:
 
         self.dead_t = np.flatnonzero(geo.dead_root_mask[trim])
         self.n_dead = self.dead_t.size
+        self.degree = field.degree
 
     def _inside(self, theta):
         """(rates, effective-leaf wealth, dead-root wealth), or None outside the domain."""
@@ -325,15 +328,19 @@ def solve_primal(
     the node-local gate ``ensure_full_density``); raises
     ``InfeasibleMarketError`` naming a node and its arbitrage otherwise,
     and ``ConvergenceError`` when the Newton iteration exhausts its budget
-    before certifying the gap estimate.  The gate's density and the tree
-    system stay in the model's memo for later solves.
+    before certifying the gap estimate.  The gate's density, the tree
+    system and the log and power families' plan at x = 1 stay in the
+    model's memo for later solves.
 
     ``warm_start`` accepts a previous solution on the same model (any other
     is ignored).  Wealth is jointly homogeneous in (x, plan), so its plan
     scaled by x / warm_start.x is feasible at x, and optimal where the field
     is a pure power.  Newton starts there when that plan lies strictly
     inside the domain, entering the dead-root barrier at its final weight,
-    and from the cold start otherwise.
+    and from the cold start otherwise.  Without a warm start, a log or power
+    field starts from its plan at x = 1 scaled by x, which the first such
+    call solves (``scaling_reference``); the scaling law is exact for these
+    fields, barrier included, so one Newton step certifies the plan.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
@@ -344,23 +351,57 @@ def solve_primal(
     ensure_full_density(geo)  # no-arbitrage gate
 
     obj = _PrimalObjective(geo, field, x)
-    theta = None
+    theta, steps = None, 0
     if warm_start is not None and warm_start.model is model:
-        cand = obj.system.plan_theta(warm_start.H, warm_start.c) * (x / warm_start.x)
-        if obj.in_domain(cand):
-            theta = cand
-    warm = theta is not None
-    if not warm:
-        theta = np.zeros(obj.system.n_vars)
-        if obj.mid_idx.size:
-            theta[obj.mid_idx] = x / (2.0 * model.clock.bound)
-        if not obj.in_domain(theta):
-            raise DualityLabError("could not construct a strictly feasible starting plan")
+        theta = obj.system.plan_theta(warm_start.H, warm_start.c) * (x / warm_start.x)
+    elif field.degree is not None:
+        def solve():
+            ref = _PrimalObjective(geo, field, 1.0)
+            theta, iterations, _ = _maximize(ref, _cold_start(ref), False, tol, max_iter)
+            return {"theta": theta}, iterations
 
+        ref, steps = scaling_reference(geo, "primal", field, tol, solve)
+        theta = ref["theta"] * x
+    warm = theta is not None and obj.in_domain(theta)
+    if not warm:
+        theta = _cold_start(obj)
+
+    theta, iterations, mu = _maximize(obj, theta, warm, tol, max_iter)
+    return _assemble_solution(geo, obj, field, theta, x, steps + iterations, mu)
+
+
+def _cold_start(obj):
+    """No holdings, and each consuming internal node eating x / (2 A)."""
+    theta = np.zeros(obj.system.n_vars)
+    if obj.mid_idx.size:
+        theta[obj.mid_idx] = obj.x / (2.0 * obj.geo.model.clock.bound)
+    if not obj.in_domain(theta):
+        raise DualityLabError("could not construct a strictly feasible starting plan")
+    return theta
+
+
+def _maximize(obj, theta, warm, tol, max_iter):
+    """Damped Newton ascent from theta, through the dead-root barrier's
+    stages (only the last one when ``warm``).
+
+    Returns the final theta, the Newton steps run and the final barrier
+    weight.
+    """
     stop_tol = max(min(tol, 1e-8) * 1e-4, 1e-16)
     mus = [0.0]
     if obj.n_dead:
-        mus = [1e-2 * x, 1e-6 * x, max(min(tol, 1e-9) * x, 1e-14)]
+        # The barrier's weights are in units of the objective's own scale
+        # x^degree where it is homogeneous, so that its central path scales
+        # with x as the plan does; else in units of x.
+        unit = obj.x
+        if obj.degree is not None:
+            try:
+                unit = obj.x**obj.degree
+            except OverflowError:
+                raise ConvergenceError(
+                    f"primal solve at x={obj.x}: the objective's scale overflows"
+                ) from None
+        mus = [1e-2 * unit, 1e-6 * unit, max(min(tol, 1e-9) * unit, 1e-14)]
         if warm:
             # The warm plan already sits near the final barrier's path.
             mus = mus[-1:]
@@ -373,7 +414,7 @@ def solve_primal(
         while True:
             if iterations >= max_iter:
                 raise ConvergenceError(
-                    f"primal solve at x={x} exceeded {max_iter} Newton iterations"
+                    f"primal solve at x={obj.x} exceeded {max_iter} Newton iterations"
                 )
             iterations += 1
             g, a, pd = obj.grad_curv(theta, mu)
@@ -392,8 +433,7 @@ def solve_primal(
             theta, value = _domain_line_search(obj, theta, value, step, g, mu)
             if value > VALUE_CEILING:
                 raise ValueDivergenceError("primal objective diverged")
-
-    return _assemble_solution(geo, obj, field, theta, x, iterations, mus[-1])
+    return theta, iterations, mus[-1]
 
 
 def _ascent_step(system, g, a, pd):

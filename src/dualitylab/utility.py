@@ -239,6 +239,13 @@ class UtilityField:
                         f"weight of node {nid!r} must be strictly positive and finite, got {w}"
                     )
 
+    @property
+    def degree(self) -> Optional[float]:
+        """Degree of homogeneity of the base: u(s c) = s^gamma u(c) for power,
+        and u(s c) = u(c) + ln s for log, degree 0; None for other families.
+        Their value functions scale exactly in x and y."""
+        return {"log": 0.0, "power": self.gamma}.get(self.family)
+
     def base(self) -> _Base:
         if self.family == "log":
             return _LogBase()

@@ -264,14 +264,37 @@ class TestSolveDual:
     @pytest.mark.parametrize("field", [
         UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
     ], ids=["log", "power"])
-    def test_scaled_solves_count_their_own_newton_steps(self, field):
-        # The y = 1 reference is solved by the first scaled call only; the
-        # later ones run no Newton step of their own.
+    def test_scaled_solves_count_their_own_newton_steps(self, field, monkeypatch):
+        # The y = 1 reference is solved by the first call only, which reports
+        # its steps; the later ones, y = 1 included, run no Newton step.
         model = binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
-        steps = solve_dual(model, field, 1.0).iterations
+        ran = []
+        real = dual._barrier_solve
+
+        def counted(*args):
+            out = real(*args)
+            ran.append(out[-1])
+            return out
+
+        monkeypatch.setattr(dual, "_barrier_solve", counted)
+        steps = solve_dual(model, field, 2.0).iterations
         assert steps > 0
-        assert solve_dual(model, field, 2.0).iterations == steps
-        assert [solve_dual(model, field, y).iterations for y in (0.5, 3.0)] == [0, 0]
+        assert [solve_dual(model, field, y).iterations for y in (0.5, 1.0, 3.0)] == [0, 0, 0]
+        assert ran == [steps]
+
+    @pytest.mark.parametrize("field", [
+        UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
+    ], ids=["log", "power"])
+    def test_solves_at_one_read_the_kept_reference(self, field, monkeypatch):
+        model = binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
+        ran = []
+        real = dual._barrier_solve
+        monkeypatch.setattr(dual, "_barrier_solve", lambda *args: ran.append(1) or real(*args))
+        first, again = solve_dual(model, field, 1.0), solve_dual(model, field, 1.0)
+        assert ran == [1]
+        assert first.iterations > 0 and again.iterations == 0
+        for name in ("Z", "zeta", "value", "attained_on_boundary"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
     def test_tight_tolerance_with_dead_roots(self, log_field):
         # Each dead coordinate keeps a barrier floor, and the floors enter

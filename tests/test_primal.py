@@ -538,6 +538,109 @@ class TestWarmStart:
         self.assert_same(solve_primal(model, bounded_field, 1.5, warm_start=start), cold)
 
 
+
+SCALED_FIELDS = [UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
+                 UtilityField(family="power", gamma=-1.5)]
+
+
+class TestScalingReference:
+    """Log and power solves start from the model's kept plan at x = 1, scaled."""
+
+    @staticmethod
+    def model():
+        return binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
+
+    @pytest.mark.parametrize("field", SCALED_FIELDS[:2], ids=["log", "power"])
+    def test_scaled_solves_count_their_own_newton_steps(self, field, monkeypatch):
+        ran = []  # the steps of every Newton ascent run, the reference's first
+        real = primal_module._maximize
+
+        def counted(*args):
+            out = real(*args)
+            ran.append(out[1])
+            return out
+
+        monkeypatch.setattr(primal_module, "_maximize", counted)
+        model = self.model()
+        first = solve_primal(model, field, 2.0)
+        reference, own = ran
+        assert reference > 1 and own == 1
+        assert first.iterations == reference + own
+        later = [solve_primal(model, field, x).iterations for x in (0.5, 1.0, 3.0)]
+        assert later == ran[2:] == [1, 1, 1]
+        assert first.iterations + sum(later) == sum(ran)
+
+    @pytest.mark.parametrize("field", SCALED_FIELDS[:2], ids=["log", "power"])
+    def test_solves_at_one_read_the_kept_reference(self, field, monkeypatch):
+        cold = []
+        real = primal_module._cold_start
+        monkeypatch.setattr(primal_module, "_cold_start", lambda obj: cold.append(obj.x) or real(obj))
+        model = self.model()
+        first, again = solve_primal(model, field, 1.0), solve_primal(model, field, 1.0)
+        assert cold == [1.0]
+        assert again.iterations == 1 < first.iterations
+        for name in ("c", "H", "X", "value", "kkt_residual", "y_estimate"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
+
+    def test_a_tighter_tolerance_solves_the_reference_again(self, log_field):
+        model = self.model()
+        solve_primal(model, log_field, 2.0, 1e-8)
+        assert solve_primal(model, log_field, 2.0, 1e-6).iterations == 1
+        assert solve_primal(model, log_field, 2.0, 1e-10).iterations > 1
+        assert solve_primal(model, log_field, 2.0, 1e-8).iterations == 1
+
+    @pytest.mark.parametrize("dead_roots", [False, True], ids=["consuming", "dead-roots"])
+    @pytest.mark.parametrize("field", SCALED_FIELDS, ids=["log", "power0.5", "power-1.5"])
+    def test_scaled_plans_follow_the_exact_law(self, field, dead_roots):
+        if dead_roots:
+            model = binomial_two_period_partial_clock(up_subtree_only=True)
+            assert build_geometry(model).dead_root_mask.any()
+        else:
+            model = self.model()
+        tree, dk = model.tree, model.clock.dkappa
+        mass = float(np.dot(tree.path_prob * dk, field.weight_array(list(tree.ids))))
+        one = solve_primal(model, field, 1.0, 1e-10)
+        for x in (0.05, 0.5, 3.0, 20.0):
+            sol = solve_primal(model, field, x, 1e-10)
+            # The barrier on dead-root wealth scales with the plan, so one
+            # step certifies the scaled plan on either tree.
+            assert sol.iterations == 1
+            np.testing.assert_allclose(sol.c, x * one.c, rtol=0, atol=1e-14 * np.max(sol.c))
+            np.testing.assert_allclose(sol.H, x * one.H, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(sol.H)))
+            if field.family == "log":
+                scale, want = 1.0, one.value + mass * math.log(x)
+            else:
+                scale = x**field.gamma
+                want = scale * one.value
+            tol = sol.kkt_residual + scale * one.kkt_residual + 1e-14 * max(1.0, abs(want))
+            assert abs(sol.value - want) <= tol
+
+    def test_log_plans_match_the_closed_form(self, binom1, log_field):
+        root = binom1.tree.root
+        for x in (0.1, 0.5, 1.0, 4.0, 25.0):
+            frac, value = analytic_log_binomial(0.6, x)
+            sol = solve_primal(binom1, log_field, x, 1e-10)
+            assert abs(sol.value - value) <= sol.kkt_residual + 1e-12 * max(1.0, abs(value))
+            assert sol.H[root, 0] * binom1.assets.prices[root, 0] / x == pytest.approx(
+                frac, abs=1e-10)
+
+    def test_a_scale_beyond_the_float_range_raises_a_typed_error(self):
+        # x^gamma sets the dead-root barrier's weights; at x = 1e-250 it
+        # overflows for gamma = -1.5, and so would every utility value.
+        model = binomial_two_period_partial_clock(up_subtree_only=True)
+        with pytest.raises(ConvergenceError, match="scale overflows"):
+            solve_primal(model, SCALED_FIELDS[2], 1e-250)
+
+    def test_bounded_solves_keep_no_reference(self, bounded_field):
+        model = self.model()
+        for x in (0.5, 1.0, 2.0):
+            solve_primal(model, bounded_field, x)
+            solve_dual(model, bounded_field, x)
+        assert "primal_reference" not in model._memo
+        assert "dual_reference" not in model._memo
+
+
 def tree_from_edges(edges, prices, clock, bound):
     """A tree from (id, parent id, prob) edges, root first, two active assets."""
     times = {edges[0][0]: 0}

@@ -46,6 +46,19 @@ class TestEval:
         assert eval_utility(bounded_field, 0, None, 1e12) == pytest.approx(sup, abs=1e-5)
 
 
+@pytest.mark.parametrize("s", [0.03, 0.5, 7.0])
+def test_degree_of_homogeneity(any_field, s):
+    # u(s c) = s^d u(c) for power, u(c) + ln s for log; bounded has none.
+    base, c = any_field.base(), np.array([0.2, 1.0, 3.5])
+    d = any_field.degree
+    if any_field.family == "bounded":
+        assert d is None
+    elif d == 0.0:
+        np.testing.assert_allclose(base.u(s * c), base.u(c) + math.log(s), rtol=1e-14)
+    else:
+        np.testing.assert_allclose(base.u(s * c), s**d * base.u(c), rtol=1e-14)
+
+
 class TestMarginal:
     def test_log(self, log_field):
         assert marginal(log_field, 0, None, 2.0) == pytest.approx(0.5)
