@@ -356,8 +356,8 @@ def solve_primal(
         theta = obj.system.plan_theta(warm_start.H, warm_start.c) * (x / warm_start.x)
     elif field.degree is not None:
         def solve():
-            ref = _PrimalObjective(geo, field, 1.0)
-            theta, iterations, _ = _maximize(ref, _cold_start(ref), False, tol, max_iter)
+            at_one = _PrimalObjective(geo, field, 1.0)
+            theta, iterations, _ = _maximize(at_one, _cold_start(at_one), False, tol, max_iter)
             return {"theta": theta}, iterations
 
         ref, steps = scaling_reference(geo, "primal", field, tol, solve)

@@ -574,7 +574,8 @@ class TestScalingReference:
     def test_solves_at_one_read_the_kept_reference(self, field, monkeypatch):
         cold = []
         real = primal_module._cold_start
-        monkeypatch.setattr(primal_module, "_cold_start", lambda obj: cold.append(obj.x) or real(obj))
+        monkeypatch.setattr(primal_module, "_cold_start",
+                            lambda obj: cold.append(obj.x) or real(obj))
         model = self.model()
         first, again = solve_primal(model, field, 1.0), solve_primal(model, field, 1.0)
         assert cold == [1.0]
