@@ -345,6 +345,10 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
             raise DualityLabError(
                 f"claim must map nodes to rates or be a length-{tree.n_nodes} array"
             )
+    bad = np.flatnonzero(~np.isfinite(rates))
+    if bad.size:
+        k = int(bad[0])
+        raise DualityLabError(f"claim rate at node {tree.ids[k]!r} must be finite, got {rates[k]}")
     if np.any(rates < 0.0):
         raise DualityLabError("consumption rates must be nonnegative")
     return rates

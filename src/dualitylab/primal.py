@@ -43,15 +43,16 @@ exactly when -H + rho I is not positive definite.
 
 Each node trades the assets its market keeps (``treeops.node_markets``), the
 directions the dual prices.  Holdings are not unique when assets are
-redundant, so after convergence each node's holdings are re-extracted as the
+redundant, so after convergence each node's holdings are reported as the
 minimum-norm solution reproducing the converged one-step wealth transfers,
-from the pseudo-inverses of the price-change blocks, batched per date.
+from pseudo-inverses of the price-change blocks built once per model; a
+warm start reads the solution's theta, not these holdings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -76,7 +77,8 @@ class PrimalSolution:
     worst admissibility violation; ``y_estimate`` is the marginal value of
     wealth implied by the budget identity.  ``iterations`` counts the Newton
     steps the call ran: a log or power solve's own steps from its scaled
-    x = 1 plan, plus that plan's steps when the call solved it.
+    x = 1 plan, plus that plan's steps when the call solved it.  ``theta``
+    (read-only) is the plan in Newton variables, which ``warm_start`` reads.
     """
 
     c: np.ndarray
@@ -89,6 +91,7 @@ class PrimalSolution:
     iterations: int
     model: MarketModel
     field: UtilityField
+    theta: Optional[np.ndarray] = dc_field(default=None, repr=False, compare=False)
 
 
 class _PrimalObjective:
@@ -196,6 +199,7 @@ class _Date:
     Vt: np.ndarray  # V with its last two axes swapped, contiguous
     var: np.ndarray  # (n, n_active + 1) theta indices
     leaf_kids: bool  # no child is internal
+    pinv: Optional[np.ndarray]  # (n, n_active, width) min-norm inverse of dS on kept directions
 
 
 class _TreeSystem:
@@ -211,7 +215,6 @@ class _TreeSystem:
         consuming = geo.consuming[internal]
 
         # Holdings blocks, then the rates of the consuming internal nodes.
-        self.block_pos = internal
         self.mid_pos = internal[consuming]
         self.mid_idx = na * internal.size + np.arange(self.mid_pos.size)
         self.n_vars = na * internal.size + self.mid_pos.size
@@ -219,24 +222,24 @@ class _TreeSystem:
         var[:, :na] = na * np.arange(internal.size)[:, None] + np.arange(na)
         var[:, :na][~keep] = self.n_vars  # untraded assets
         var[consuming, na] = self.mid_idx
-        self.var = var
 
         rate = -geo.model.clock.dkappa[trim]
         self.dates = []
-        self.recast = []  # (block, P): P maps holdings to the kept assets' same transfers
         for first, own, child, dS in dates:
             span = slice(first, first + own.size)
-            for i in np.flatnonzero(keep[span].any(axis=1) & ~keep[span].all(axis=1)):
-                P = np.zeros((na, na))
-                P[keep[first + i]] = np.linalg.pinv(dS[i][:, keep[first + i]]) @ dS[i]
-                self.recast.append((first + i, P))
             real = child < trim.size
             V = np.zeros(child.shape + (na + 1,))
             V[:, :, :na] = np.where(keep[span, None], dS, 0.0)
             V[:, :, na] = np.where(real, rate[own, None], 0.0)
             leaf_kids = not geo.internal_mask[trim[child[real]]].any()
             Vt = np.ascontiguousarray(np.swapaxes(V, 1, 2))
-            self.dates.append(_Date(own, child, V, Vt, var[span], leaf_kids))
+            pinv = None
+            if na:
+                u, s, vt = np.linalg.svd(dS, full_matrices=False)
+                kept = np.arange(s.shape[1]) < keep[span].sum(axis=1)[:, None]
+                s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
+                pinv = np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
+            self.dates.append(_Date(own, child, V, Vt, var[span], leaf_kids, pinv))
 
     def wealth(self, theta):
         """Wealth change from the root at every trimmed node: one root-to-leaf pass."""
@@ -247,17 +250,6 @@ class _TreeSystem:
             # The root's own change is zero.
             w[d.child] = step if d is self.dates[0] else w[d.nodes, None] + step
         return w[:-1]
-
-    def plan_theta(self, H, c):
-        """Theta of a per-node plan: the holdings rows ``H`` and the rates ``c``
-        read at the internal trimmed nodes.  Where a node keeps some of its
-        assets only, its holdings are recast on those with the same transfers."""
-        h = H[self.block_pos]
-        for i, P in self.recast:
-            h[i] = P @ h[i]
-        theta = np.zeros(self.n_vars + 1)  # and the dummy slot
-        theta[self.var] = np.column_stack((h, c[self.block_pos]))
-        return theta[:-1]
 
     def wealth_t(self, y, squared: bool = False):
         """Transpose of ``wealth`` at values y on the trimmed nodes: one
@@ -332,8 +324,9 @@ def solve_primal(
     system and the log and power families' plan at x = 1 stay in the
     model's memo for later solves.
 
-    ``warm_start`` accepts a previous solution on the same model (any other
-    is ignored).  Wealth is jointly homogeneous in (x, plan), so its plan
+    ``warm_start`` accepts a previous solution on the same model and reads
+    its ``theta``; a solution from another model, or one without ``theta``,
+    is ignored.  Wealth is jointly homogeneous in (x, plan), so its plan
     scaled by x / warm_start.x is feasible at x, and optimal where the field
     is a pure power.  Newton starts there when that plan lies strictly
     inside the domain, entering the dead-root barrier at its final weight,
@@ -352,8 +345,8 @@ def solve_primal(
 
     obj = _PrimalObjective(geo, field, x)
     theta, steps = None, 0
-    if warm_start is not None and warm_start.model is model:
-        theta = obj.system.plan_theta(warm_start.H, warm_start.c) * (x / warm_start.x)
+    if warm_start is not None and warm_start.model is model and warm_start.theta is not None:
+        theta = warm_start.theta * (x / warm_start.x)
     elif field.degree is not None:
         def solve():
             at_one = _PrimalObjective(geo, field, 1.0)
@@ -500,21 +493,15 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     trim = geo.trimmed
     x_post[trim] = x_pre[trim] - c[trim] * clock.dkappa[trim]
 
-    # Minimum-norm holdings reproducing each internal node's transfers: the
-    # pseudo-inverse of its price changes on as many singular directions as
-    # it keeps assets.  A spare child slot has a zero price change and target.
+    # Minimum-norm holdings reproducing each internal node's transfers.  A
+    # spare child slot has a zero price change and target.
     H = np.zeros((n, na))
     pre = np.append(x_pre[trim], 0.0)
-    _, _, _, dates, keep = geo.markets()
-    for first, own, child, dS in dates if na else ():
-        pos = trim[own]
-        target = pre[child] - x_post[pos][:, None]
-        target[child == trim.size] = 0.0
-        u, s, vt = np.linalg.svd(dS, full_matrices=False)
-        kept = np.arange(s.shape[1]) < keep[first : first + own.size].sum(axis=1)[:, None]
-        s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
-        pinv = np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
-        H[pos] = (pinv @ target[:, :, None])[:, :, 0]
+    for d in obj.system.dates if na else ():
+        pos = trim[d.nodes]
+        target = pre[d.child] - x_post[pos][:, None]
+        target[d.child == trim.size] = 0.0
+        H[pos] = (d.pinv @ target[:, :, None])[:, :, 0]
 
     # Re-derive the wealth path from the reported strategy so the returned
     # triple is exactly self-consistent.
@@ -536,6 +523,7 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     budget = float(np.dot(tree.path_prob[cons] * clock.dkappa[cons] * c[cons], marg))
     y_hat = budget / x
 
+    theta.setflags(write=False)
     return PrimalSolution(
         c=c,
         H=H,
@@ -547,6 +535,7 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
         iterations=iterations,
         model=model,
         field=field,
+        theta=theta,
     )
 
 

@@ -23,6 +23,7 @@ the base conjugate sup_x (u(x) - x y).
 from __future__ import annotations
 
 import math
+from numbers import Real
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -216,6 +217,10 @@ class UtilityField:
     force_numeric_inverse: bool = False
 
     def __post_init__(self):
+        for name in ("gamma", "alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
+                raise DualityLabError(f"{name} must be a real, finite number, got {value!r}")
         if self.family == "log":
             pass
         elif self.family == "power":

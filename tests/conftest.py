@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from dualitylab.market import ExampleMarketSpec, build_example_market, build_tree
 from dualitylab.utility import UtilityField
+
+
+# A failing example prints the blob that @reproduce_failure replays, so a
+# draw that fails once can be run again as it was.  What is drawn, and how
+# many examples, stays as each test sets it.
+settings.register_profile("dualitylab", print_blob=True)
+settings.load_profile("dualitylab")
 
 
 def single_path_model(dkappas, bound, n_assets=0):

@@ -168,6 +168,14 @@ class TestReports:
         assert doc["price"] == pytest.approx(1.0, abs=1e-8)
         assert doc["gap"] <= 1e-8
 
+    def test_superrep_nonfinite_claim_exits_1(self, binom_path, tmp_path, capsys):
+        claim = tmp_path / "claim.json"
+        claim.write_text('{"1": NaN}')
+        code = main(["superrep", "--model", binom_path, "--claim", str(claim),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "node 1 must be finite" in capsys.readouterr().err
+
     def test_superrep_custom_claim(self, binom_path, tmp_path):
         claim = tmp_path / "claim.json"
         # digital claim paying on the up leaf (node id 1)
@@ -312,12 +320,21 @@ class TestConfigFile:
         ("solve-primal", "log", {"x": "abc"}),
         ("converge", "log", {"n_max": "3"}),
         ("converge", "log", {"grid_points": 2.5}),
+        ("solve-dual", "power:-inf", {}),
+        ("solve-dual", "power:nan", {}),
+        ("solve-primal", "bounded:0.5,inf", {}),
+        ("solve-primal", {"family": "power", "gamma": "0.5"}, {}),
     ])
     def test_unparsable_values_exit_1(self, example3_path, tmp_path, capsys,
                                       command, utility, config):
         cfg = tmp_path / "run.json"
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
+        if isinstance(utility, dict):  # a utility file
+            spec = tmp_path / "utility.json"
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(utility, fh)
+            utility = str(spec)
         code = main([
             command, "--config", str(cfg), "--model", example3_path,
             "--utility", utility, "--out", str(tmp_path / "o"),

@@ -245,6 +245,25 @@ class TestSuperreplication:
         with pytest.raises(DualityLabError):
             superreplication_price(binom1, np.full(binom1.n_nodes, -1.0))
 
+    @pytest.mark.parametrize("price", [superreplication_price, dual_superrep_price],
+                             ids=["primal", "dual"])
+    @pytest.mark.parametrize("claim, node", [
+        ({1: math.nan}, 1),
+        ({1: math.inf}, 1),
+        (None, 0),
+    ], ids=["nan", "inf", "nan-array"])
+    def test_nonfinite_rates_rejected_before_the_gate(self, binom1, monkeypatch, price, claim,
+                                                      node):
+        def reached(*args, **kwargs):
+            raise AssertionError("ran past the claim check")
+
+        monkeypatch.setattr(harness, "ensure_full_density", reached)
+        monkeypatch.setattr(harness, "linprog", reached)
+        if claim is None:
+            claim = np.full(binom1.n_nodes, math.nan)
+        with pytest.raises(DualityLabError, match=f"node {node} must be finite"):
+            price(binom1, claim)
+
 
 def dense_superrep_price(model, rates):
     """Least capital x with x + G h >= cumulative spend at every node, G the

@@ -528,12 +528,16 @@ class TestWarmStart:
                                                  spoil):
         model = two_period_mid_clock
         start = solve_primal(model, bounded_field, 1.0)
-        if spoil == "rates":
-            start = dataclasses.replace(start, c=-start.c)
-        else:
-            start = dataclasses.replace(start, H=-1e3 * start.H)
         obj = _PrimalObjective(build_geometry(model), bounded_field, 1.5)
-        assert not obj.in_domain(obj.system.plan_theta(start.H, start.c))
+        theta = start.theta.copy()
+        rates = np.zeros(theta.size, dtype=bool)
+        rates[obj.mid_idx] = True
+        if spoil == "rates":
+            theta[rates] *= -1.0
+        else:
+            theta[~rates] *= -1e3  # the holdings
+        start = dataclasses.replace(start, theta=theta)
+        assert not obj.in_domain(start.theta * 1.5)
         cold = solve_primal(model, bounded_field, 1.5)
         self.assert_same(solve_primal(model, bounded_field, 1.5, warm_start=start), cold)
 
@@ -716,6 +720,29 @@ def test_untraded_holdings_keep_the_newton_step_exact():
         for x in (0.5, 1.0, 2.0):
             sol = solve_primal(model, RANDOM_TREE_FIELDS[family], x, 1e-10)
             assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("family", ["log", "power", "bounded"])
+@pytest.mark.parametrize("market", ["collinear", "collinear-dead-roots"])
+def test_warm_starts_on_partially_kept_markets(market, family):
+    # Nodes whose markets keep some of their assets only: the warm start
+    # reads the earlier plan in the Newton layout, where the dropped assets
+    # have no slot, not the minimum-norm holdings spread over all of them.
+    if market == "collinear":
+        model = COLLINEAR_PRIMAL
+    else:
+        model = load_model(Path(__file__).with_name("data") / "collinear_dead_roots.json")
+    keep = build_geometry(model).markets()[4]
+    assert (keep.any(axis=1) & ~keep.all(axis=1)).any()
+    field = UtilityField(family=family, **TestWarmStart.PARAMS[family])
+    start = solve_primal(model, field, 1.0, 1e-10)
+    cold = solve_primal(model, field, 2.0, 1e-10)
+    warm = solve_primal(model, field, 2.0, 1e-10, warm_start=start)
+    assert abs(warm.value - cold.value) <= warm.kkt_residual + cold.kkt_residual
+    if family == "bounded":
+        assert warm.iterations < cold.iterations
+    else:
+        assert warm.iterations == 1
 
 
 @pytest.mark.xfail(

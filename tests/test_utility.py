@@ -260,6 +260,18 @@ class TestSpecParsing:
         with pytest.raises(DualityLabError):
             UtilityField(family="no-such-family")
 
+    @pytest.mark.parametrize("params", [
+        {"family": "power", "gamma": math.nan},
+        {"family": "power", "gamma": -math.inf},
+        {"family": "power", "gamma": "0.5"},
+        {"family": "bounded", "alpha": math.nan, "beta": 2.0},
+        {"family": "bounded", "alpha": 0.5, "beta": math.inf},
+        {"family": "bounded", "alpha": 0.5, "beta": "2"},
+    ], ids=["gamma-nan", "gamma-neg-inf", "gamma-str", "alpha-nan", "beta-inf", "beta-str"])
+    def test_rejects_parameters_that_are_not_finite_numbers(self, params):
+        with pytest.raises(DualityLabError, match="real, finite number"):
+            UtilityField(**params)
+
     def test_negative_gamma_allowed(self):
         field = UtilityField(family="power", gamma=-1.0)
         assert check_inada(field).passed
