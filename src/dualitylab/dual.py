@@ -31,9 +31,9 @@ keeps iterates interior.  Newton steps are taken inside the affine set in
 iterate-scaled (Dikin) coordinates, where the barrier contributes exactly
 its weight to the diagonal: in leaf measures the multipliers come from an
 SVD least-squares solve rather than the squared-conditioning Schur
-complement, in node measures from one sparse LU of the KKT matrix.  Either
-way optimality is certified by the separable Lagrangian lower bound at the
-Newton multipliers.
+complement, in node measures from a QR elimination per date (``_NodeKKT``).
+The separable Lagrangian lower bound at the Newton multipliers certifies
+optimality; where the density is unique, only that final stage runs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import LinearConstraint, linprog, minimize
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
@@ -245,8 +244,8 @@ class _DualObjective:
 
     The coordinates sit at the tree positions ``coords``: by default the
     trimmed leaves when every consuming node is one of them, else every
-    trimmed node.  Either way each consuming node reads one scaled
-    coordinate Z = m / P.
+    trimmed node, where each consuming node reads Z = m / P.  The density
+    has sum over internal nodes of (children - 1 - kept assets) free directions.
     """
 
     def __init__(self, geo: Geometry, field: UtilityField, y: float, coords=None):
@@ -269,13 +268,14 @@ class _DualObjective:
         return self.coords is self.geo.trimmed
 
     def constraints(self):
-        """(A, b) with A q = b in these coordinates."""
+        """(A, b, kkt): A q = b here, and node measures' ``_NodeKKT`` (else None)."""
         geo = self.geo
         if self.in_nodes:
-            return geo.memo(
+            A, b, price_row = geo.memo(
                 "node_system", lambda: node_system(geo.model, geo.trimmed, geo.markets())
-            )[:2]
-        return _measure_system(geo)[:2]
+            )
+            return A, b, geo.memo("node_kkt", lambda: _NodeKKT(geo, price_row))
+        return _measure_system(geo)[:2] + (None,)
 
     def measures(self, zeta: np.ndarray) -> np.ndarray:
         """These coordinates of the density with trimmed-leaf values ``zeta``."""
@@ -408,7 +408,7 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
     q = None
     if warm_start is not None and np.asarray(warm_start).size == geo.solve_leaves.size:
         cand = obj.measures(np.asarray(warm_start, dtype=float))
-        A, b = obj.constraints()
+        A, b, _ = obj.constraints()
         if np.min(cand) > 0.0 and np.max(np.abs(A @ cand - b)) < 1e-8:
             q = cand
     if q is None:
@@ -445,11 +445,12 @@ def _barrier_solve(obj, q, tol, max_iter):
 
     Starts from the strictly positive feasible point ``q`` in
     ``obj.coords``; returns the certified measure there, its value F and the
-    Newton iteration count.
+    Newton iteration count.  Where ``_DualObjective``'s free-direction count
+    is 0 (``node_system`` is square), ``q`` is the only density: one stage runs.
     """
     geo = obj.geo
     y = obj.y
-    A, b = obj.constraints()
+    A, b, kkt = obj.constraints()
     n = geo.solve_leaves.size
 
     # Barrier weights: plain mu on the trimmed-leaf measures, none on inner
@@ -473,6 +474,8 @@ def _barrier_solve(obj, q, tol, max_iter):
     mus = [1e-2]
     while mus[-1] > 2e-16:
         mus.append(max(mus[-1] * 1e-2, 2e-16))
+    internal, kids, _, _, keep = geo.markets()  # no free direction: the last stage only
+    mus = mus[-1:] if kids.size == internal.size + keep.sum() else mus
 
     eps = np.finfo(float).eps
     iterations = 0
@@ -498,7 +501,7 @@ def _barrier_solve(obj, q, tol, max_iter):
             iterations += 1
             g_obj, h_obj = obj.derivatives(q)
             g = g_obj - bw / q
-            step, lam2, nu = _scaled_newton_step(A, b, q, g_obj, h_obj, bw)
+            step, lam2, nu = _scaled_newton_step(A, b, kkt, q, g_obj, h_obj, bw)
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
@@ -543,7 +546,7 @@ def _barrier_solve(obj, q, tol, max_iter):
     r = b - A @ q
     drift = float(np.max(np.abs(r)))
     if drift > 1e-13:
-        q = q + _min_norm_correction(A, r)
+        q = q + _min_norm_correction(A, r, kkt)
         if float(np.min(q)) <= 0.0 or float(np.max(np.abs(b - A @ q))) > 1e-12:
             raise ConvergenceError(
                 f"dual solve at y={y} drifted {drift:.3g} off the density constraints"
@@ -578,10 +581,10 @@ def scaling_reference(geo: Geometry, side: str, field: UtilityField, tol: float,
     return entry, steps
 
 
-def _min_norm_correction(A, r):
-    """Least-norm d with A d = r, that is A' (A A')^-1 r."""
-    if sparse.issparse(A):
-        return _kkt_step_sparse(A, r, np.zeros(A.shape[1]), np.ones(A.shape[1]))[0]
+def _min_norm_correction(A, r, kkt=None):
+    """Least-norm d with A d = r: A' (A A')^-1 r, or ``kkt``'s step at q = h = 1."""
+    if kkt is not None:
+        return kkt.solve(np.ones(A.shape[1]), r, np.zeros(A.shape[1]), np.ones(A.shape[1]))[0]
     gram = A @ A.T
     try:
         return A.T @ np.linalg.solve(gram, r)
@@ -608,25 +611,76 @@ def _kkt_step_core(A, r, g, hdiag):
     return step, lam2, nu
 
 
-def _kkt_step_sparse(A, r, g, hdiag):
-    """The step of ``_kkt_step_core`` for a sparse A of full row rank.
+class _NodeKKT:
+    """``_kkt_step_core``'s step for ``node_system``'s A, nu in its rows: one
+    elimination per date of ``Geometry.markets`` leaves up, then root down.
 
-    One sparse LU of [[diag(h), A'], [A, 0]].  Entries of h may vanish where
-    the rows pin the coordinate (inner node measures are sums of the leaf
-    measures below them), so h^-1 is never formed.
+    In the measure steps delta = q du, child c hands its parent k a curvature
+    a_c and gradient beta_c in delta_c; k minimizes their sum over its rows
+    [1, dS_c] delta_C = (delta_k - P r_balance, P r_price) by one batched
+    Householder QR of M = [1, dS_c] / sqrt(a_c), rows by decreasing size so
+    that small parts stay accurate (an unkept asset: a unit column on a
+    spare row).  The step's part outside M's range is taken in the complete
+    QR's complement, which a complete node spans by zero rows alone, so it
+    is exactly 0 there; rebuilt from the range, it would cancel.
     """
-    kkt = sparse.bmat([[sparse.diags(hdiag), A.T], [A, None]], format="csc")
-    try:
-        sol = splu(kkt).solve(np.concatenate((-g, r)))
-    except RuntimeError:  # exactly singular
-        sol = np.array([np.nan])
-    if not np.all(np.isfinite(sol)):
-        raise ConvergenceError("dual Newton system could not be factorized")
-    step = sol[: g.size]
-    return step, float(np.dot(step, hdiag * step)), sol[g.size :]
+
+    def __init__(self, geo: Geometry, price_row: np.ndarray):
+        _, _, _, dates, keep = geo.markets()
+        n, na = geo.trimmed.size, geo.model.n_active
+        scale = geo.tree.path_prob[geo.trimmed, None] * np.append(-1.0, np.ones(na))
+        self.n_rows, self.dates = 1 + keep.shape[0] + int(keep.sum()), []
+        for first, own, child, dS in dates:
+            span, w = slice(first, first + own.size), child.shape[1]
+            child = np.pad(child, ((0, 0), (0, na)), constant_values=n)
+            B = np.zeros(child.shape + (1 + na,))
+            B[:, :w] = np.concatenate((child[:, :w, None] < n, dS * keep[span, None]), axis=2)
+            B[:, w + np.arange(na), 1 + np.arange(na)] = ~keep[span]
+            # An unkept asset's row -1 reads r = 0 and writes nu's spare entry.
+            rows = np.hstack((1 + first + np.arange(own.size)[:, None], price_row[span]))
+            self.dates.append((own, child, B, np.abs(B).max(axis=2), scale[own], rows))
+
+    def solve(self, q, r, g, h):
+        """(du, du' h du, nu) of min g' du + du' diag(h) du / 2, A diag(q) du = r,
+        for h > 0 on the trimmed leaves and h >= 0 on the inner nodes."""
+        a, beta, r = np.append(h / q**2, 1.0), np.append(g / q, 0.0), np.append(r, 0.0)
+        done = []
+        for own, child, B, size, p, rows in reversed(self.dates):
+            s = 1.0 / np.sqrt(a[child])
+            o = np.argsort(-s * size, axis=1) + child.shape[1] * np.arange(own.size)[:, None]
+            child, s = child.ravel()[o], s.ravel()[o]
+            hv, tau = np.linalg.qr(B.reshape(-1, B.shape[2])[o] * s[:, :, None], mode="raw")
+            m = tau.shape[1]
+            R = np.triu(np.swapaxes(hv[:, :, :m], 1, 2))
+            c = _reflect(hv, tau, beta[child] * s, range(m))  # Q' beta / sqrt(a)
+            rhs = np.stack((np.broadcast_to(np.arange(m) == 0, p.shape), r[rows] * p), axis=2)
+            rho, z0 = np.moveaxis(np.linalg.solve(np.swapaxes(R, 1, 2), rhs), 2, 0)
+            a[own] += np.sum(rho * rho, axis=1)
+            beta[own] += np.sum(rho * (z0 + c[:, :m]), axis=1)
+            done.append((own, p, rows, child, s, hv, tau, R, c, rho, z0))
+        delta, nu = np.zeros(a.size), np.zeros(self.n_rows + 1)
+        delta[0], nu[0] = r[0], -(a[0] * r[0] + beta[0])
+        for own, p, rows, child, s, hv, tau, R, c, rho, z0 in reversed(done):
+            z = rho * delta[own, None] + z0
+            nu[rows] = -p * np.linalg.solve(R, (z + c[:, : z.shape[1]])[:, :, None])[:, :, 0]
+            x = np.concatenate((z, -c[:, z.shape[1] :]), axis=1)
+            delta[child] = _reflect(hv, tau, x, range(z.shape[1] - 1, -1, -1)) * s  # Q x
+        du = delta[:-1] / q
+        if not np.all(np.isfinite(du)):
+            raise ConvergenceError("dual Newton system could not be solved")
+        return du, float(np.dot(du, h * du)), nu[:-1]
 
 
-def _scaled_newton_step(A, b, q, g_obj, h_obj, bw):
+def _reflect(hv, tau, x, order):
+    """Q' x (``order`` rising) or Q x (falling), in place, from ``qr``'s raw form."""
+    for j in order:
+        d = tau[:, j] * (x[:, j] + np.einsum("nw,nw->n", hv[:, j, j + 1 :], x[:, j + 1 :]))
+        x[:, j] -= d
+        x[:, j + 1 :] -= d[:, None] * hv[:, j, j + 1 :]
+    return x
+
+
+def _scaled_newton_step(A, b, kkt, q, g_obj, h_obj, bw):
     """Newton step in Dikin coordinates d(q) = q * du.
 
     Rescaling by the current iterate equalizes the barrier's diagonal
@@ -637,8 +691,8 @@ def _scaled_newton_step(A, b, q, g_obj, h_obj, bw):
     """
     g_u = q * g_obj - bw
     h_u = q * q * h_obj + bw
-    if sparse.issparse(A):
-        du, lam2, nu = _kkt_step_sparse(A @ sparse.diags(q), b - A @ q, g_u, h_u)
+    if kkt is not None:
+        du, lam2, nu = kkt.solve(q, b - A @ q, g_u, h_u)
     else:
         du, lam2, nu = _kkt_step_core(A * q[None, :], b - A @ q, g_u, h_u)
     return q * du, lam2, nu

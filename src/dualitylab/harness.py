@@ -338,7 +338,10 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
         for nid, val in c.items():
             if nid not in tree.index_of:
                 raise DualityLabError(f"claim references unknown node {nid!r}")
-            rates[tree.index_of[nid]] = float(val)
+            try:
+                rates[tree.index_of[nid]] = float(val)
+            except (TypeError, ValueError) as exc:
+                raise DualityLabError(f"claim rate at node {nid!r} is not a number") from exc
     else:
         rates = np.asarray(c, dtype=float)
         if rates.shape != (tree.n_nodes,):

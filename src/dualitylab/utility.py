@@ -406,7 +406,10 @@ def field_from_spec(spec: dict) -> UtilityField:
         raise DualityLabError(f"utility family must be one of {FAMILIES}, got {family!r}")
     weights = spec.get("weights")
     if weights is not None:
-        weights = {key: float(val) for key, val in weights.items()}
+        try:
+            weights = {key: float(val) for key, val in weights.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DualityLabError(f"utility weights must map node ids to numbers: {exc}") from exc
     return UtilityField(
         family=family,
         gamma=spec.get("gamma"),

@@ -324,9 +324,19 @@ class TestConfigFile:
         ("solve-dual", "power:nan", {}),
         ("solve-primal", "bounded:0.5,inf", {}),
         ("solve-primal", {"family": "power", "gamma": "0.5"}, {}),
+        ("solve-primal", {"family": "log", "weights": {"1": None}}, {}),
+        ("solve-primal", {"family": "log", "weights": [1]}, {}),
+        ("superrep", "log", {"claim": {"1": "abc"}}),
+        ("superrep", "log", {"claim": {"1": None}}),
     ])
     def test_unparsable_values_exit_1(self, example3_path, tmp_path, capsys,
                                       command, utility, config):
+        config = dict(config)
+        if "claim" in config:  # a claim file
+            claim = tmp_path / "claim.json"
+            with open(claim, "w", encoding="utf-8") as fh:
+                json.dump(config["claim"], fh)
+            config["claim"] = str(claim)
         cfg = tmp_path / "run.json"
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(config, fh)

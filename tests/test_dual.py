@@ -16,7 +16,13 @@ from dualitylab.dual import (
 )
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.harness import dual_superrep_price, superreplication_price
-from dualitylab.market import build_tree, model_to_dict, truncate
+from dualitylab.market import (
+    ExampleMarketSpec,
+    build_example_market,
+    build_tree,
+    model_to_dict,
+    truncate,
+)
 from dualitylab.primal import solve_primal
 from dualitylab.treeops import build_geometry, full_polytope_matrices, node_markets, node_system
 from dualitylab.utility import UtilityField
@@ -537,6 +543,126 @@ def test_singleton_polytope_with_collinear_children_certifies(family):
         assert poly.residual(sol.Z[model.tree.leaves]) <= 1e-12
 
 
+def _node_step_system(model):
+    """(geo, A, kkt): the node-measure constraint matrix, dense, and its
+    Newton-step solver, on any model that passes the gate."""
+    geo = build_geometry(model)
+    ensure_full_density(geo)
+    A, _, kkt = dual._DualObjective(geo, RANDOM_TREE_FIELDS["log"], 1.0, geo.trimmed).constraints()
+    return geo, A.toarray(), kkt
+
+
+def _check_node_step(geo, A, kkt, q, r, g, h, dense=True):
+    """The step and multipliers solve [[diag h, At'], [At, 0]] with At = A diag(q):
+    both block rows hold to 1e-12 of their scale.  With ``dense``,
+    np.linalg.lstsq on the symmetrically equilibrated matrix agrees there to
+    its condition number times rounding, wherever that leaves digits."""
+    du, lam2, nu = kkt.solve(q, r, g, h)
+    At = A * q
+    feas = np.abs(At @ du - r).max()
+    assert feas <= 1e-12 * ((np.abs(At) @ np.abs(du)).max() + np.abs(r).max())
+    stat = np.abs(h * du + At.T @ nu + g).max()
+    assert stat <= 1e-12 * (np.abs(h * du).max() + (np.abs(At.T) @ np.abs(nu)).max()
+                            + np.abs(g).max())
+    assert lam2 == pytest.approx(float(np.dot(du, h * du)), rel=1e-12)
+
+    m, n = A.shape
+    K = np.block([[np.diag(h), At.T], [At, np.zeros((m, m))]])
+    d = np.ones(n + m)
+    for _ in range(20):  # Ruiz scaling: every row and column of d K d near unit size
+        d /= np.sqrt(np.abs(K * d[:, None] * d[None, :]).max(axis=1))
+    sol, _, _, sv = np.linalg.lstsq(K * d[:, None] * d[None, :], d * np.append(-g, r), rcond=None)
+    cond = sv[0] / sv[-1]
+    if dense and cond < 1e10:
+        err = np.abs(np.append(du, nu) / d - sol).max()
+        assert err <= 1e-12 * cond * (np.abs(sol).max() + np.abs(d * np.append(g, r)).max())
+    return du
+
+
+class TestNodeStep:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_models(), random_models(martingale=True)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_kkt_solve(self, model, seed):
+        # Random trees bring inner-date consumption, dead roots, one-child
+        # nodes and assets a node cannot trade apart (a partial ``keep``).
+        try:
+            geo, A, kkt = _node_step_system(model)
+        except InfeasibleMarketError:
+            return
+        rng = np.random.default_rng(seed)
+        n = A.shape[1]
+        h = 10.0 ** rng.uniform(-16.0, 0.0, n)
+        # As in the solver, an inner node that does not consume has no curvature.
+        h[geo.internal_mask[geo.trimmed] & ~geo.consuming[geo.trimmed]] = 0.0
+        _check_node_step(geo, A, kkt, 10.0 ** rng.uniform(-3.0, 0.0, n),
+                         rng.standard_normal(A.shape[0]), rng.standard_normal(n), h)
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: binomial_model(2, 0.6, {1: 0.5, 2: 0.5}, copies=2), id="copies"),
+        pytest.param(_consuming_inner_partial_clock, id="dead-root"),
+        pytest.param(lambda: build_tree(SINGLETON_SPREAD), id="collinear"),
+    ])
+    def test_fixed_trees_match_the_dense_kkt_solve(self, model):
+        geo, A, kkt = _node_step_system(model())
+        rng = np.random.default_rng(7)
+        n = A.shape[1]
+        for _ in range(5):
+            _check_node_step(geo, A, kkt, 10.0 ** rng.uniform(-3.0, 0.0, n),
+                             rng.standard_normal(A.shape[0]), rng.standard_normal(n),
+                             10.0 ** rng.uniform(-16.0, 0.0, n))
+
+    def test_complete_tree_step_stays_at_rounding_size(self):
+        # A complete node has no direction outside its block's range; taking
+        # one from the range there would cancel |g| / sqrt(h) ~ 1e16 down to
+        # the constraints' size, and miss them by O(1).
+        model = binomial_model(4, 0.6, {t: 0.25 for t in range(1, 5)})
+        geo, A, kkt = _node_step_system(model)
+        q = (model.tree.path_prob * ensure_full_density(geo))[geo.trimmed]
+        rng = np.random.default_rng(3)
+        n = A.shape[1]
+        g = 1e8 * rng.standard_normal(n)
+        h = 10.0 ** rng.uniform(-16.0, 0.0, n)
+        r = np.append(1.0, np.zeros(A.shape[0] - 1)) - A @ q
+        du = _check_node_step(geo, A, kkt, q, r, g, h, dense=False)
+        assert np.abs(q * du).max() <= 1e-14
+
+
+SINGLETON_MODELS = {
+    "binom1": lambda: build_example_market(ExampleMarketSpec(1, (0.6,))),
+    "collinear": lambda: build_tree(SINGLETON_SPREAD),
+    "binomial4-inner": lambda: binomial_model(4, 0.6, {t: 0.25 for t in range(1, 5)}),
+}
+
+
+class TestSingletonPolytope:
+    # A tree with no free direction has one density: the gate's.  Its dual
+    # runs only the final, certified barrier stage, whose first Newton step
+    # is already below the stage's tolerance.
+    @pytest.mark.parametrize("family", sorted(RANDOM_TREE_FIELDS))
+    @pytest.mark.parametrize("name", sorted(SINGLETON_MODELS))
+    def test_one_newton_step_at_the_gates_density(self, name, family):
+        model = SINGLETON_MODELS[name]()  # fresh: no kept reference
+        field = RANDOM_TREE_FIELDS[family]
+        geo = build_geometry(model)
+        z = ensure_full_density(geo)
+        cons = np.flatnonzero(model.clock.dkappa > 0.0)
+        coef = model.tree.path_prob[cons] * model.clock.dkappa[cons]
+        for y in (0.3, 2.0):
+            sol = solve_dual(model, field, y, 1e-10)
+            if y == 0.3 or field.degree is None:  # log and power read the y = 0.3 solve
+                assert sol.iterations == 1
+            expect = float(np.dot(coef, field.base().v(y * z[cons])))
+            assert sol.value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(RANDOM_TREE_FIELDS))
+    def test_incomplete_tree_keeps_the_barrier_continuation(self, family):
+        # example2's polytope is a segment; its solve steps through every
+        # barrier stage, 9 Newton steps as before the singleton rule.
+        model = build_example_market(ExampleMarketSpec(2, (0.6, 0.7)))
+        assert solve_dual(model, RANDOM_TREE_FIELDS[family], 0.5).iterations == 9
+
+
 class TestDualOverMeasures:
     @pytest.mark.parametrize("y", [0.05, 0.4, 1.0, 6.0])
     def test_matches_solve_dual_binomial(self, binom1, log_field, y):
@@ -568,9 +694,9 @@ class TestDualOverMeasures:
 @pytest.mark.xfail(
     raises=ConvergenceError,
     reason="tiny leaf probabilities on a terminal-clock tree: the leaf-measure "
-    "solve ends 1.8e6 and 4.2e6 off the density constraints, and its "
-    "node-measure fallback still 5.8e-11 and 5.6e-9, which the projection "
-    "back cannot repair (ROADMAP item 5)",
+    "solve ends 2.3e5 and 2.2e7 off the density constraints, and its "
+    "node-measure fallback still 2.3e-10 and 5.6e-9, which the projection "
+    "back cannot repair (ROADMAP item 3)",
 )
 @pytest.mark.parametrize(
     "periods, p, family",

@@ -748,7 +748,7 @@ def test_warm_starts_on_partially_kept_markets(market, family):
 @pytest.mark.xfail(
     raises=ConvergenceError,
     reason="a leaf probability of 1e-6 on a terminal-clock tree: the Newton "
-    "iteration exhausts its 500-step budget (ROADMAP item 5)",
+    "iteration exhausts its 500-step budget (ROADMAP item 3)",
 )
 def test_tiny_leaf_probability_terminal_clock(bounded_field):
     model = binomial_model(2, 0.999999, {2: 1.0})
