@@ -41,6 +41,16 @@ factorization of -H + rho I, which has no fill, so a step costs
 O(nodes * (n_active + 1)^3), and in exact arithmetic a K_k fails Cholesky
 exactly when -H + rho I is not positive definite.
 
+A cold solve starts from the density plan c = I(y Z / w), the relation
+between optimal consumption and the dual optimizer, taken at the gate's
+density Z (``ensure_full_density``) with the one y whose plan costs x.
+Its wealth is the Z-price of the consumption still to come, and each
+internal node's holdings fit the wealth moves into its children by least
+squares.  Where Z is the only martingale density this is the optimal plan,
+so Newton certifies it in one step; on other trees it is a start like any
+other, and where it is not strictly inside the domain (dead roots receive
+nothing under it) Newton starts from zero holdings instead.
+
 Each node trades the assets its market keeps (``treeops.node_markets``), the
 directions the dual prices.  Holdings are not unique when assets are
 redundant, so after convergence each node's holdings are reported as the
@@ -56,6 +66,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dual import ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
@@ -122,12 +133,13 @@ class _PrimalObjective:
         self.n_dead = self.dead_t.size
         self.degree = field.degree
 
-    def _inside(self, theta):
-        """(rates, effective-leaf wealth, dead-root wealth), or None outside the domain."""
+    def _inside(self, theta, w=None):
+        """(rates, effective-leaf wealth, dead-root wealth), or None outside the
+        domain; ``w`` is theta's ``_TreeSystem.wealth`` where the caller has it."""
         c_mid = theta[self.mid_idx]
         if c_mid.size and np.min(c_mid) <= 0.0:
             return None
-        s = self.x + self.system.wealth(theta)
+        s = self.x + (self.system.wealth(theta) if w is None else w)
         s_eff = s[self.eff_t]
         if s_eff.size and np.min(s_eff) <= 0.0:
             return None
@@ -136,12 +148,12 @@ class _PrimalObjective:
             return None
         return c_mid, s_eff, s_dead
 
-    def in_domain(self, theta) -> bool:
-        return self._inside(theta) is not None
+    def in_domain(self, theta, w=None) -> bool:
+        return self._inside(theta, w) is not None
 
-    def value(self, theta, mu: float) -> float:
+    def value(self, theta, mu: float, w=None) -> float:
         """Objective plus the dead-root barrier; -inf outside the domain."""
-        inside = self._inside(theta)
+        inside = self._inside(theta, w)
         if inside is None:
             return -math.inf
         c_mid, s_eff, s_dead = inside
@@ -155,13 +167,13 @@ class _PrimalObjective:
             total += mu * float(np.sum(np.log(s_dead)))
         return total
 
-    def grad_curv(self, theta, mu: float):
+    def grad_curv(self, theta, mu: float, w=None):
         """Gradient g and the curvatures of -H = sum_t a_t r_t r_t^T + diag(pd).
 
         ``a`` runs over the trimmed nodes and is zero at internal ones; ``pd``
         runs over theta and is zero at holdings.
         """
-        s = self.x + self.system.wealth(theta)
+        s = self.x + (self.system.wealth(theta) if w is None else w)
         y = np.zeros(self.system.n_trim)  # marginal value of wealth per trimmed node
         a = np.zeros(self.system.n_trim)
         pd = np.zeros(theta.size)
@@ -233,12 +245,7 @@ class _TreeSystem:
             V[:, :, na] = np.where(real, rate[own, None], 0.0)
             leaf_kids = not geo.internal_mask[trim[child[real]]].any()
             Vt = np.ascontiguousarray(np.swapaxes(V, 1, 2))
-            pinv = None
-            if na:
-                u, s, vt = np.linalg.svd(dS, full_matrices=False)
-                kept = np.arange(s.shape[1]) < keep[span].sum(axis=1)[:, None]
-                s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
-                pinv = np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
+            pinv = _pinv(dS, keep[span].sum(axis=1)) if na else None
             self.dates.append(_Date(own, child, V, Vt, var[span], leaf_kids, pinv))
 
     def wealth(self, theta):
@@ -262,6 +269,16 @@ class _TreeSystem:
             if d is not self.dates[0]:  # the root's sum is never read
                 subtree[d.nodes] += y_c.sum(axis=1)
         return out[:-1]
+
+    def transfers(self, pre, post):
+        """Each date with its (n, width) wealth moves: from its nodes'
+        post-consumption wealth ``post`` to their children's pre-consumption
+        wealth ``pre``, both over the trimmed nodes, and zero in spare slots."""
+        pre = np.append(pre, 0.0)
+        for d in self.dates:
+            move = pre[d.child] - post[d.nodes, None]
+            move[d.child == self.n_trim] = 0.0
+            yield d, move
 
     def solve(self, g, a, pd, ridge: float):
         """Solve (-H + ridge I) d = g by one backward and one forward pass.
@@ -306,6 +323,15 @@ class _TreeSystem:
         return step[:-1]
 
 
+def _pinv(M, rank):
+    """Pseudo-inverses of the stacked blocks ``M``, each from its leading
+    ``rank`` singular values."""
+    u, s, vt = np.linalg.svd(M, full_matrices=False)
+    kept = np.arange(s.shape[1]) < rank[:, None]
+    s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
+    return np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
+
+
 def solve_primal(
     model: MarketModel,
     field: UtilityField,
@@ -330,9 +356,12 @@ def solve_primal(
     scaled by x / warm_start.x is feasible at x, and optimal where the field
     is a pure power.  Newton starts there when that plan lies strictly
     inside the domain, entering the dead-root barrier at its final weight,
-    and from the cold start otherwise.  Without a warm start, a log or power
-    field starts from its plan at x = 1 scaled by x, which the first such
-    call solves (``scaling_reference``); the scaling law is exact for these
+    and from ``_cold_start`` otherwise: the density plan c = I(y Z / w) at
+    the gate's density, optimal where that density is the only one, or
+    zero holdings where that plan leaves the domain, as on trees with dead
+    roots.  Without a warm start, a log or power field starts from its plan
+    at x = 1 scaled by x, which the first such call solves from the cold
+    start (``scaling_reference``); the scaling law is exact for these
     fields, barrier included, so one Newton step certifies the plan.
     """
     if not math.isfinite(x) or x <= 0.0:
@@ -364,13 +393,86 @@ def solve_primal(
 
 
 def _cold_start(obj):
-    """No holdings, and each consuming internal node eating x / (2 A)."""
+    """The density plan (``_density_plan``) where it lies strictly inside
+    the domain; else no holdings, and each consuming internal node eating
+    x / (2 A).
+
+    A dead root receives nothing under the density plan, which therefore
+    never starts a tree with dead roots.
+    """
+    if not obj.n_dead:
+        theta = _density_plan(obj)
+        if theta is not None and obj.in_domain(theta):
+            return theta
     theta = np.zeros(obj.system.n_vars)
     if obj.mid_idx.size:
         theta[obj.mid_idx] = obj.x / (2.0 * obj.geo.model.clock.bound)
     if not obj.in_domain(theta):
         raise DualityLabError("could not construct a strictly feasible starting plan")
     return theta
+
+
+def _density_plan(obj):
+    """theta of the plan c = I(y Z / w) at the gate's density Z, or None
+    where it is not finite.
+
+    One scalar y makes the budget sum P dkappa Z c equal x: a rescaling for
+    log and power, whose I is a power of y, and a bracketed root of the
+    budget's logarithm otherwise.  The pre-consumption wealth X = E[sum of
+    Z dkappa c at and below the node] / (P Z) is one leaf-to-root pass, and
+    each internal node holds the least-squares solution on its kept assets
+    for the wealth moves into its children.  Where Z is the only martingale
+    density these moves are replicated exactly and the plan is optimal.
+    """
+    geo, base = obj.geo, obj.base
+    tree, dk = geo.tree, geo.model.clock.dkappa
+    z = ensure_full_density(geo)
+    pos = np.concatenate((obj.eff_pos, obj.mid_pos))
+    price = tree.path_prob[pos] * dk[pos] * z[pos]  # of one unit of each rate
+    zw = z[pos] / np.concatenate((obj.eff_w, obj.mid_w))
+    with np.errstate(all="ignore"):
+        c = base.inv_u_prime(zw)
+        if obj.degree is None:
+            # The budget falls in y: double t until the root is bracketed, or
+            # until the budget over- or underflows.
+            args = (price, zw, base, obj.x)
+            lo = _log_budget_excess(0.0, *args)
+            if not math.isfinite(lo):
+                return None
+            t = math.copysign(1.0, lo)
+            while math.isfinite(hi := _log_budget_excess(t, *args)) and hi * lo > 0.0:
+                t *= 2.0
+            if not math.isfinite(hi):
+                return None
+            t = brentq(_log_budget_excess, 0.0, t, args=args, xtol=1e-14)
+            c = base.inv_u_prime(np.exp(t) * zw)
+        c = c * (obj.x / float(np.dot(price, c)))
+        mass = np.zeros(tree.n_nodes)
+        mass[pos] = price * c
+        for lv in reversed(tree.levels):
+            np.add.at(mass, tree.parent[lv], mass[lv])
+        trim = geo.trimmed
+        pre = (mass / (tree.path_prob * z))[trim]
+    spend = np.zeros(tree.n_nodes)
+    spend[pos] = dk[pos] * c
+    theta = np.zeros(obj.system.n_vars + 1)  # and the dummy slot
+    theta[obj.mid_idx] = c[obj.eff_pos.size:]
+    na = geo.model.n_active
+    for d, move in obj.system.transfers(pre, pre - spend[trim]) if na else ():
+        # V's untraded columns are zero, so its pseudo-inverse at the rank
+        # of the traded ones fits them alone.
+        traded = d.var[:, :na] < obj.system.n_vars
+        fit = _pinv(d.V[:, :, :na], traded.sum(axis=1))
+        theta[d.var[:, :na]] = (fit @ move[:, :, None])[:, :, 0]
+    theta = theta[:-1]
+    return theta if np.isfinite(theta).all() else None
+
+
+def _log_budget_excess(t, price, zw, base, x):
+    """log(sum price I(e^t zw) / x): the density plan's cost at y = e^t
+    against the wealth x.  A module function, so that ``brentq``'s wrapper,
+    which refers to itself, keeps no plan alive."""
+    return float(np.log(np.dot(price, base.inv_u_prime(np.exp(t) * zw)) / x))
 
 
 def _maximize(obj, theta, warm, tol, max_iter):
@@ -410,7 +512,8 @@ def _maximize(obj, theta, warm, tol, max_iter):
                     f"primal solve at x={obj.x} exceeded {max_iter} Newton iterations"
                 )
             iterations += 1
-            g, a, pd = obj.grad_curv(theta, mu)
+            w = obj.system.wealth(theta)
+            g, a, pd = obj.grad_curv(theta, mu, w)
             step, lam2 = _ascent_step(obj.system, g, a, pd)
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
@@ -421,9 +524,9 @@ def _maximize(obj, theta, warm, tol, max_iter):
                     if lam2 / 2.0 <= stop_tol and obj.in_domain(theta + step):
                         theta = theta + step
                     else:
-                        theta, value = _domain_line_search(obj, theta, value, step, g, mu)
+                        theta, value = _domain_line_search(obj, theta, w, value, step, g, mu)
                 break
-            theta, value = _domain_line_search(obj, theta, value, step, g, mu)
+            theta, value = _domain_line_search(obj, theta, w, value, step, g, mu)
             if value > VALUE_CEILING:
                 raise ValueDivergenceError("primal objective diverged")
     return theta, iterations, mus[-1]
@@ -454,23 +557,26 @@ def _ascent_step(system, g, a, pd):
     raise ConvergenceError("primal Newton system is not positive definite under any ridge")
 
 
-def _domain_line_search(obj, theta, value, step, g, mu):
-    """Armijo backtracking from theta, whose objective is ``value``.
+def _domain_line_search(obj, theta, w, value, step, g, mu):
+    """Armijo backtracking from theta, whose wealth is ``w`` and objective
+    ``value``.  Wealth is linear in theta, so each trial's is read off w and
+    the step's.
 
     Returns the accepted point and its objective.
     """
     alpha = 1.0
     slope = float(np.dot(g, step))
+    dw = obj.system.wealth(step)
     for _ in range(80):
-        cand = theta + alpha * step
-        cand_value = obj.value(cand, mu)
+        cand, cand_w = theta + alpha * step, w + alpha * dw
+        cand_value = obj.value(cand, mu, cand_w)
         if cand_value >= value + 1e-4 * alpha * slope:
             return cand, cand_value
         alpha *= 0.5
-    cand = theta + alpha * step
-    if not obj.in_domain(cand):
+    cand, cand_w = theta + alpha * step, w + alpha * dw
+    if not obj.in_domain(cand, cand_w):
         return theta, value
-    return cand, obj.value(cand, mu)
+    return cand, obj.value(cand, mu, cand_w)
 
 
 def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> PrimalSolution:
@@ -496,12 +602,8 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     # Minimum-norm holdings reproducing each internal node's transfers.  A
     # spare child slot has a zero price change and target.
     H = np.zeros((n, na))
-    pre = np.append(x_pre[trim], 0.0)
-    for d in obj.system.dates if na else ():
-        pos = trim[d.nodes]
-        target = pre[d.child] - x_post[pos][:, None]
-        target[d.child == trim.size] = 0.0
-        H[pos] = (d.pinv @ target[:, :, None])[:, :, 0]
+    for d, move in obj.system.transfers(x_pre[trim], x_post[trim]) if na else ():
+        H[trim[d.nodes]] = (d.pinv @ move[:, :, None])[:, :, 0]
 
     # Re-derive the wealth path from the reported strategy so the returned
     # triple is exactly self-consistent.

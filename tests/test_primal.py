@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     arbitrage_model,
     binomial_model,
     binomial_two_period_partial_clock,
+    trinomial_model,
 )
 from test_treeops import random_models, ref_rows, traded_assets
 
@@ -542,6 +544,57 @@ class TestWarmStart:
         self.assert_same(solve_primal(model, bounded_field, 1.5, warm_start=start), cold)
 
 
+class TestDensityPlan:
+    """A cold solve starts at c = I(y Z / w) on the gate's density Z."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(sorted(TestWarmStart.PARAMS)),
+        st.floats(0.1, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_rate_start(self, model, family, x, seed):
+        rng = np.random.default_rng(seed)
+        weights = {nid: float(rng.uniform(0.5, 2.0)) for nid in model.tree.ids}
+        field = UtilityField(family=family, weights=weights, **TestWarmStart.PARAMS[family])
+        try:
+            sol = solve_primal(model, field, x, 1e-10)
+        except InfeasibleMarketError:
+            assume(False)
+        # A fresh copy, so that the log and power reference is solved again,
+        # from zero holdings and the rates x / (2 A).
+        with mock.patch.object(primal_module, "_density_plan", lambda obj: None):
+            ref = solve_primal(dataclasses.replace(model), field, x, 1e-10)
+        tol = sol.kkt_residual + ref.kkt_residual + 1e-12 * max(1.0, abs(ref.value))
+        assert abs(sol.value - ref.value) <= tol
+        geo = build_geometry(model)
+        internal, kids, _, _, keep = geo.markets()
+        if kids.size == internal.size + keep.sum() and not geo.dead_root_mask.any():
+            # Z is the only density, so the plan is optimal: one step
+            # certifies it, and one more the scaled plan of log and power.
+            assert sol.iterations <= 2
+
+    @pytest.mark.parametrize("family", sorted(TestWarmStart.PARAMS))
+    def test_complete_tree_solves_in_one_step(self, family):
+        model = binomial_model(6, 0.6, {t: 1.0 / 6.0 for t in range(1, 7)})
+        weights = {nid: 1.0 + 0.1 * (nid % 7) for nid in model.tree.ids}
+        field = UtilityField(family=family, weights=weights, **TestWarmStart.PARAMS[family])
+        obj = _PrimalObjective(build_geometry(model), field, 1.0)
+        steps = primal_module._maximize(obj, primal_module._cold_start(obj), False, 1e-10, 500)[1]
+        assert steps == 1
+
+    def test_dead_roots_start_from_zero_holdings(self, log_field):
+        # Under the density plan a dead root receives no wealth, which is not
+        # strictly inside the domain.
+        model = binomial_two_period_partial_clock(up_subtree_only=True)
+        obj = _PrimalObjective(build_geometry(model), log_field, 1.0)
+        assert obj.n_dead
+        theta = primal_module._cold_start(obj)
+        rates = np.zeros(theta.size, dtype=bool)
+        rates[obj.mid_idx] = True
+        assert not theta[~rates].any()
+
 
 SCALED_FIELDS = [UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
                  UtilityField(family="power", gamma=-1.5)]
@@ -565,7 +618,9 @@ class TestScalingReference:
             return out
 
         monkeypatch.setattr(primal_module, "_maximize", counted)
-        model = self.model()
+        # Incomplete, so that the gate's density does not already give the
+        # optimal plan and the reference takes more than one step.
+        model = trinomial_model()
         first = solve_primal(model, field, 2.0)
         reference, own = ran
         assert reference > 1 and own == 1
@@ -745,11 +800,6 @@ def test_warm_starts_on_partially_kept_markets(market, family):
         assert warm.iterations == 1
 
 
-@pytest.mark.xfail(
-    raises=ConvergenceError,
-    reason="a leaf probability of 1e-6 on a terminal-clock tree: the Newton "
-    "iteration exhausts its 500-step budget (ROADMAP item 3)",
-)
 def test_tiny_leaf_probability_terminal_clock(bounded_field):
     model = binomial_model(2, 0.999999, {2: 1.0})
     sol = solve_primal(model, bounded_field, 1.0)
