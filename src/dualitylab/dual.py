@@ -208,9 +208,10 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
     The product of the node-local martingale measures of
     ``treeops.martingale_density`` over ``Geometry.full_markets``, kept in
     the model's memo.  It is the no-arbitrage gate of both solvers and both
-    pricing LPs: it raises ``InfeasibleMarketError``, naming a node and its
-    arbitrage, when no such density exists.  It also starts the node-measure
-    dual and extends densities below the trimmed view.
+    superreplication prices: it raises ``InfeasibleMarketError``, naming a
+    node and its arbitrage, when no such density exists.  It also starts the
+    node-measure dual, extends densities below the trimmed view, and prices
+    claims on complete trees, where it is the only density.
     """
     nodes, markets = np.arange(geo.tree.n_nodes), geo.full_markets()
     return geo.memo("full_density", lambda: martingale_density(geo.model, nodes, markets))

@@ -2,9 +2,10 @@
 
 This module ties the primal and dual solvers together: it pairs solutions
 through the marginal value of wealth, checks the conjugacy and marginal
-relations between them, prices consumption streams with two independent
-linear programs (minimal superreplicating capital vs. the supremum of
-density prices), and sweeps truncated markets to study how the value
+relations between them, prices consumption streams two independent ways
+(minimal superreplicating capital vs. the supremum of density prices, a
+linear-programming pair, or one sparse solve and the gate's density on a
+complete tree), and sweeps truncated markets to study how the value
 functions grow toward their large-market limits.  Each truncation level is
 solved on its ``market.quotient``: sibling subtrees that the traded prices,
 the clock and the utility weights cannot tell apart are one node there,
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
+from scipy.sparse.linalg import spsolve
 
 from .dual import DualSolution, ensure_full_density, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError
@@ -359,14 +361,17 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
 
 def _pricing_system(model: MarketModel, c):
     """(spend, N, b, price_row): the claim's per-node spend rate * dkappa and
-    the whole-tree node-measure system that both pricing LPs share.
+    the whole-tree node-measure system N m = b that both prices share.
 
     The claim is validated first, then the solvers' no-arbitrage gate
-    ``ensure_full_density`` runs: on a market with arbitrage both LPs raise
-    ``InfeasibleMarketError`` naming the node, where the density LP alone
-    could still price over the closed polytope.  The system is built from
-    the gate's whole-tree node markets and kept beside them in the model's
-    memo.
+    ``ensure_full_density`` runs: on a market with arbitrage both prices
+    raise ``InfeasibleMarketError`` naming the node, where the density LP
+    alone could still price over the closed polytope.  The system is built
+    from the gate's whole-tree node markets and kept beside them in the
+    model's memo.  N is square exactly when no node has a free direction
+    (each node's children number one more than the assets it keeps); the
+    gate's density is then the only martingale density, and both prices
+    skip their LPs.
     """
     spend = _rates_array(model, c) * model.clock.dkappa
     geo = build_geometry(model)
@@ -383,39 +388,58 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     and holdings: nu_0 is the price, and the pricing row of internal node k
     and asset a carries P(k) times the holding, which is zero where the row
     was dropped as redundant.  With a density present, the holdings keep
-    wealth nonnegative at every node.  Markets with arbitrage raise
-    ``InfeasibleMarketError`` before the LP runs.  Returns the price and the
-    certifying holdings array (n_nodes, n_active).
+    wealth nonnegative at every node.  On a complete tree (N square) every
+    constraint binds, since the only density m = P Z is strictly positive,
+    so nu is one sparse solve of N'nu = spend: the price is the replicating
+    capital and the holdings the replicating strategy.  Other trees run the
+    LP.  Markets with arbitrage raise ``InfeasibleMarketError`` first, and a
+    solve that is not finite or misses N'nu = spend by more than 1e-12 of
+    its normwise scale raises ``ConvergenceError``.  Returns the price and
+    the certifying holdings array (n_nodes, n_active).
     """
     spend, N, b, price_row = _pricing_system(model, c)
-    res = linprog(
-        b,
-        A_ub=-N.T,
-        b_ub=-spend,
-        bounds=(None, None),
-        method="highs",
-        options=_LP_OPTS,
-    )
-    if res.status != 0 or res.x is None:
-        raise ConvergenceError(f"superreplication LP failed: {res.message}")
+    if N.shape[0] == N.shape[1]:
+        Nt = N.T
+        nu = spsolve(Nt, spend)
+        scale = abs(Nt) @ np.abs(nu) + np.abs(spend)
+        if not (np.all(np.isfinite(nu))
+                and np.max(np.abs(Nt @ nu - spend)) <= 1e-12 * np.max(scale)):
+            raise ConvergenceError("superreplication solve missed the replication equations")
+    else:
+        res = linprog(
+            b,
+            A_ub=-N.T,
+            b_ub=-spend,
+            bounds=(None, None),
+            method="highs",
+            options=_LP_OPTS,
+        )
+        if res.status != 0 or res.x is None:
+            raise ConvergenceError(f"superreplication LP failed: {res.message}")
+        nu = res.x
 
     tree = model.tree
     internal = np.flatnonzero(~tree.is_leaf)
     H = np.zeros((tree.n_nodes, model.n_active))
-    H[internal] = np.where(price_row >= 0, res.x[price_row], 0.0) / tree.path_prob[internal, None]
-    return SuperrepResult(price=float(res.x[0]), holdings=H)
+    H[internal] = np.where(price_row >= 0, nu[price_row], 0.0) / tree.path_prob[internal, None]
+    return SuperrepResult(price=float(nu[0]), holdings=H)
 
 
 def dual_superrep_price(model: MarketModel, c) -> float:
     """Supremum over martingale densities of the expected discounted spend.
 
     In node measures m = P Z the price of the stream is sum_k m_k spend_k,
-    maximized over m >= 0 with N m = b.  This is the linear-programming
-    mirror of :func:`superreplication_price`; on arbitrage-free models the
-    two values coincide, and on the others both raise
-    ``InfeasibleMarketError``.
+    maximized over m >= 0 with N m = b, by LP.  This is the mirror of
+    :func:`superreplication_price`; on arbitrage-free models the two values
+    coincide, and on the others both raise ``InfeasibleMarketError``.  On a
+    complete tree (N square) the feasible set is the single point P Z of the
+    gate's density ``ensure_full_density``, and the price is sum P Z spend,
+    computed apart from the sparse solve that prices the other side.
     """
     spend, N, b, _ = _pricing_system(model, c)
+    if N.shape[0] == N.shape[1]:
+        z = ensure_full_density(build_geometry(model))
+        return float(np.dot(model.tree.path_prob * z, spend))
     res = linprog(
         -spend,
         A_eq=N,

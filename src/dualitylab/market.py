@@ -361,6 +361,12 @@ def quotient(model: MarketModel, weights) -> MarketModel:
     if w.shape != (tree.n_nodes,):
         raise MalformedTreeError(f"expected {tree.n_nodes} node weights, got shape {w.shape}")
     own = np.column_stack([model.assets.prices[:, : model.n_active], model.clock.dkappa, w])
+    # Alike siblings share their own row bit for bit, so without such a pair
+    # nothing merges.
+    pairs = np.column_stack([tree.parent, own.view(np.int64)])
+    pairs = pairs[np.lexsort(pairs.T)]
+    if not np.any(np.all(pairs[1:] == pairs[:-1], axis=1)):
+        return model
     times = tree.times.tolist()
     cond = tree.cond_prob.tolist()
     prob = list(cond)  # of a first sibling: its class's summed probability

@@ -90,7 +90,10 @@ class Geometry:
             return value
 
     def markets(self):
-        """The trimmed view's ``node_markets``, built on first use and kept."""
+        """The trimmed view's ``node_markets``, built on first use and kept.
+        Where the view is the whole tree, it is ``full_markets()`` itself."""
+        if self.trimmed.size == self.tree.n_nodes:
+            return self.full_markets()
         return self.memo(
             "node_markets", lambda: node_markets(self.model, self.trimmed, self.internal_mask)
         )
@@ -224,6 +227,10 @@ def node_markets(model: MarketModel, nodes: np.ndarray, internal_mask):
             for i in np.flatnonzero((rank > 0) & (rank < na)):
                 keep[lo + i, qr(dS[i], mode="r", pivoting=True)[1][: rank[i]]] = True
         dates.append((int(lo), own, child, dS))
+    # Shared by every consumer of a model's memo, and by both views of a
+    # tree whose trimmed view is whole (``Geometry.markets``): read only.
+    for a in (internal, kids, blk, keep, *(a for date in dates for a in date[1:])):
+        a.flags.writeable = False
     return internal, kids, blk, dates, keep
 
 

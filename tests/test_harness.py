@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -307,6 +307,71 @@ def test_superreplication_pair_on_random_trees(model, seed):
     assert abs(dual_superrep_price(model, rates) - sup.price) <= 1e-8 * scale
     assert abs(dense_superrep_price(model, rates) - sup.price) <= 1e-9 * scale
     assert admissibility_check(model, sup.holdings, rates, sup.price).passed
+
+
+def _risk_neutral_path_prob(model):
+    """Path probabilities under the one-asset binomial's martingale measure,
+    moves 2 and 1/2: q = 1/3 up, 2/3 down at every node."""
+    tree, s = model.tree, model.assets.prices[:, 0]
+    q = np.ones(tree.n_nodes)
+    kids = np.flatnonzero(tree.parent >= 0)
+    q[kids] = np.where(s[kids] > s[tree.parent[kids]], 1.0 / 3.0, 2.0 / 3.0)
+    for k in kids:  # parents precede their children
+        q[k] *= q[tree.parent[k]]
+    return q
+
+
+class TestCompleteTreePricing:
+    """Where the martingale density is unique, both prices come without an LP:
+    one sparse solve of the replication equations, and the gate's density."""
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: build_example_market(ExampleMarketSpec(1, (0.6,))), id="binom1"),
+        pytest.param(lambda: binomial_model(6, 0.6, {t: 1.0 / 6.0 for t in range(1, 7)}),
+                     id="six-period"),
+    ])
+    def test_prices_without_an_lp(self, monkeypatch, model):
+        model = model()
+        rng = np.random.default_rng(3)
+        dk = model.clock.dkappa
+        rates = np.where(dk > 0.0, rng.uniform(0.0, 2.0, dk.size), 0.0)
+        want = dense_superrep_price(model, rates)
+        expected = float(np.sum(_risk_neutral_path_prob(model) * dk * rates))
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a complete tree ran a pricing LP")
+
+        monkeypatch.setattr(harness, "linprog", no_lp)
+        sup = superreplication_price(model, rates)
+        for price in (sup.price, dual_superrep_price(model, rates)):
+            assert price == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert price == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert admissibility_check(model, sup.holdings, rates, sup.price).passed
+        # The holdings replicate: nothing is left at the leaves.
+        wealth = wealth_from_strategy(model, sup.holdings, rates, sup.price)
+        assert np.max(np.abs(wealth[model.tree.leaves])) <= 1e-12
+
+    def test_a_missed_solve_raises(self, monkeypatch, binom1):
+        monkeypatch.setattr(harness, "spsolve", lambda A, b: np.full(b.size, np.nan))
+        with pytest.raises(ConvergenceError, match="replication"):
+            superreplication_price(binom1, unit_terminal_claim(binom1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_models(martingale=True), st.integers(0, 2**32 - 1))
+def test_complete_tree_prices_match_the_lps_on_the_same_system(model, seed):
+    rng = np.random.default_rng(seed)
+    dk = model.clock.dkappa
+    rates = np.where(dk > 0.0, rng.uniform(0.0, 2.0, dk.size), 0.0)
+    spend, N, b, _ = harness._pricing_system(model, rates)
+    assume(N.shape[0] == N.shape[1])
+    opts = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    lo = linprog(b, A_ub=-N.T, b_ub=-spend, bounds=(None, None), method="highs", options=opts)
+    hi = linprog(-spend, A_eq=N, b_eq=b, bounds=(0.0, None), method="highs", options=opts)
+    assert lo.status == 0 and hi.status == 0
+    scale = max(1.0, abs(lo.fun))
+    assert abs(superreplication_price(model, rates).price - lo.fun) <= 1e-9 * scale
+    assert abs(dual_superrep_price(model, rates) + hi.fun) <= 1e-9 * scale
 
 
 class TestConvergenceStudy:

@@ -224,6 +224,14 @@ class TestQuotient:
         with pytest.raises(MalformedTreeError, match="node weights"):
             quotient(model, np.ones(model.n_nodes - 1))
 
+    @pytest.mark.parametrize("N", [1, 4, 8])
+    def test_ladder_returns_before_the_walk(self, N, monkeypatch):
+        # No two siblings of a full ladder share their prices, so the model
+        # comes back before the walk reads a single node's children.
+        ladder = build_example_market(ExampleMarketSpec(N, np.linspace(0.55, 0.9, N)))
+        monkeypatch.setattr(ladder.tree, "children", None)
+        assert quotient(ladder, np.ones(ladder.n_nodes)) is ladder
+
     @pytest.mark.parametrize("q, n_nodes", [(0.6, 4), (0.5, 7)])
     def test_children_probabilities_tell_siblings_apart(self, q, n_nodes):
         # Nodes 1 and 2 look alike and so do their children, two by two;

@@ -30,6 +30,8 @@ from dualitylab.treeops import (
     wealth_from_strategy,
 )
 
+from conftest import binomial_model, binomial_two_period_partial_clock
+
 
 @st.composite
 def random_models(draw, martingale=False):
@@ -362,6 +364,21 @@ def test_node_system_matches_reference_loop(model):
         assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
         assert_same(b, np.eye(1, n_rows)[0])
         assert np.array_equal(price_row >= 0, keep)
+
+
+@pytest.mark.parametrize("up_subtree_only", [False, True], ids=["time-1-clock", "dead-subtree"])
+def test_a_whole_trimmed_view_shares_the_full_markets(up_subtree_only):
+    # Every node of a terminal-clock tree is alive, so both views are one;
+    # a dying clock trims the tree, and the views keep their own markets.
+    whole = build_geometry(binomial_model(2, 0.6, {2: 1.0}))
+    assert whole.markets() is whole.full_markets()
+    trimmed = build_geometry(binomial_two_period_partial_clock(up_subtree_only))
+    assert trimmed.trimmed.size < trimmed.tree.n_nodes
+    assert trimmed.markets() is not trimmed.full_markets()
+    internal, kids, blk, dates, keep = whole.markets()
+    for shared in (internal, kids, blk, keep, *dates[0][1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[...] = shared
 
 
 @pytest.mark.parametrize(
