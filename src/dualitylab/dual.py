@@ -11,18 +11,19 @@ densities span many orders of magnitude, and picks coordinates in which
     F = sum over consuming nodes of  P * dkappa * V(node, y * Z(node)),
 
 with V the conjugate field, has one separable term per consuming node:
-leaf measures q = P * zeta when every consuming node is a trimmed leaf,
-else node measures m_k = P(k) Z(k) on the whole trimmed tree, whose
-constraints m_root = 1, m_k = sum_c m_c and sum_c m_c (S_c - S_k) = 0 are
-node-local (Steinbach, "Tree-sparse convex programs", 2002).
+leaf measures q = P * zeta on a one-period tree where only the leaves
+consume, else node measures m_k = P(k) Z(k) on the whole trimmed tree,
+whose constraints m_root = 1, m_k = sum_c m_c and sum_c m_c (S_c - S_k) = 0
+are node-local (Steinbach, "Tree-sparse convex programs", 2002).
 
 Every solve first runs the no-arbitrage gate ``ensure_full_density``: the
 product of one strictly positive one-step martingale measure per node
 (``treeops.martingale_density``), which raises ``InfeasibleMarketError``
 naming a node and its arbitrage.  Its density P Z starts the node-measure
 solve and continues the optimal density below the trimmed view.  Only the
-leaf-measure solve builds the dense leaf system; it starts from the entropy
-centre, seeded by ``find_interior``.
+one-period leaf-measure solve builds a dense system, the whole tree's
+``full_polytope_matrices`` of (1 + n_active) x leaves entries; it starts
+from the entropy centre, seeded by ``find_interior``.
 
 Since the conjugate of any admissible field descends infinitely steeply at
 0, minimizers stay strictly positive wherever the objective looks; a
@@ -53,7 +54,6 @@ from .treeops import (
     build_geometry,
     full_polytope_matrices,
     martingale_density,
-    node_system,
     node_values,
 )
 from .utility import UtilityField
@@ -161,11 +161,12 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
 
 
 def _measure_system(geo: Geometry):
-    """The trimmed leaf system in leaf-measure coordinates q = P zeta, built once."""
+    """The leaf system in leaf-measure coordinates q = P zeta, built once; the
+    leaf dual runs only on one-period trees, whose trimmed view is whole."""
 
     def build():
         prob = geo.tree.path_prob[geo.solve_leaves]
-        A, b = geo.leaf_system()
+        A, b = full_polytope_matrices(geo.model)
         A /= prob[None, :]
         return A, b, prob
 
@@ -244,9 +245,9 @@ class _DualObjective:
     """F, gradient and diagonal Hessian over measure coordinates.
 
     The coordinates sit at the tree positions ``coords``: by default the
-    trimmed leaves when every consuming node is one of them, else every
-    trimmed node, where each consuming node reads Z = m / P.  The density
-    has sum over internal nodes of (children - 1 - kept assets) free directions.
+    leaves of a one-period tree where only they consume, else every trimmed
+    node, where each consuming node reads Z = m / P.  The density has sum
+    over internal nodes of (children - 1 - kept assets) free directions.
     """
 
     def __init__(self, geo: Geometry, field: UtilityField, y: float, coords=None):
@@ -258,7 +259,8 @@ class _DualObjective:
         self.w = field.weight_array([tree.ids[pos] for pos in cons.tolist()])
         self.base = field.base()
         if coords is None:
-            coords = geo.solve_leaves if geo.eff_mask[cons].all() else geo.trimmed
+            leaf = tree.horizon == 1 and geo.eff_mask[cons].all()
+            coords = geo.solve_leaves if leaf else geo.trimmed
         self.coords = coords
         self.cols = np.searchsorted(coords, cons)
         self.leaf_cols = np.searchsorted(coords, geo.solve_leaves)
@@ -272,9 +274,7 @@ class _DualObjective:
         """(A, b, kkt): A q = b here, and node measures' ``_NodeKKT`` (else None)."""
         geo = self.geo
         if self.in_nodes:
-            A, b, price_row = geo.memo(
-                "node_system", lambda: node_system(geo.model, geo.trimmed, geo.markets())
-            )
+            A, b, price_row = geo.node_system()
             return A, b, geo.memo("node_kkt", lambda: _NodeKKT(geo, price_row))
         return _measure_system(geo)[:2] + (None,)
 

@@ -27,7 +27,7 @@ from .dual import DualSolution, ensure_full_density, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError
 from .market import ExampleMarketSpec, MarketModel, build_example_market, quotient, truncate
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry, node_system
+from .treeops import build_geometry
 from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
 from .utility import UtilityField
 
@@ -366,18 +366,18 @@ def _pricing_system(model: MarketModel, c):
     The claim is validated first, then the solvers' no-arbitrage gate
     ``ensure_full_density`` runs: on a market with arbitrage both prices
     raise ``InfeasibleMarketError`` naming the node, where the density LP
-    alone could still price over the closed polytope.  The system is built
-    from the gate's whole-tree node markets and kept beside them in the
-    model's memo.  N is square exactly when no node has a free direction
-    (each node's children number one more than the assets it keeps); the
-    gate's density is then the only martingale density, and both prices
-    skip their LPs.
+    alone could still price over the closed polytope.  The system is
+    ``Geometry.full_node_system``, built from the gate's whole-tree node
+    markets and kept beside them in the model's memo; where the trimmed view
+    is whole, the dual solves over the same object.  N is square exactly
+    when no node has a free direction (each node's children number one more
+    than the assets it keeps); the gate's density is then the only
+    martingale density, and both prices skip their LPs.
     """
     spend = _rates_array(model, c) * model.clock.dkappa
     geo = build_geometry(model)
     ensure_full_density(geo)
-    nodes, markets = np.arange(model.n_nodes), geo.full_markets()
-    return (spend,) + geo.memo("full_node_system", lambda: node_system(model, nodes, markets))
+    return (spend,) + geo.full_node_system()
 
 
 def superreplication_price(model: MarketModel, c) -> SuperrepResult:

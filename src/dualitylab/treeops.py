@@ -26,15 +26,15 @@ Both solvers read each internal node's one-period market from
 ``martingale_density`` finds one strictly positive martingale measure in
 it or an arbitrage, which is the no-arbitrage gate.
 
-For the dual side, densities are parameterized by their values on the
-trimmed leaves (effective leaves and dead roots).  The value at any other
-trimmed node is the conditional expectation of the leaf values
-(``node_values``), which is exactly the martingale property, so the equality
-constraints reduce to one normalization row and one row per (internal node,
-tradable asset); that dense system (``Geometry.leaf_system``) is built only
-where the dual asks for it.  In node-measure coordinates m = P Z on every
-node instead (``node_system``), the same constraints are node-local and
-sparse.
+The dual's densities live in node-measure coordinates m = P Z on every
+trimmed node, where the martingale constraints are node-local and sparse
+(``node_system``, kept once per view by ``Geometry``).  The returned density
+is read off its values on the trimmed leaves (effective leaves and dead
+roots): the value at any other node is the conditional expectation of the
+leaf values (``node_values``), which is exactly the martingale property.  In
+those leaf values the constraints reduce to one normalization row and one
+row per (internal node, tradable asset); that dense system
+(``full_polytope_matrices``) is built only for the whole tree.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from scipy.optimize import linprog
 from .errors import BudgetError, ConvergenceError, InfeasibleMarketError
 from .market import MarketModel, _accumulate_down
 
+# Entries of the one dense system, ``full_polytope_matrices``: the leaf dual
+# of one-period trees and the public polytope references build it.
 DENSE_ENTRY_GUARD = 50_000_000
 # The gate's Newton: iteration budget, the largest change of any log q_c in
 # a settled node's last step, and the ridge that keeps a node's Hessian
@@ -66,7 +68,6 @@ class Geometry:
     keeps on the model."""
 
     model: MarketModel
-    alive: np.ndarray
     trimmed: np.ndarray
     internal_mask: np.ndarray
     eff_mask: np.ndarray
@@ -104,10 +105,19 @@ class Geometry:
         return self.memo("full_markets",
                          lambda: node_markets(self.model, np.arange(tree.n_nodes), ~tree.is_leaf))
 
-    def leaf_system(self):
-        """The trimmed view's dense ``_density_system`` (A, b), built anew each call."""
-        leaves, internal = self.eff_mask | self.dead_root_mask, self.internal_mask
-        return _density_system(self.model, self.trimmed, leaves, internal, "density aggregation")
+    def node_system(self):
+        """The trimmed view's ``node_system``, built on first use and kept.
+        Where the view is the whole tree, it is ``full_node_system()`` itself."""
+        if self.trimmed.size == self.tree.n_nodes:
+            return self.full_node_system()
+        return self.memo("node_system",
+                         lambda: node_system(self.model, self.trimmed, self.markets()))
+
+    def full_node_system(self):
+        """The whole tree's ``node_system``, built on first use and kept."""
+        nodes = np.arange(self.tree.n_nodes)
+        return self.memo("full_node_system",
+                         lambda: node_system(self.model, nodes, self.full_markets()))
 
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
@@ -135,66 +145,18 @@ def node_values(tree, leaves: np.ndarray, zeta) -> np.ndarray:
     return mass / tree.path_prob.reshape(shape)
 
 
-def _density_system(
-    model: MarketModel, nodes: np.ndarray, leaf_mask, internal_mask, what: str
-):
-    """Martingale-density constraints parameterized by leaf values.
-
-    ``nodes`` are sorted positions of a subtree containing the root; the
-    densities live on its leaves (``leaf_mask``) and the pricing rows sit at
-    its ``internal_mask`` nodes, each of which has all its children among
-    ``nodes``.  Returns (A, b): A zeta = b the normalization row followed by
-    one row per (internal node, tradable asset), in position then asset
-    order.
-    """
-    tree = model.tree
-    prices = model.assets.prices
-    na = model.n_active
-    leaves = nodes[leaf_mask[nodes]]
-    internal = nodes[internal_mask[nodes]]
-    size = (1 + na * internal.size) * leaves.size
-    if size > DENSE_ENTRY_GUARD:
-        raise BudgetError(
-            f"{what} would need {size} entries, beyond the dense guard of {DENSE_ENTRY_GUARD}"
-        )
-    first_row = np.full(tree.n_nodes, -1)
-    first_row[internal] = 1 + na * np.arange(internal.size)
-
-    p_leaf = tree.path_prob[leaves]
-    A = np.zeros((1 + na * internal.size, leaves.size))
-    # The pricing entry at an ancestor m of leaf j is
-    # (S(child toward j) P_j - S(m) P_j) / P(m) and 0 elsewhere, so walking
-    # each leaf up one date at a time fills every nonzero entry directly;
-    # summing over the children would give the same bits, as only one term
-    # is nonzero.
-    anc = leaves.copy()
-    for lv in reversed(tree.levels):
-        j = np.flatnonzero(anc >= lv.start)
-        child = anc[j]
-        node = tree.parent[child]
-        anc[j] = node
-        p_j = p_leaf[j, None]
-        A[first_row[node][:, None] + np.arange(na), j[:, None]] = (
-            prices[child, :na] * p_j - prices[node, :na] * p_j
-        ) / tree.path_prob[node][:, None]
-    # Z_0 = sum_j P_j zeta_j, as P(root) = 1.
-    A[0] = p_leaf
-    b = np.zeros(A.shape[0])
-    b[0] = 1.0
-    return A, b
-
-
 def node_markets(model: MarketModel, nodes: np.ndarray, internal_mask):
     """One-period markets of a subtree's internal nodes, grouped by date.
 
-    On the kind of subtree ``_density_system`` takes, returns (internal,
-    kids, blk, dates, keep), indices into ``nodes``: the internal nodes, the
-    others grouped by parent in position order with their parents' indices
-    in ``internal``, one (first, own, child, dS) per date, whose nodes
-    ``own`` start at internal[first], and the tradable assets.  Row i of
-    ``child`` lists own[i]'s children, padded to the date's widest node by
-    spare slots holding ``len(nodes)``; ``dS[i, j]`` is their price change,
-    zero in spare slots.  A node's rank counts the singular values of dS[i]
+    ``nodes`` are sorted positions of a subtree containing the root, each of
+    whose ``internal_mask`` nodes has all its children among ``nodes``.
+    Returns (internal, kids, blk, dates, keep), indices into ``nodes``: the
+    internal nodes, the others grouped by parent in position order with
+    their parents' indices in ``internal``, one (first, own, child, dS) per
+    date, whose nodes ``own`` start at internal[first], and the tradable
+    assets.  Row i of ``child`` lists own[i]'s children, padded to the
+    date's widest node by spare slots holding ``len(nodes)``; ``dS[i, j]``
+    is their price change, zero in spare slots.  A node's rank counts the singular values of dS[i]
     above eps * max(width, n_active) times its largest price or a child's,
     so that a redundant asset, or one whose price moves by rounding only, is
     no tradable direction; a pivoted QR picks the rank's ``keep`` assets.
@@ -352,7 +314,7 @@ def _raise_arbitrage(model: MarketModel, pos: int, dS: np.ndarray, keep: np.ndar
 def node_system(model: MarketModel, nodes: np.ndarray, markets):
     """Martingale constraints in node-measure coordinates m = P Z over ``nodes``.
 
-    The sparse twin of ``_density_system``, given the subtree's
+    The sparse twin of ``full_polytope_matrices``, given the subtree's
     ``node_markets``.  Sparse rows, each divided by P(k) of its node k:
     m_root = 1, then every internal node's balance m_k - sum_c m_c = 0, then
     its full-rank pricing rows sum_c m_c (S_c - S_k) = 0 in the assets it
@@ -399,7 +361,6 @@ def build_geometry(model: MarketModel) -> Geometry:
 
     return Geometry(
         model=model,
-        alive=alive,
         trimmed=trimmed,
         internal_mask=internal_mask,
         eff_mask=eff_mask,
@@ -410,12 +371,47 @@ def build_geometry(model: MarketModel) -> Geometry:
 
 
 def full_polytope_matrices(model: MarketModel):
-    """``_density_system`` of the whole tree: (A, b) with A zeta = b over
-    the leaf values zeta of the martingale densities."""
-    return _density_system(
-        model, np.arange(model.tree.n_nodes), model.tree.is_leaf, ~model.tree.is_leaf,
-        "full density aggregation",
-    )
+    """Martingale-density constraints of the whole tree, over its leaf values.
+
+    Returns (A, b): A zeta = b the normalization row followed by one row per
+    (internal node, tradable asset), in position then asset order.
+    """
+    tree = model.tree
+    prices = model.assets.prices
+    na = model.n_active
+    leaves = tree.leaves
+    internal = tree.internal_nodes()
+    size = (1 + na * internal.size) * leaves.size
+    if size > DENSE_ENTRY_GUARD:
+        raise BudgetError(
+            f"full density aggregation would need {size} entries, "
+            f"beyond the dense guard of {DENSE_ENTRY_GUARD}"
+        )
+    first_row = np.full(tree.n_nodes, -1)
+    first_row[internal] = 1 + na * np.arange(internal.size)
+
+    p_leaf = tree.path_prob[leaves]
+    A = np.zeros((1 + na * internal.size, leaves.size))
+    # The pricing entry at an ancestor m of leaf j is
+    # (S(child toward j) P_j - S(m) P_j) / P(m) and 0 elsewhere, so walking
+    # each leaf up one date at a time fills every nonzero entry directly;
+    # summing over the children would give the same bits, as only one term
+    # is nonzero.
+    anc = leaves.copy()
+    for lv in reversed(tree.levels):
+        j = np.flatnonzero(anc >= lv.start)
+        child = anc[j]
+        node = tree.parent[child]
+        anc[j] = node
+        p_j = p_leaf[j, None]
+        A[first_row[node][:, None] + np.arange(na), j[:, None]] = (
+            prices[child, :na] * p_j - prices[node, :na] * p_j
+        ) / tree.path_prob[node][:, None]
+    # Z_0 = sum_j P_j zeta_j, as P(root) = 1.
+    A[0] = p_leaf
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
+    return A, b
 
 
 def cumulative_spend(model: MarketModel, c: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dualitylab import dual, treeops
+from dualitylab import dual, harness, treeops
 from dualitylab.dual import (
     dual_over_measures,
     ensure_full_density,
@@ -24,7 +25,13 @@ from dualitylab.market import (
     truncate,
 )
 from dualitylab.primal import solve_primal
-from dualitylab.treeops import build_geometry, full_polytope_matrices, node_markets, node_system
+from dualitylab.treeops import (
+    build_geometry,
+    full_polytope_matrices,
+    node_markets,
+    node_system,
+    node_values,
+)
 from dualitylab.utility import UtilityField
 
 from conftest import arbitrage_model, binomial_model, binomial_two_period_partial_clock
@@ -398,31 +405,60 @@ def _consuming_inner_partial_clock():
     return build_tree(spec)
 
 
+def _terminal_clock_dead_leaf():
+    """A three-period terminal-clock binomial whose last leaf consumes
+    nothing, so that it is a dead root."""
+    spec = model_to_dict(binomial_model(3, 0.6, {3: 1.0}))
+    spec["clock"][spec["nodes"][-1]["id"]] = 0.0
+    return build_tree(spec)
+
+
 @pytest.mark.parametrize("model, node_dual", [
+    pytest.param(lambda: binomial_model(1, 0.6, {1: 1.0}), False, id="one-period"),
     pytest.param(lambda: binomial_model(8, 0.6, {t: 0.125 for t in range(1, 9)}), True,
                  id="spread8"),
-    pytest.param(lambda: binomial_two_period_partial_clock(True), False, id="partial-up"),
-    pytest.param(lambda: binomial_two_period_partial_clock(False), False, id="partial-mid"),
+    pytest.param(lambda: binomial_two_period_partial_clock(True), True, id="partial-up"),
+    pytest.param(lambda: binomial_two_period_partial_clock(False), True, id="partial-mid"),
     pytest.param(_consuming_inner_partial_clock, True, id="partial-inner"),
+    pytest.param(lambda: binomial_model(2, 0.6, {2: 1.0}), True, id="two-period-terminal"),
+    pytest.param(lambda: binomial_model(12, 0.6, {12: 1.0}), True, id="twelve-period-terminal"),
+    pytest.param(_terminal_clock_dead_leaf, True, id="terminal-dead-leaf"),
 ])
 def test_no_dense_system_outside_the_leaf_dual(monkeypatch, log_field, model, node_dual):
-    # The gate, the primal, the node-measure dual and both pricing LPs work
-    # on node-local and sparse structures only.
+    # The gate, the primal, the dual of every multi-period tree and both
+    # prices work on node-local and sparse structures only; the dense leaf
+    # system serves only one-period trees where only the leaves consume.
     model = model()
     geo = build_geometry(model)
-    assert (not geo.eff_mask[geo.consuming].all()) == node_dual
+    leaf_dual = model.tree.horizon == 1 and geo.eff_mask[geo.consuming].all()
+    assert leaf_dual != node_dual
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense density system built")
 
-    monkeypatch.setattr(treeops, "_density_system", refuse)
+    for module in (treeops, dual, harness):
+        monkeypatch.setattr(module, "full_polytope_matrices", refuse)
     solve_primal(model, log_field, 1.0)
     if node_dual:
         sol = solve_dual(model, log_field, 1.0)
         assert float(np.min(sol.Z)) > 0.0
+        assert "node_kkt" in model._memo  # solved in node measures
     rates = np.where(model.clock.dkappa > 0.0, 1.0, 0.0)
     price = superreplication_price(model, rates).price
     assert dual_superrep_price(model, rates) == pytest.approx(price, abs=1e-8)
+
+
+def test_fourteen_period_terminal_clock_dual_returns(log_field):
+    # 32,767 nodes: its dense leaf system would hold 268,435,456 entries,
+    # beyond the dense-entry guard, while node measures are sparse.  The
+    # market is complete with risk-neutral up-probability 1/3, so
+    # v(1) = E[-log Z - 1] in closed form.
+    p, q = 0.6, 1.0 / 3.0
+    model = binomial_model(14, p, {14: 1.0})
+    sol = solve_dual(model, log_field, 1.0)
+    e_log_z = 14 * (p * math.log(q / p) + (1 - p) * math.log((1 - q) / (1 - p)))
+    assert sol.value == pytest.approx(-1.0 - e_log_z, rel=1e-12)
+    assert float(np.min(sol.Z)) > 0.0
 
 
 RANDOM_TREE_FIELDS = {
@@ -459,6 +495,35 @@ class TestRandomTrees:
         slopes = np.diff(v) / np.diff(ys)
         assert slopes[0] <= slopes[1] + 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)).filter(
+            lambda model: model.tree.horizon > 1
+        ),
+        st.sampled_from([(1e-2, 1.0), (1.0, 1e2), (1e2, 1e-2)]),
+    )
+    def test_node_measure_warm_start(self, model, ys):
+        # A multi-period dual solves in node measures: a warm start from the
+        # zeta of a solve at another y enters as the node measures of that
+        # density, and lands where a cold solve does.  The bounded field has
+        # no scaling law, so each y is its own solve.
+        field, tol = RANDOM_TREE_FIELDS["bounded"], 1e-10
+        try:
+            seed = solve_dual(model, field, ys[0], tol)
+        except InfeasibleMarketError:
+            assert _node_margin(model) < 1e-2
+            return
+        cold = solve_dual(model, field, ys[1], tol)
+        with mock.patch.object(dual, "_barrier_solve", wraps=dual._barrier_solve) as spy:
+            warm = solve_dual(model, field, ys[1], tol, warm_start=seed.zeta)
+        assert spy.call_count == 1
+        obj, q = spy.call_args.args[:2]
+        assert obj.in_nodes
+        tree, geo = model.tree, obj.geo
+        start = tree.path_prob * node_values(tree, geo.solve_leaves, seed.zeta)
+        assert np.array_equal(q, start[geo.trimmed])
+        assert abs(warm.value - cold.value) <= 2 * tol * (1.0 + abs(cold.value))
+
 
 # A 9-node martingale tree whose root has two children with collinear price
 # changes: the trimmed leaf system has 7 rows of rank 6, and its Gram matrix a
@@ -494,10 +559,9 @@ COLLINEAR_CHILDREN = {
 
 
 def test_nearly_dependent_rows_keep_the_density_on_the_polytope(bounded_field):
-    # The polytope is a single point.  The leaf-measure snap-back misses the
-    # constraints by up to 0.06 here, so the solve must fall back to node
-    # measures rather than return that point's neighbour with a value 7.6%
-    # too high.
+    # The polytope is a single point.  The solve must keep the density on
+    # the constraints rather than return that point's neighbour, whose value
+    # is 7.6% too high.
     model = build_tree(COLLINEAR_CHILDREN)
     poly = martingale_polytope(model)
     leaves = model.tree.leaves
@@ -697,10 +761,9 @@ class TestDualOverMeasures:
 
 @pytest.mark.xfail(
     raises=ConvergenceError,
-    reason="tiny leaf probabilities on a terminal-clock tree: the leaf-measure "
-    "solve ends 2.3e5 and 2.2e7 off the density constraints, and its "
-    "node-measure fallback still 2.3e-10 and 5.6e-9, which the projection "
-    "back cannot repair (ROADMAP item 3)",
+    reason="tiny leaf probabilities on a terminal-clock tree: the node-measure "
+    "solve drifts 2.33e-10 and 5.59e-9 off the density constraints, which the "
+    "projection back cannot repair (ROADMAP item 3)",
 )
 @pytest.mark.parametrize(
     "periods, p, family",

@@ -486,15 +486,18 @@ class TestModelMemo:
             monkeypatch.setattr(module, name, counted)
 
         for module in (treeops, dual, harness):
-            if hasattr(module, "martingale_density"):
-                spy(module, "martingale_density")
+            for name in ("martingale_density", "node_system"):
+                if hasattr(module, name):
+                    spy(module, name)
         spy(dual, "_barrier_solve")
         for x in (0.5, 1.0, 2.0):
             pair_solutions(model, power_field, x)
         claim = unit_terminal_claim(model)
         superreplication_price(model, claim)
         dual_superrep_price(model, claim)
-        assert calls == {"martingale_density": 1, "_barrier_solve": 1}
+        # The tree's trimmed view is whole, so the dual and both prices share
+        # one node system.
+        assert calls == {"martingale_density": 1, "_barrier_solve": 1, "node_system": 1}
 
     def test_memo_refers_no_cycle_back_to_its_model(self, log_field):
         # Were a memo entry to hold the model, dropping the last reference

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualitylab import treeops
-from dualitylab.dual import _measure_system
 from dualitylab.errors import BudgetError
-from dualitylab.market import build_tree, truncate
+from dualitylab.market import build_tree
 from dualitylab.primal import _TreeSystem
 from dualitylab.treeops import (
     build_geometry,
@@ -204,17 +203,13 @@ def ref_geometry(model):
             dead_root[k] = True
     trimmed = np.flatnonzero(alive | dead_root)
     leaves = np.array([p for p in trimmed if not internal[p]], dtype=np.int64)
-    _, A, b = ref_density(model, trimmed, leaves)
     return {
-        "alive": alive,
         "trimmed": trimmed,
         "internal_mask": internal,
         "eff_mask": alive & ~has_alive_child,
         "dead_root_mask": dead_root,
         "consuming": consuming,
         "solve_leaves": leaves,
-        "A": A,
-        "b": b,
     }
 
 
@@ -249,10 +244,7 @@ def test_kernels_match_reference_loops(model, seed):
     assert_same(model.clock.cumulative, ref_cumulative(tree, model.clock.dkappa))
 
     geo = build_geometry(model)
-    want = ref_geometry(model)
-    for name, got in zip("Ab", geo.leaf_system()):
-        assert_same(got, want.pop(name))
-    for name, value in want.items():
+    for name, value in ref_geometry(model).items():
         assert_same(getattr(geo, name), value)
 
     everything = np.arange(tree.n_nodes)
@@ -381,13 +373,21 @@ def test_a_whole_trimmed_view_shares_the_full_markets(up_subtree_only):
             shared[...] = shared
 
 
+def test_a_whole_trimmed_view_shares_the_full_node_system():
+    # As for the markets: one system where the views are one, two kept ones
+    # where a dying clock trims the tree.
+    whole = build_geometry(binomial_model(2, 0.6, {2: 1.0}))
+    assert whole.node_system() is whole.full_node_system()
+    geo = build_geometry(binomial_two_period_partial_clock(True))
+    N = geo.node_system()[0]
+    assert N.shape[1] == geo.trimmed.size < geo.tree.n_nodes
+    assert geo.full_node_system()[0].shape[1] == geo.tree.n_nodes
+    assert geo.node_system()[0] is N
+
+
 @pytest.mark.parametrize(
     "build, what",
     [
-        # The model keeps the leaf system once built, so each build takes a
-        # fresh copy of the model.
-        pytest.param(lambda m: _measure_system(build_geometry(truncate(m, m.n_active))),
-                     "density aggregation", id="leaf_system"),
         pytest.param(full_polytope_matrices, "full density aggregation",
                      id="full_polytope_matrices"),
     ],
