@@ -29,7 +29,7 @@ from .errors import (
     PriceError,
     ValueDivergenceError,
 )
-from .market import ExampleMarketSpec, _coerce_keys, load_model, validate_clock
+from .market import ExampleMarketSpec, load_model, validate_clock
 from .primal import solve_primal
 from .treeops import wealth_from_strategy
 from .utility import UtilityField, field_from_spec
@@ -289,7 +289,7 @@ def cmd_superrep(config: RunConfig) -> int:
     model = _need_model(config)
     if config.claim is not None:
         with open(config.claim, "r", encoding="utf-8") as fh:
-            claim = _coerce_keys(json.load(fh), model.tree.index_of)
+            claim = json.load(fh)
     else:
         claim = harness.unit_terminal_claim(model)
     res = harness.superreplication_price(model, claim)

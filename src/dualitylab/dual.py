@@ -56,7 +56,7 @@ from .treeops import (
     martingale_density,
     node_values,
 )
-from .utility import UtilityField
+from .utility import UtilityField, node_weights
 
 ARBITRAGE_MARGIN = 1e-11
 BOUNDARY_FLAG_LEVEL = 1e-6
@@ -256,7 +256,7 @@ class _DualObjective:
         tree = geo.tree
         cons = geo.trimmed[geo.consuming[geo.trimmed]]
         self.coef = tree.path_prob[cons] * geo.model.clock.dkappa[cons]
-        self.w = field.weight_array([tree.ids[pos] for pos in cons.tolist()])
+        self.w = node_weights(geo.model, field)[cons]
         self.base = field.base()
         if coords is None:
             leaf = tree.horizon == 1 and geo.eff_mask[cons].all()
@@ -386,8 +386,9 @@ def solve_dual(
         ref, iterations = scaling_reference(geo, "dual", field, tol, solve)
         value = ref["value"]
         if field.family == "log":
-            obj = _DualObjective(geo, field, y)  # coef . w = sum P dkappa w
-            value -= float(np.dot(obj.coef, obj.w)) * math.log(y)
+            cons = geo.consuming  # sum P dkappa w
+            coef = model.tree.path_prob[cons] * model.clock.dkappa[cons]
+            value -= float(np.dot(coef, node_weights(model, field)[cons])) * math.log(y)
         else:
             value *= y ** (field.gamma / (field.gamma - 1.0))
         return DualSolution(
@@ -568,8 +569,7 @@ def scaling_reference(geo: Geometry, side: str, field: UtilityField, tol: float,
     reference's when it solved it, 0 when the kept entry served.  Re-solves
     when asked for a tighter tolerance than the kept entry's.
     """
-    weights = None if field.weights is None else frozenset(field.weights.items())
-    key = (field.family, field.gamma, field.alpha, field.beta, weights)
+    key = (field.family, field.gamma, field.alpha, field.beta, field.weights_key)
     cache = geo.memo(f"{side}_reference", dict)
     hit = cache.get(key)
     if hit is not None and hit[0] <= tol:
@@ -769,7 +769,7 @@ def dual_over_measures(
 
     cons = np.flatnonzero(clock.dkappa > 0.0)
     coef = tree.path_prob[cons] * clock.dkappa[cons]
-    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
+    w = node_weights(model, field)[cons]
     M = poly.to_node_values(np.eye(poly.n_leaves))[cons]
     base = field.base()
 

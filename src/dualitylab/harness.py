@@ -25,11 +25,18 @@ from scipy.sparse.linalg import spsolve
 
 from .dual import DualSolution, ensure_full_density, solve_dual
 from .errors import BudgetError, ConvergenceError, DualityLabError
-from .market import ExampleMarketSpec, MarketModel, build_example_market, quotient, truncate
+from .market import (
+    ExampleMarketSpec,
+    MarketModel,
+    _coerce_keys,
+    build_example_market,
+    quotient,
+    truncate,
+)
 from .primal import PrimalSolution, solve_primal
 from .treeops import build_geometry
 from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
-from .utility import UtilityField
+from .utility import UtilityField, node_weights
 
 MONOTONE_SLACK = 1e-7
 SOLVE_BUDGET = 20_000
@@ -124,7 +131,7 @@ def optimality_relations_check(
     tree = model.tree
     dk = model.clock.dkappa
     cons = np.flatnonzero(dk > 0.0)
-    w = field.weight_array([tree.ids[k] for k in cons.tolist()])
+    w = node_weights(model, field)[cons]
     base = field.base()
     marg = w * base.u_prime(primal.c[cons])
     z = dual.Z[cons]
@@ -337,7 +344,7 @@ def _rates_array(model: MarketModel, c) -> np.ndarray:
     tree = model.tree
     if isinstance(c, dict):
         rates = np.zeros(tree.n_nodes)
-        for nid, val in c.items():
+        for nid, val in _coerce_keys(c, tree.index_of).items():
             if nid not in tree.index_of:
                 raise DualityLabError(f"claim references unknown node {nid!r}")
             try:
@@ -504,13 +511,14 @@ def value_convergence_study(
     """Sample u_n and v_n over the grids for each truncation level in n_range.
 
     Level n is solved on ``quotient(truncate(model, n), weights)``, with the
-    field's weights at the model's nodes, which has the same values (see
-    ``market.quotient``); on N independent one-period assets it keeps 2**n
-    of the 2**N leaves.  Along each grid, every solve is warm-started from
-    the previous point's solution on the same level.  Both value families
-    must be nondecreasing in n (nested strategy and density sets); a
-    violation beyond the slack signals that the solver tolerance is too
-    loose and raises ``ConvergenceError``.
+    field's weights at the model's nodes (``node_weights``), which has the
+    same values (see ``market.quotient``); on N independent one-period
+    assets it keeps 2**n of the 2**N leaves.  Each level reads the field's
+    weight keys against its own ids.  Along each grid, every solve is
+    warm-started from the previous point's solution on the same level.  Both
+    value families must be nondecreasing in n (nested strategy and density
+    sets); a violation beyond the slack signals that the solver tolerance is
+    too loose and raises ``ConvergenceError``.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -524,7 +532,7 @@ def value_convergence_study(
     if total > SOLVE_BUDGET:
         raise BudgetError(f"study would need {total} solves, beyond {SOLVE_BUDGET}")
 
-    weights = field.weight_array(model.tree.ids)
+    weights = node_weights(model, field)
 
     def run_level(n: int):
         sub = quotient(truncate(model, n), weights)

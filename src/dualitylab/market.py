@@ -168,6 +168,19 @@ def _accumulate_down(values, parent, levels):
     return values
 
 
+def _accumulate_up(values, parent, levels):
+    """Add to every node the values of all its descendants, in place.
+
+    The leaf-to-root twin of ``_accumulate_down``: over the dates from the
+    last one back, each row adds its accumulated value into its parent's
+    row, children in position order.  Works row-wise on 2-D ``values``.
+    Returns ``values``.
+    """
+    for lv in reversed(levels):
+        np.add.at(values, parent[lv], values[lv])
+    return values
+
+
 class AssetProcess:
     """Per-node price vectors for the risky assets, aligned with a tree."""
 

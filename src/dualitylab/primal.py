@@ -70,9 +70,9 @@ from scipy.optimize import brentq
 
 from .dual import ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
-from .market import MarketModel
+from .market import MarketModel, _accumulate_up
 from .treeops import Geometry, build_geometry, wealth_from_strategy
-from .utility import UtilityField
+from .utility import UtilityField, node_weights
 
 VALUE_CEILING = 1e100
 _ZERO = np.zeros(1)
@@ -116,18 +116,19 @@ class _PrimalObjective:
         clock = geo.model.clock
         trim = geo.trimmed
         self.base = field.base()
+        w = node_weights(geo.model, field)
 
         self.eff_t = np.flatnonzero(geo.eff_mask[trim])
         self.eff_pos = trim[self.eff_t]
         self.eff_prob = tree.path_prob[self.eff_pos]
         self.eff_dk = clock.dkappa[self.eff_pos]
-        self.eff_w = field.weight_array([tree.ids[p] for p in self.eff_pos.tolist()])
+        self.eff_w = w[self.eff_pos]
 
         self.mid_pos = self.system.mid_pos
         self.mid_idx = self.system.mid_idx
         self.mid_prob = tree.path_prob[self.mid_pos]
         self.mid_dk = clock.dkappa[self.mid_pos]
-        self.mid_w = field.weight_array([tree.ids[p] for p in self.mid_pos.tolist()])
+        self.mid_w = w[self.mid_pos]
 
         self.dead_t = np.flatnonzero(geo.dead_root_mask[trim])
         self.n_dead = self.dead_t.size
@@ -449,8 +450,7 @@ def _density_plan(obj):
         c = c * (obj.x / float(np.dot(price, c)))
         mass = np.zeros(tree.n_nodes)
         mass[pos] = price * c
-        for lv in reversed(tree.levels):
-            np.add.at(mass, tree.parent[lv], mass[lv])
+        _accumulate_up(mass, tree.parent, tree.levels)
         trim = geo.trimmed
         pre = (mass / (tree.path_prob * z))[trim]
     spend = np.zeros(tree.n_nodes)
@@ -620,7 +620,7 @@ def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> Prima
     kkt = max(gap_est, feas)
 
     cons = clock.dkappa > 0.0
-    w = field.weight_array([tree.ids[k] for k in np.flatnonzero(cons).tolist()])
+    w = node_weights(model, field)[cons]
     marg = w * obj.base.u_prime(c[cons])
     budget = float(np.dot(tree.path_prob[cons] * clock.dkappa[cons] * c[cons], marg))
     y_hat = budget / x

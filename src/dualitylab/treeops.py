@@ -47,7 +47,7 @@ from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .errors import BudgetError, ConvergenceError, InfeasibleMarketError
-from .market import MarketModel, _accumulate_down
+from .market import MarketModel, _accumulate_down, _accumulate_up
 
 # Entries of the one dense system, ``full_polytope_matrices``: the leaf dual
 # of one-period trees and the public polytope references build it.
@@ -132,16 +132,13 @@ def node_values(tree, leaves: np.ndarray, zeta) -> np.ndarray:
     ``leaves`` are sorted positions, none below another, carrying
     ``zeta`` (one row each when ``zeta`` is 2-D).  The value at node m is
     sum_j P_j zeta_j / P(m) over the leaves j at or below m, and 0 where no
-    leaf lies below.  One leaf-to-root pass over the levels, the upward twin
-    of ``market._accumulate_down``: each node adds its children's masses in
-    position order.
+    leaf lies below: one ``market._accumulate_up`` pass over the masses.
     """
     zeta = np.asarray(zeta, dtype=float)
     shape = (-1,) + (1,) * (zeta.ndim - 1)
     mass = np.zeros((tree.n_nodes,) + zeta.shape[1:])
     mass[leaves] = tree.path_prob[leaves].reshape(shape) * zeta
-    for lv in reversed(tree.levels):
-        np.add.at(mass, tree.parent[lv], mass[lv])
+    _accumulate_up(mass, tree.parent, tree.levels)
     return mass / tree.path_prob.reshape(shape)
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import DualityLabError
-from .market import _coerce_keys
+from .market import MarketModel, _coerce_keys
 
 FAMILIES = ("log", "power", "bounded")
 
@@ -260,12 +260,19 @@ class UtilityField:
             return _BoundedBase(self.alpha, self.beta)
         return _AffineBase()
 
+    @property
+    def weights_key(self):
+        """The weights by value, hashable: what a model's memo keys the
+        entries that depend on them by."""
+        return None if self.weights is None else frozenset(self.weights.items())
+
     def weight(self, node) -> float:
         return float(self.weight_array([node])[0])
 
     def weight_array(self, node_ids) -> np.ndarray:
         """Weights of ``node_ids``; a key that names none of them, such as a
-        numeric string from JSON, is read as its int form."""
+        numeric string from JSON, is read as its int form.  The solvers read
+        a model's weights through ``node_weights``."""
         if self.weights is None:
             return np.ones(len(node_ids))
         weights = _coerce_keys(self.weights, set(node_ids))
@@ -355,6 +362,23 @@ class ConjugateField:
 
 def conjugate(field: UtilityField) -> ConjugateField:
     return field.conjugate()
+
+
+def node_weights(model: MarketModel, field: UtilityField) -> np.ndarray:
+    """The field's weight at every position of ``model``'s tree, read-only.
+
+    The keys are read against the whole tree's ids (``weight_array``), the
+    rule ``build_tree`` applies to price and clock keys, once per model and
+    weight values; the model's memo keeps the vector, so both solvers and
+    the checks read one weight per node.
+    """
+    cache = model._memo.setdefault("node_weights", {})
+    key = field.weights_key
+    w = cache.get(key)
+    if w is None:
+        w = cache[key] = field.weight_array(model.tree.ids)
+        w.flags.writeable = False
+    return w
 
 
 # Module-level operation surface mirroring the method API.

@@ -33,9 +33,16 @@ from dualitylab.harness import (
     write_example_csv,
     write_series,
 )
-from dualitylab.market import ExampleMarketSpec, build_example_market, quotient, truncate
+from dualitylab.market import (
+    ExampleMarketSpec,
+    build_example_market,
+    build_tree,
+    quotient,
+    truncate,
+)
 from dualitylab.primal import admissibility_check, solve_primal
 from dualitylab.treeops import wealth_from_strategy
+from dualitylab.utility import UtilityField, node_weights
 
 from conftest import arbitrage_model, binomial_model
 from test_dual import _node_margin
@@ -130,6 +137,20 @@ class TestOptimalityRelations:
         report = optimality_relations_check(primal, dual, tol=1e-6)
         assert report.passed
 
+    def test_weight_keys_read_once_against_the_whole_tree(self):
+        # Ids "1" and 1 both name nodes, so the key "1" names node "1" alone,
+        # as it would in the price and clock maps; both solvers and the check
+        # must read the same weights.
+        model = mixed_id_model()
+        field = UtilityField(family="log", weights={"1": 2.0})
+        index = model.tree.index_of
+        w = node_weights(model, field)
+        assert (w[index["1"]], w[index[1]]) == (2.0, 1.0)
+        primal, dual, y = pair_solutions(model, field, 1.0)
+        report = optimality_relations_check(primal, dual, tol=1e-6)
+        assert abs(primal.value - dual.value - y) <= 1e-6
+        assert report.worst_marginal_rel <= 1e-6
+
 
     @pytest.mark.xfail(
         reason="solve_dual accepts the Lagrangian gap at an iterate that is "
@@ -144,6 +165,41 @@ class TestOptimalityRelations:
         report = optimality_relations_check(primal, dual, tol=1e-6)
         assert abs(primal.value - dual.value - x * y) <= 1e-6
         assert report.marginal_ok
+
+
+def mixed_id_model():
+    """Two-period binomial (moves 2 and 1/2, p = 1/2, clock 1/2 at t = 1, 2)
+    whose ids mix strings and ints: node "1" at t = 1 and node 1 at t = 2."""
+    nodes = [{"id": 0, "t": 0, "parent": None}]
+    prices = {0: [1.0], "a": [2.0], "1": [0.5]}
+    for nid, parent in (("a", 0), ("1", 0)):
+        nodes.append({"id": nid, "t": 1, "parent": parent, "prob": 0.5})
+    for nid, parent, move in ((1, "a", 2.0), (2, "a", 0.5), (3, "1", 2.0), (4, "1", 0.5)):
+        nodes.append({"id": nid, "t": 2, "parent": parent, "prob": 0.5})
+        prices[nid] = [prices[parent][0] * move]
+    clock = {node["id"]: 0.0 if node["t"] == 0 else 0.5 for node in nodes}
+    return build_tree({"nodes": nodes, "prices": prices, "clock": clock, "A": 1.0,
+                       "n_active": 1})
+
+
+WEIGHTED_FAMILIES = {"log": {}, "power": {"gamma": -1.0},
+                     "bounded": {"alpha": 0.5, "beta": 2.0}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_models(martingale=True), st.sampled_from(sorted(WEIGHTED_FAMILIES)),
+       st.integers(0, 2**32 - 1))
+def test_weighted_pair_on_random_trees(model, family, seed):
+    # Random per-node weights, some keyed by the id's string as JSON keys it.
+    rng = np.random.default_rng(seed)
+    weights = {}
+    for nid in model.tree.ids:
+        if rng.random() < 0.5:
+            key = str(nid) if rng.random() < 0.5 else nid
+            weights[key] = float(rng.uniform(0.25, 4.0))
+    field = UtilityField(family=family, weights=weights or None, **WEIGHTED_FAMILIES[family])
+    primal, dual, y = pair_solutions(model, field, 1.0)
+    assert abs(primal.value - dual.value - y) <= 1e-6
 
 
 class TestSuperreplication:
@@ -240,6 +296,13 @@ class TestSuperreplication:
     def test_payoff_needs_one_finite_entry_per_leaf(self, binom1, payoff):
         with pytest.raises(DualityLabError, match="one per leaf"):
             terminal_payoff_claim(binom1, payoff)
+
+    def test_claim_keys_read_as_build_tree_reads_them(self, binom1):
+        # JSON keys are strings; each names the node whose id it spells.
+        want = superreplication_price(binom1, {1: 1.0}).price
+        assert superreplication_price(binom1, {"1": 1.0}).price == want
+        with pytest.raises(DualityLabError, match="claim references unknown node"):
+            superreplication_price(binom1, {"9": 1.0})
 
     def test_negative_rates_rejected(self, binom1):
         with pytest.raises(DualityLabError):
@@ -436,7 +499,7 @@ class TestConvergenceStudy:
         monkeypatch.undo()
 
         assert len(calls) == len(levels) * grid.size
-        weights = bounded_field.weight_array(model.tree.ids)
+        weights = node_weights(model, bounded_field)
         warm_iters = cold_iters = 0
         for k, n in enumerate(levels):
             level = calls[k * grid.size : (k + 1) * grid.size]
@@ -503,16 +566,35 @@ class TestModelMemo:
         # Were a memo entry to hold the model, dropping the last reference
         # would leave the model to the cycle collector.
         model = binomial_model(2, 0.6, {1: 0.5, 2: 0.5})
+        weighted = UtilityField(family="bounded", alpha=0.5, beta=2.0, weights={"1": 2.0, 4: 0.5})
         gc.disable()
         try:
             solve_dual(model, log_field, 2.0)
+            pair_solutions(model, weighted, 1.0)
             superreplication_price(model, unit_terminal_claim(model))
-            assert {"full_density", "dual_reference", "full_node_system"} <= model._memo.keys()
+            assert {"full_density", "dual_reference", "full_node_system",
+                    "node_weights"} <= model._memo.keys()
+            assert len(model._memo["node_weights"]) == 2
             ref = weakref.ref(model)
             del model
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_equal_weight_values_share_one_vector(self, example2):
+        # Kept by the weights' value: equal values share one read-only vector
+        # whatever the family, other values get their own.
+        w = node_weights(example2, UtilityField(family="log", weights={1: 2.0}))
+        assert node_weights(example2, UtilityField(family="power", gamma=-1.0,
+                                                   weights={1: 2.0})) is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, UtilityField(family="log", weights={1: 2.0})
+                              .weight_array(example2.tree.ids))
+        other = node_weights(example2, UtilityField(family="log", weights={1: 3.0}))
+        assert other is not w and other[example2.tree.index_of[1]] == 3.0
+        plain = node_weights(example2, UtilityField(family="log"))
+        assert plain is node_weights(example2, UtilityField(family="bounded", alpha=0.5, beta=2.0))
+        assert np.array_equal(plain, np.ones(example2.n_nodes))
 
     def test_truncation_starts_afresh(self, bounded_field):
         spec = ExampleMarketSpec(3, (0.55, 0.6, 0.65))
