@@ -23,7 +23,10 @@ naming a node and its arbitrage.  Its density P Z starts the node-measure
 solve and continues the optimal density below the trimmed view.  Only the
 one-period leaf-measure solve builds a dense system, the whole tree's
 ``full_polytope_matrices`` of (1 + n_active) x leaves entries; it starts
-from the entropy centre, seeded by ``find_interior``.
+from the entropy centre, seeded by ``find_interior``.  Where the least-norm
+shift of that seed's centre is not strictly positive, ``find_interior``
+runs a max-margin LP (``treeops.linprog``), which imports
+``scipy.optimize`` on its first call.
 
 Since the conjugate of any admissible field descends infinitely steeply at
 0, minimizers stay strictly positive wherever the objective looks; a
@@ -45,14 +48,15 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, linprog, minimize
 
 from .errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from .market import MarketModel
 from .treeops import (
+    _LP_OPTS,
     Geometry,
     build_geometry,
     full_polytope_matrices,
+    linprog,
     martingale_density,
     node_values,
 )
@@ -60,10 +64,6 @@ from .utility import UtilityField, node_weights
 
 ARBITRAGE_MARGIN = 1e-11
 BOUNDARY_FLAG_LEVEL = 1e-6
-_LP_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 
 @dataclass
@@ -791,6 +791,8 @@ def dual_over_measures(
     # boundary with a tiny positive bound.  The bounded family is finite at 0.
     finite_at_zero = math.isfinite(float(base.v(0.0)))
     lb = 0.0 if finite_at_zero else 1e-14
+
+    from scipy.optimize import LinearConstraint, minimize
 
     x0 = poly.interior_point()
     res = minimize(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
 from scipy.sparse.linalg import spsolve
 
 from .dual import DualSolution, ensure_full_density, solve_dual
@@ -34,17 +33,13 @@ from .market import (
     truncate,
 )
 from .primal import PrimalSolution, solve_primal
-from .treeops import build_geometry
+from .treeops import _LP_OPTS, build_geometry, linprog
 from .treeops import full_polytope_matrices  # noqa: F401, wrapped by perfbench/tracing.py
 from .utility import UtilityField, node_weights
 
 MONOTONE_SLACK = 1e-7
 SOLVE_BUDGET = 20_000
 FD_STEP = 1e-4
-_LP_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 
 def default_grid(lo: float = 1e-2, hi: float = 1e2, points: int = 16) -> np.ndarray:
@@ -289,6 +284,8 @@ def min_conjugate_over_y(
         sol = solve_dual(model, field, float(np.exp(t)), tol, warm_start=state["warm"])
         state["warm"] = sol.zeta
         return sol.value + x * float(np.exp(t))
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(
         objective,

@@ -66,7 +66,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dual import ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
@@ -445,6 +444,8 @@ def _density_plan(obj):
                 t *= 2.0
             if not math.isfinite(hi):
                 return None
+            from scipy.optimize import brentq
+
             t = brentq(_log_budget_excess, 0.0, t, args=args, xtol=1e-14)
             c = base.inv_u_prime(np.exp(t) * zw)
         c = c * (obj.x / float(np.dot(price, c)))

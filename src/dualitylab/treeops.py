@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import qr
-from scipy.optimize import linprog
 
 from .errors import BudgetError, ConvergenceError, InfeasibleMarketError
 from .market import MarketModel, _accumulate_down, _accumulate_up
@@ -59,6 +58,20 @@ DENSE_ENTRY_GUARD = 50_000_000
 _GATE_ITERS = 100
 _GATE_STEP_TOL = 1e-9
 _GATE_RIDGE = 1e-14
+# HiGHS tolerances of ``find_interior``'s max-margin LP and the pricing LPs.
+_LP_OPTS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: a solve that
+    runs no LP never loads ``scipy.optimize``.  ``dual`` and ``harness`` call
+    it by this name, where tests and perfbench/tracing.py replace it."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 @dataclass
