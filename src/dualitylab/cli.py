@@ -264,7 +264,8 @@ def cmd_duality_report(config: RunConfig) -> int:
     primal, dual, y = harness.pair_solutions(model, field, config.x, config.tol)
     rel = harness.optimality_relations_check(primal, dual, tol=config.check_tol)
     conj_val, y_star = harness.min_conjugate_over_y(
-        model, field, config.x, config.grid_min, config.grid_max, config.tol
+        model, field, config.x, config.grid_min, config.grid_max, config.tol,
+        warm_start=dual.zeta,
     )
     conj_gap = abs(conj_val - primal.value)
     _dump(config, "duality_report.json", {

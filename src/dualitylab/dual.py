@@ -22,11 +22,15 @@ product of one strictly positive one-step martingale measure per node
 naming a node and its arbitrage.  Its density P Z starts the node-measure
 solve and continues the optimal density below the trimmed view.  Only the
 one-period leaf-measure solve builds a dense system, the whole tree's
-``full_polytope_matrices`` of (1 + n_active) x leaves entries; it starts
-from the entropy centre, seeded by ``find_interior``.  Where the least-norm
-shift of that seed's centre is not strictly positive, ``find_interior``
-runs a max-margin LP (``treeops.linprog``), which imports
-``scipy.optimize`` on its first call.
+``full_polytope_matrices`` of (1 + n_active) x leaves entries.  A cold one
+starts from the entropy centre, seeded by ``find_interior``; where the
+least-norm shift of that seed's centre is not strictly positive,
+``find_interior`` runs a max-margin LP (``treeops.linprog``), which imports
+``scipy.optimize`` on its first call.  A warm start needs neither, in either
+coordinates: one that misses the polytope's interior, as the density
+``harness.pair_solutions`` reads off the primal's plan does, is projected
+once onto the constraints and pulled toward the gate's measure, and the
+solve starts cold only where that point still misses.
 
 Since the conjugate of any admissible field descends infinitely steeply at
 0, minimizers stay strictly positive wherever the objective looks; a
@@ -114,8 +118,9 @@ def find_interior(A: np.ndarray, b: np.ndarray, center=None) -> np.ndarray:
     First tries the least-norm shift of ``center`` (ones by default); when
     that leaves the positive orthant, falls back to a max-margin LP.  A
     nonpositive optimal margin means no strictly positive point exists.
-    Its one remaining use is to seed the leaf-coordinate dual
-    (``entropy_center``); the no-arbitrage gate is ``ensure_full_density``.
+    Its one remaining use is to seed the entropy centre, which only a cold
+    one-period solve in leaf coordinates reaches; the no-arbitrage gate is
+    ``ensure_full_density``.
     """
     n = A.shape[1]
     x0 = np.ones(n) if center is None else np.asarray(center, dtype=float)
@@ -181,7 +186,8 @@ def entropy_center(geo: Geometry) -> np.ndarray:
     Hessian P_j / q_j^2 never flattens.  The walk starts at
     ``find_interior``'s strictly positive leaf measure, centred on the
     physical one.  On nearly dependent rows it can end off the constraints;
-    the last iterate on them is returned.
+    the last iterate on them is returned.  Only a one-period solve in leaf
+    coordinates without a usable warm start builds it.
     """
 
     def build():
@@ -226,9 +232,11 @@ def ensure_full_density(geo: Geometry) -> np.ndarray:
 class DualSolution:
     """Optimal density and value of the dual problem at a given y.
 
-    ``iterations`` counts the Newton steps the call ran: a log or power
-    solution, at any y, reads the y = 1 reference's count when the call
-    solved that reference, and 0 when the model's kept one served it.
+    ``iterations`` counts the Newton steps the call ran, in leaf measures
+    and in the node measures that re-solve a failed leaf attempt together:
+    a log or power solution, at any y, reads the y = 1 reference's count
+    when the call solved that reference, and 0 when the model's kept one
+    served it.
     """
 
     Z: np.ndarray
@@ -286,12 +294,19 @@ class _DualObjective:
             return (tree.path_prob * z)[self.coords]
         return zeta * tree.path_prob[self.coords]
 
+    def interior(self, q: np.ndarray) -> bool:
+        """Whether q is a usable start: strictly positive, A q = b to 1e-8."""
+        A, b, _ = self.constraints()
+        return bool(np.min(q) > 0.0 and np.max(np.abs(A @ q - b)) < 1e-8)
+
+    def gate_measure(self) -> np.ndarray:
+        """P Z of ``ensure_full_density`` here: strictly positive and feasible."""
+        return (self.geo.tree.path_prob * ensure_full_density(self.geo))[self.coords]
+
     def start(self) -> np.ndarray:
-        """A fixed strictly positive feasible point: P Z of
-        ``ensure_full_density`` in node measures, else the entropy centre."""
-        if self.in_nodes:
-            return (self.geo.tree.path_prob * ensure_full_density(self.geo))[self.coords]
-        return entropy_center(self.geo)
+        """The cold start: the gate's measure in node measures, else the
+        entropy centre."""
+        return self.gate_measure() if self.in_nodes else entropy_center(self.geo)
 
     def node_args(self, q: np.ndarray) -> np.ndarray:
         return self.y * (q[self.cols] * self.col_scale) / self.w
@@ -359,11 +374,14 @@ def solve_dual(
 ) -> DualSolution:
     """Minimize the clock-weighted conjugate over the density polytope.
 
-    ``warm_start`` accepts the ``zeta`` of a previous solution on the same
-    model.  The returned solution carries the optimal density on every node
-    of the tree; on subtrees the clock never reaches, the density is
-    extended with a scaled copy of a fixed interior density so that it
-    satisfies all polytope constraints even though the value ignores it.
+    ``warm_start`` accepts trimmed-leaf density values on the same model,
+    such as the ``zeta`` of a previous solution; one off the polytope's
+    interior is repaired toward the gate's density, or, failing that, the
+    solve starts cold.  Log and power fields ignore it.  The returned
+    solution carries the optimal density on every node of the tree; on
+    subtrees the clock never reaches, the density is extended with a scaled
+    copy of a fixed interior density so that it satisfies all polytope
+    constraints even though the value ignores it.
     The gate's density, the constraint systems and the log and power
     families' y = 1 reference stay in the model's memo for later solves.
     """
@@ -409,16 +427,15 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
     obj = _DualObjective(geo, field, y)
     q = None
     if warm_start is not None and np.asarray(warm_start).size == geo.solve_leaves.size:
-        cand = obj.measures(np.asarray(warm_start, dtype=float))
-        A, b, _ = obj.constraints()
-        if np.min(cand) > 0.0 and np.max(np.abs(A @ cand - b)) < 1e-8:
-            q = cand
+        q = obj.measures(np.asarray(warm_start, dtype=float))
+        if not obj.interior(q):
+            q = _repair_start(obj, q)
     if q is None:
         q = obj.start()
 
     try:
         q, value, iterations = _barrier_solve(obj, q, tol, max_iter)
-    except ConvergenceError:
+    except ConvergenceError as exc:
         if obj.in_nodes:
             raise
         # Leaf-measure steps lose feasibility where the curvature spans many
@@ -426,6 +443,7 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
         # prices; node-measure steps solve their sparse KKT system exactly.
         obj = _DualObjective(geo, field, y, geo.trimmed)
         q, value, iterations = _barrier_solve(obj, obj.start(), tol, max_iter)
+        iterations += exc.iterations or 0
 
     zeta = q[obj.leaf_cols] / geo.tree.path_prob[geo.solve_leaves]
     zfull = _extend_density(geo, zeta)
@@ -440,6 +458,22 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
         model=geo.model,
         field=field,
     )
+
+
+def _repair_start(obj, cand):
+    """A start from a warm measure ``cand`` that fails ``obj.interior``, or None.
+
+    ``cand`` is projected once onto A q = b and pulled toward the gate's
+    measure as far as the line search's fraction to the boundary allows;
+    None where ``cand`` is not finite or that point fails ``obj.interior``.
+    """
+    if not np.all(np.isfinite(cand)):
+        return None
+    A, b, kkt = obj.constraints()
+    anchor = obj.gate_measure()
+    step = cand + _min_norm_correction(A, b - A @ cand, kkt) - anchor
+    q = anchor + _boundary_fraction(anchor, step) * step
+    return q if obj.interior(q) else None
 
 
 def _barrier_solve(obj, q, tol, max_iter):
@@ -498,7 +532,7 @@ def _barrier_solve(obj, q, tol, max_iter):
         for _ in range(budget):
             if iterations >= max_iter:
                 raise ConvergenceError(
-                    f"dual solve at y={y} exceeded {max_iter} Newton iterations"
+                    f"dual solve at y={y} exceeded {max_iter} Newton iterations", iterations
                 )
             iterations += 1
             g_obj, h_obj = obj.derivatives(q)
@@ -537,7 +571,8 @@ def _barrier_solve(obj, q, tol, max_iter):
     if gap > tol * scale:
         raise ConvergenceError(
             f"dual solve at y={y} could not certify tolerance {tol} "
-            f"(certified gap {gap:.3g})"
+            f"(certified gap {gap:.3g})",
+            iterations,
         )
 
     # Snap back onto the equality manifold: Newton steps meet A q = b only to
@@ -551,7 +586,8 @@ def _barrier_solve(obj, q, tol, max_iter):
         q = q + _min_norm_correction(A, r, kkt)
         if float(np.min(q)) <= 0.0 or float(np.max(np.abs(b - A @ q))) > 1e-12:
             raise ConvergenceError(
-                f"dual solve at y={y} drifted {drift:.3g} off the density constraints"
+                f"dual solve at y={y} drifted {drift:.3g} off the density constraints",
+                iterations,
             )
         f = obj.value(q)
     return q, f, iterations
@@ -710,10 +746,7 @@ def _line_search(value, x, step, g, f, phi, bw):
     def merit(z, fz):
         return fz - float(np.dot(bw, np.log(z)))
 
-    alpha = 1.0
-    neg = step < 0.0
-    if np.any(neg):
-        alpha = min(1.0, 0.995 * float(np.min(-x[neg] / step[neg])))
+    alpha = _boundary_fraction(x, step)
     slope = float(np.dot(g, step))
     for _ in range(60):
         cand = x + alpha * step
@@ -728,6 +761,12 @@ def _line_search(value, x, step, g, f, phi, bw):
         f_cand = value(cand)
         return cand, f_cand, merit(cand, f_cand)
     return x, f, phi
+
+
+def _boundary_fraction(x, step) -> float:
+    """The largest alpha <= 1 with x + alpha step at least 0.005 x, for x > 0."""
+    neg = step < 0.0
+    return min(1.0, 0.995 * float(np.min(-x[neg] / step[neg]))) if np.any(neg) else 1.0
 
 
 def _extend_density(geo: Geometry, zeta) -> np.ndarray:

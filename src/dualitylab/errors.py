@@ -37,7 +37,15 @@ class InfeasibleMarketError(DualityLabError):
 
 
 class ConvergenceError(DualityLabError):
-    """An iterative solver failed to reach its tolerance within the iteration budget."""
+    """An iterative solver failed to reach its tolerance within the iteration budget.
+
+    ``iterations`` is the number of Newton steps the dual's barrier solve ran
+    before it gave up, where that solve raised; None otherwise.
+    """
+
+    def __init__(self, message, iterations=None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class ValueDivergenceError(DualityLabError):

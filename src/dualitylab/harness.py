@@ -64,11 +64,26 @@ def pair_solutions(
     The marginal value of wealth is read off the optimal plan through the
     budget identity (density-weighted expenditure equals x * u'(x)), which
     is exact at the optimum; ``marginal_value_estimate`` gives the centered
-    difference instead.  Returns (primal, dual, y).
+    difference instead.  A field without a scaling law starts its dual from
+    the density the marginal relation y Z = w U'(c) reads off the plan on
+    the consuming trimmed leaves, and from the gate's density on the dead
+    roots; ``solve_dual`` repairs it onto the polytope where the plan misses
+    it, so a one-period pair runs no entropy centre and no seeding LP unless
+    that repair fails.  Log and power fields solve their y = 1 reference
+    cold, so the model's memo does not depend on which pair ran first.
+    Returns (primal, dual, y).
     """
     primal = solve_primal(model, field, x, tol)
     y = primal.y_estimate
-    dual = solve_dual(model, field, y, tol)
+    warm = None
+    if field.degree is None:
+        geo = build_geometry(model)
+        leaves = geo.solve_leaves
+        eff = geo.eff_mask[leaves]
+        warm = ensure_full_density(geo)[leaves]
+        w = node_weights(model, field)[leaves[eff]]
+        warm[eff] = w * field.base().u_prime(primal.c[leaves[eff]]) / y
+    dual = solve_dual(model, field, y, tol, warm_start=warm)
     return primal, dual, y
 
 
@@ -271,14 +286,17 @@ def min_conjugate_over_y(
     y_lo: float = 1e-2,
     y_hi: float = 1e2,
     tol: float = 1e-8,
+    warm_start: Optional[np.ndarray] = None,
 ):
     """Continuously refined inf over y of (v(y) + x y); returns (value, y).
 
     The dual curve is evaluated exactly (fresh dual solves), with the search
     bracketed on the log axis, so the result recovers u(x) up to solver
-    tolerance rather than grid resolution.
+    tolerance rather than grid resolution.  ``warm_start`` seeds the first
+    solve as ``solve_dual``'s does; each later solve starts from the one
+    before it.
     """
-    state = {"warm": None}
+    state = {"warm": warm_start}
 
     def objective(t: float) -> float:
         sol = solve_dual(model, field, float(np.exp(t)), tol, warm_start=state["warm"])

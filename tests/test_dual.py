@@ -295,6 +295,26 @@ class TestSolveDual:
         assert [solve_dual(model, field, y).iterations for y in (0.5, 1.0, 3.0)] == [0, 0, 0]
         assert ran == [steps]
 
+    def test_leaf_fallback_counts_both_attempts(self, example2, bounded_field, monkeypatch):
+        # A one-period solve whose leaf attempt raises is re-solved in node
+        # measures, and its count holds the steps of both attempts.
+        with pytest.raises(ConvergenceError) as err:
+            solve_dual(example2, bounded_field, 0.5, max_iter=3)
+        assert err.value.iterations == 3
+        ran = []
+        real = dual._barrier_solve
+
+        def leaf_fails(obj, *args):
+            out = real(obj, *args)
+            ran.append(out[-1])
+            if not obj.in_nodes:
+                raise ConvergenceError("leaf attempt refused", out[-1])
+            return out
+
+        monkeypatch.setattr(dual, "_barrier_solve", leaf_fails)
+        sol = solve_dual(example2, bounded_field, 0.5)
+        assert len(ran) == 2 and sol.iterations == sum(ran)
+
     @pytest.mark.parametrize("field", [
         UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
     ], ids=["log", "power"])
@@ -523,6 +543,38 @@ class TestRandomTrees:
         start = tree.path_prob * node_values(tree, geo.solve_leaves, seed.zeta)
         assert np.array_equal(q, start[geo.trimmed])
         assert abs(warm.value - cold.value) <= 2 * tol * (1.0 + abs(cold.value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_warm_start_off_the_polytope_is_repaired(self, model, seed):
+        # A density pushed off the rows, and negative at some leaves, is
+        # projected onto them and pulled toward the gate's measure: a strictly
+        # positive point on the rows.  In node measures a solve from it lands
+        # where a cold one does.
+        field, tol, y = RANDOM_TREE_FIELDS["bounded"], 1e-10, 1.0
+        geo = build_geometry(model)
+        try:
+            gate = ensure_full_density(geo)
+        except InfeasibleMarketError:
+            assert _node_margin(model) < 1e-2
+            return
+        rng = np.random.default_rng(seed)
+        leaves = geo.solve_leaves
+        zeta = gate[leaves] * rng.lognormal(0.0, 1.0, leaves.size)
+        zeta[rng.random(leaves.size) < 0.3] *= -1.0
+        obj = dual._DualObjective(geo, field, y)
+        q = dual._repair_start(obj, obj.measures(zeta))
+        assert q is not None and float(np.min(q)) > 0.0
+        A, b, _ = obj.constraints()
+        scale = float(np.max(abs(A) @ q)) + float(np.max(np.abs(b)))
+        assert float(np.max(np.abs(A @ q - b))) <= 1e-12 * scale
+        if obj.in_nodes:
+            cold = solve_dual(model, field, y, tol)
+            warm = solve_dual(model, field, y, tol, warm_start=zeta)
+            assert abs(warm.value - cold.value) <= tol * (2.0 + abs(warm.value) + abs(cold.value))
 
 
 # A 9-node martingale tree whose root has two children with collinear price

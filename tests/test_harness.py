@@ -166,6 +166,22 @@ class TestOptimalityRelations:
         assert abs(primal.value - dual.value - x * y) <= 1e-6
         assert report.marginal_ok
 
+    def test_bounded_pair_runs_no_seeding_lp(self, bounded_field, monkeypatch):
+        # On this incomplete five-asset ladder the least-norm shift of the
+        # physical measure leaves the orthant, so a cold dual would run
+        # find_interior's LP; the pair's dual starts from the primal's plan.
+        model = build_example_market(ExampleMarketSpec(5, (0.55, 0.59, 0.63, 0.67, 0.71)))
+        A, b, prob = dual._measure_system(treeops.build_geometry(model))
+        assert np.min(prob + A.T @ np.linalg.solve(A @ A.T, b - A @ prob)) <= 0.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair ran find_interior")
+
+        monkeypatch.setattr(dual, "find_interior", refuse)
+        primal, sol, y = pair_solutions(model, bounded_field, 1.0)
+        assert dual.martingale_polytope(model).contains(sol.Z[model.tree.leaves])
+        assert abs(primal.value - sol.value - y) <= 1e-6
+
 
 def mixed_id_model():
     """Two-period binomial (moves 2 and 1/2, p = 1/2, clock 1/2 at t = 1, 2)
@@ -522,6 +538,15 @@ class TestConvergenceStudy:
                 v.append(sol.value)
             assert np.array_equal(curves.v[k], v)
         assert warm_iters <= cold_iters / 2
+
+    def test_study_warm_starts_need_no_repair(self, example3, bounded_field, monkeypatch):
+        # Each y-chained dual starts from the previous y's optimal density,
+        # which is strictly inside the polytope already.
+        repaired = []
+        monkeypatch.setattr(dual, "_repair_start", lambda *args: repaired.append(args))
+        grid = default_grid(points=8)
+        value_convergence_study(example3, bounded_field, grid, grid, [1, 2, 3], 1e-9)
+        assert repaired == []
 
     def test_weak_duality_all_pairs(self, example2, bounded_field):
         grid = default_grid(points=8)
