@@ -654,7 +654,7 @@ class _NodeKKT:
 
     In the measure steps delta = q du, child c hands its parent k a curvature
     a_c and gradient beta_c in delta_c; k minimizes their sum over its rows
-    [1, dS_c] delta_C = (delta_k - P r_balance, P r_price) by one batched
+    [1, dS_c] delta_C = (delta_k - r_balance, r_price) by one batched
     Householder QR of M = [1, dS_c] / sqrt(a_c), rows by decreasing size so
     that small parts stay accurate (an unkept asset: a unit column on a
     spare row).  The step's part outside M's range is taken in the complete
@@ -665,7 +665,7 @@ class _NodeKKT:
     def __init__(self, geo: Geometry, price_row: np.ndarray):
         _, _, _, dates, keep = geo.markets()
         n, na = geo.trimmed.size, geo.model.n_active
-        scale = geo.tree.path_prob[geo.trimmed, None] * np.append(-1.0, np.ones(na))
+        self.sign = np.append(-1.0, np.ones(na))  # of (balance, price) rows
         self.n_rows, self.dates = 1 + keep.shape[0] + int(keep.sum()), []
         for first, own, child, dS in dates:
             span, w = slice(first, first + own.size), child.shape[1]
@@ -675,14 +675,14 @@ class _NodeKKT:
             B[:, w + np.arange(na), 1 + np.arange(na)] = ~keep[span]
             # An unkept asset's row -1 reads r = 0 and writes nu's spare entry.
             rows = np.hstack((1 + first + np.arange(own.size)[:, None], price_row[span]))
-            self.dates.append((own, child, B, np.abs(B).max(axis=2), scale[own], rows))
+            self.dates.append((own, child, B, np.abs(B).max(axis=2), rows))
 
     def solve(self, q, r, g, h):
         """(du, du' h du, nu) of min g' du + du' diag(h) du / 2, A diag(q) du = r,
         for h > 0 on the trimmed leaves and h >= 0 on the inner nodes."""
         a, beta, r = np.append(h / q**2, 1.0), np.append(g / q, 0.0), np.append(r, 0.0)
-        done = []
-        for own, child, B, size, p, rows in reversed(self.dates):
+        sign, done = self.sign, []
+        for own, child, B, size, rows in reversed(self.dates):
             s = 1.0 / np.sqrt(a[child])
             o = np.argsort(-s * size, axis=1) + child.shape[1] * np.arange(own.size)[:, None]
             child, s = child.ravel()[o], s.ravel()[o]
@@ -690,16 +690,16 @@ class _NodeKKT:
             m = tau.shape[1]
             R = np.triu(np.swapaxes(hv[:, :, :m], 1, 2))
             c = _reflect(hv, tau, beta[child] * s, range(m))  # Q' beta / sqrt(a)
-            rhs = np.stack((np.broadcast_to(np.arange(m) == 0, p.shape), r[rows] * p), axis=2)
+            rhs = np.stack((np.broadcast_to(np.arange(m) == 0, rows.shape), r[rows] * sign), axis=2)
             rho, z0 = np.moveaxis(np.linalg.solve(np.swapaxes(R, 1, 2), rhs), 2, 0)
             a[own] += np.sum(rho * rho, axis=1)
             beta[own] += np.sum(rho * (z0 + c[:, :m]), axis=1)
-            done.append((own, p, rows, child, s, hv, tau, R, c, rho, z0))
+            done.append((own, rows, child, s, hv, tau, R, c, rho, z0))
         delta, nu = np.zeros(a.size), np.zeros(self.n_rows + 1)
         delta[0], nu[0] = r[0], -(a[0] * r[0] + beta[0])
-        for own, p, rows, child, s, hv, tau, R, c, rho, z0 in reversed(done):
+        for own, rows, child, s, hv, tau, R, c, rho, z0 in reversed(done):
             z = rho * delta[own, None] + z0
-            nu[rows] = -p * np.linalg.solve(R, (z + c[:, : z.shape[1]])[:, :, None])[:, :, 0]
+            nu[rows] = -sign * np.linalg.solve(R, (z + c[:, : z.shape[1]])[:, :, None])[:, :, 0]
             x = np.concatenate((z, -c[:, z.shape[1] :]), axis=1)
             delta[child] = _reflect(hv, tau, x, range(z.shape[1] - 1, -1, -1)) * s  # Q x
         du = delta[:-1] / q

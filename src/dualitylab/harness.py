@@ -408,8 +408,8 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     The LP dual of :func:`dual_superrep_price` over the same node system:
     min b'nu over free nu with N'nu >= spend.  Its multipliers are wealth
     and holdings: nu_0 is the price, and the pricing row of internal node k
-    and asset a carries P(k) times the holding, which is zero where the row
-    was dropped as redundant.  With a density present, the holdings keep
+    and asset a carries the holding, which is zero where the row was
+    dropped as redundant.  With a density present, the holdings keep
     wealth nonnegative at every node.  On a complete tree (N square) every
     constraint binds, since the only density m = P Z is strictly positive,
     so nu is one sparse solve of N'nu = spend: the price is the replicating
@@ -443,7 +443,7 @@ def superreplication_price(model: MarketModel, c) -> SuperrepResult:
     tree = model.tree
     internal = np.flatnonzero(~tree.is_leaf)
     H = np.zeros((tree.n_nodes, model.n_active))
-    H[internal] = np.where(price_row >= 0, nu[price_row], 0.0) / tree.path_prob[internal, None]
+    H[internal] = np.where(price_row >= 0, nu[price_row], 0.0)
     return SuperrepResult(price=float(nu[0]), holdings=H)
 
 

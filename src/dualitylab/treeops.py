@@ -123,14 +123,12 @@ class Geometry:
         Where the view is the whole tree, it is ``full_node_system()`` itself."""
         if self.trimmed.size == self.tree.n_nodes:
             return self.full_node_system()
-        return self.memo("node_system",
-                         lambda: node_system(self.model, self.trimmed, self.markets()))
+        return self.memo("node_system", lambda: node_system(self.trimmed, self.markets()))
 
     def full_node_system(self):
         """The whole tree's ``node_system``, built on first use and kept."""
         nodes = np.arange(self.tree.n_nodes)
-        return self.memo("full_node_system",
-                         lambda: node_system(self.model, nodes, self.full_markets()))
+        return self.memo("full_node_system", lambda: node_system(nodes, self.full_markets()))
 
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
@@ -321,15 +319,15 @@ def _raise_arbitrage(model: MarketModel, pos: int, dS: np.ndarray, keep: np.ndar
     )
 
 
-def node_system(model: MarketModel, nodes: np.ndarray, markets):
+def node_system(nodes: np.ndarray, markets):
     """Martingale constraints in node-measure coordinates m = P Z over ``nodes``.
 
     The sparse twin of ``full_polytope_matrices``, given the subtree's
-    ``node_markets``.  Sparse rows, each divided by P(k) of its node k:
-    m_root = 1, then every internal node's balance m_k - sum_c m_c = 0, then
-    its full-rank pricing rows sum_c m_c (S_c - S_k) = 0 in the assets it
-    keeps.  Returns (N, b, price_row) with N m = b and ``price_row[k, a]``
-    the row of the k-th internal node's asset a, or -1 where it has none.
+    ``node_markets``.  Sparse rows in plain measure units: m_root = 1, then
+    every internal node's balance m_k - sum_c m_c = 0, then its full-rank
+    pricing rows sum_c m_c (S_c - S_k) = 0 in the assets it keeps.  Returns
+    (N, b, price_row) with N m = b and ``price_row[k, a]`` the row of the
+    k-th internal node's asset a, or -1 where it has none.
     """
     internal, kids, blk, dates, keep = markets
     n_rows = 1 + internal.size + int(keep.sum())
@@ -338,11 +336,9 @@ def node_system(model: MarketModel, nodes: np.ndarray, markets):
 
     d_s = np.concatenate([dS[child < nodes.size] for _, _, child, dS in dates])
     k, a = np.nonzero(keep[blk])
-    inv_p = 1.0 / model.tree.path_prob[nodes]
-    par = internal[blk]
     rows = np.concatenate(([0], 1 + np.arange(internal.size), 1 + blk, price_row[blk[k], a]))
     cols = np.concatenate(([0], internal, kids, kids[k]))
-    vals = np.concatenate(([1.0], inv_p[internal], -inv_p[par], d_s[k, a] * inv_p[par[k]]))
+    vals = np.concatenate(([1.0], np.ones(internal.size), -np.ones(kids.size), d_s[k, a]))
     b = np.zeros(n_rows)
     b[0] = 1.0
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, nodes.size)), b, price_row

@@ -804,3 +804,15 @@ def test_tiny_leaf_probability_terminal_clock(bounded_field):
     model = binomial_model(2, 0.999999, {2: 1.0})
     sol = solve_primal(model, bounded_field, 1.0)
     assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.xfail(
+    raises=RuntimeWarning,
+    reason="_domain_line_search accepts a step on the extrapolated wealth w + alpha dw, "
+    "while the wealth recomputed from theta reads exactly 0 at the leaf with P = 1e-8: "
+    "U' divides by zero there, and without the warning filter the solve raises 'not "
+    "positive definite under any ridge' (ROADMAP item 3)",
+)
+def test_skewed_terminal_clock_power(power_field):
+    sol = solve_primal(binomial_model(4, 0.99, {4: 1.0}), power_field, 1.0)
+    assert sol.kkt_residual <= 1e-8

@@ -33,7 +33,9 @@ from conftest import binomial_model, binomial_two_period_partial_clock
 
 
 @st.composite
-def random_models(draw, martingale=False):
+def random_models(draw, martingale=False, skew=False):
+    # With ``skew`` the children's weights span 12 / depth decades, so that
+    # leaf path probabilities reach down to about 1e-12.
     depth = draw(st.integers(1, 4))
     n_assets = draw(st.integers(0, 3))
     n_active = draw(st.integers(0, n_assets))
@@ -46,7 +48,7 @@ def random_models(draw, martingale=False):
         nxt = []
         for pid in level:
             k = int(rng.integers(1, 4))
-            w = rng.uniform(1.0, 4.0, k)
+            w = 10.0 ** rng.uniform(-12.0 / depth, 0.0, k) if skew else rng.uniform(1.0, 4.0, k)
             for q in w / w.sum():
                 parent.append(pid)
                 times.append(t)
@@ -305,16 +307,14 @@ def ref_node_system(model, nodes, internal_mask, keep):
     internal = [int(pos) for pos in nodes if internal_mask[pos]]
     entries = {(0, 0): 1.0}
     for i, k in enumerate(internal):
-        inv_p = 1.0 / tree.path_prob[k]
-        entries[1 + i, col_of[k]] = inv_p
+        entries[1 + i, col_of[k]] = 1.0
         for ch in tree.children[k]:
-            entries[1 + i, col_of[int(ch)]] = -inv_p
+            entries[1 + i, col_of[int(ch)]] = -1.0
     row = 1 + len(internal)
     for i, k in enumerate(internal):
         for a in np.flatnonzero(keep[i]):
             for ch in tree.children[k]:
-                move = prices[ch, a] - prices[k, a]
-                entries[row, col_of[int(ch)]] = move * (1.0 / tree.path_prob[k])
+                entries[row, col_of[int(ch)]] = prices[ch, a] - prices[k, a]
             row += 1
     return entries, row
 
@@ -349,7 +349,7 @@ def test_node_system_matches_reference_loop(model):
                     assert np.sum(s > np.finfo(float).eps * max(child.shape[1], na) * level) == r
         assert grouped == list(zip(blk.tolist(), kids.tolist()))
 
-        N, b, price_row = node_system(model, nodes, markets)
+        N, b, price_row = node_system(nodes, markets)
         entries, n_rows = ref_node_system(model, nodes, mask, keep)
         assert N.shape == (n_rows, nodes.size)
         coo = N.tocoo()
