@@ -130,9 +130,11 @@ def _resolve_config(args) -> RunConfig:
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                values.update(json.load(fh))
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ConfigError(f"config must be a JSON object, got {values!r}")
     known = [f.name for f in fields(RunConfig) if f.name != "command"]
     for name in known:
         value = getattr(args, name, None)

@@ -387,8 +387,6 @@ def solve_dual(
     """
     if not math.isfinite(y) or y <= 0.0:
         raise DualityLabError(f"dual argument must be positive and finite, got {y}")
-    if field.family == "affine-test":
-        raise DualityLabError("affine test field is not admissible for solving")
     geo = build_geometry(model)
     ensure_full_density(geo)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,7 +192,12 @@ class AssetProcess:
         for nid in tree.ids:
             if nid not in prices_by_id:
                 raise PriceError(f"no prices for node {nid!r}")
-            row = np.asarray(prices_by_id[nid], dtype=float)
+            try:
+                row = np.asarray(prices_by_id[nid], dtype=float)
+            except (TypeError, ValueError):
+                raise PriceError(
+                    f"prices of node {nid!r} must be numbers, got {prices_by_id[nid]!r}"
+                ) from None
             if row.ndim != 1:
                 raise PriceError(f"prices of node {nid!r} must be a flat list")
             if n_assets is None:
@@ -219,12 +225,12 @@ class StochasticClock:
 
     def __init__(self, tree: ScenarioTree, dkappa_by_id, bound: float):
         self.tree = tree
-        self.bound = float(bound)
+        self.bound = _number(bound, "clock bound A", ClockError)
         dk = np.zeros(tree.n_nodes)
         for nid, val in dkappa_by_id.items():
             if nid not in tree.index_of:
                 raise ClockError(f"clock references unknown node {nid!r}")
-            dk[tree.index_of[nid]] = float(val)
+            dk[tree.index_of[nid]] = _number(val, f"clock increment of node {nid!r}", ClockError)
         self.dkappa = dk
 
         self.cumulative = _accumulate_down(dk.copy(), tree.parent, tree.levels)
@@ -439,24 +445,53 @@ def build_tree(spec: dict) -> MarketModel:
         bound = spec["A"]
     except (KeyError, TypeError) as exc:
         raise MalformedTreeError(f"model spec missing required field: {exc}") from exc
+    if not isinstance(node_specs, (list, tuple)):
+        raise MalformedTreeError(f"nodes must be a list of node objects, got {node_specs!r}")
+    if not isinstance(prices, Mapping):
+        raise PriceError(f"prices must map node ids to price lists, got {prices!r}")
+    if not isinstance(clock_map, Mapping):
+        raise ClockError(f"clock must map node ids to increments, got {clock_map!r}")
 
-    records = []
-    for entry in node_specs:
-        nid = entry["id"]
-        parent = entry.get("parent")
-        prob = entry.get("prob", 1.0)
-        records.append((nid, int(entry["t"]), parent, 1.0 if parent is None else float(prob)))
-    tree = ScenarioTree(records)
-
+    tree = ScenarioTree(_node_record(k, entry) for k, entry in enumerate(node_specs))
     assets = AssetProcess(tree, _coerce_keys(prices, tree.index_of))
-    clock = StochasticClock(tree, _coerce_keys(clock_map, tree.index_of), float(bound))
+    clock = StochasticClock(tree, _coerce_keys(clock_map, tree.index_of), bound)
     report = validate_clock(clock, tree)
     if not report.passed:
         bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise ClockError(f"clock conditions failed ({bad})")
 
-    n_active = int(spec.get("n_active", assets.n_assets))
+    n_active = _integer(spec.get("n_active", assets.n_assets), "n_active")
     return MarketModel(tree=tree, assets=assets, clock=clock, n_active=n_active)
+
+
+def _node_record(k, entry) -> tuple:
+    """The ``(id, t, parent_id, prob)`` record of entry ``k`` of a spec's nodes."""
+    if not (isinstance(entry, Mapping) and "id" in entry and "t" in entry
+            and isinstance(entry["id"], Hashable) and isinstance(entry.get("parent"), Hashable)):
+        raise MalformedTreeError(f"node entry {k} must be an object with an id and a 't', "
+                                 f"got {entry!r}")
+    nid, parent = entry["id"], entry.get("parent")
+    t = _integer(entry["t"], f"time 't' of node {nid!r}")
+    if parent is None:
+        return nid, t, None, 1.0
+    return nid, t, parent, _number(entry.get("prob", 1.0),
+                                   f"transition probability of node {nid!r}", MalformedTreeError)
+
+
+def _number(value, what, error) -> float:
+    """``value`` as a float; else ``error`` naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be a number, got {value!r}") from None
+
+
+def _integer(value, what) -> int:
+    """``value`` as an int where it is a whole number; else MalformedTreeError."""
+    number = _number(value, what, MalformedTreeError)
+    if not number.is_integer():
+        raise MalformedTreeError(f"{what} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _coerce_keys(mapping, names) -> dict:
@@ -501,7 +536,11 @@ def model_to_dict(model: MarketModel) -> dict:
 
 def load_model(path) -> MarketModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_tree(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise MalformedTreeError(f"model file is not valid JSON: {exc}") from exc
+    return build_tree(spec)
 
 
 def save_model(model: MarketModel, path) -> None:

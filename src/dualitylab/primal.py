@@ -366,8 +366,6 @@ def solve_primal(
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
-    if field.family == "affine-test":
-        raise DualityLabError("affine test field is not admissible for solving")
 
     geo = build_geometry(model)
     ensure_full_density(geo)  # no-arbitrage gate

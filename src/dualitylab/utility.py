@@ -34,38 +34,18 @@ from .market import MarketModel, _coerce_keys
 
 FAMILIES = ("log", "power", "bounded")
 
-# Bisection fallback for marginal inversion.
-BRACKET_LO = 1e-12
-BRACKET_HI = 1e12
-BRACKET_GROW = 16.0
-BRACKET_RATIO_TOL = 1e-12
-
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
 class _Base:
-    """Vectorized base-family callables; scalars pass through as 0-d arrays."""
+    """Vectorized base-family callables; scalars pass through as 0-d arrays.
 
-    def u(self, x):
-        raise NotImplementedError
-
-    def u_prime(self, x):
-        raise NotImplementedError
-
-    def u_second(self, x):
-        raise NotImplementedError
-
-    def inv_u_prime(self, y):
-        raise NotImplementedError
-
-    def v(self, y):
-        """Conjugate sup_x (u(x) - x y); right limit at y = 0."""
-        raise NotImplementedError
-
-    def u_at_zero(self) -> float:
-        raise NotImplementedError
+    Each family defines ``u``, ``u_prime``, ``u_second``, ``inv_u_prime``
+    and ``v``, the conjugate sup_x (u(x) - x y).  At x = 0 and y = 0 they
+    return the right limits: u(0) is -inf or 0 and v(0) = sup u.
+    """
 
 
 class _LogBase(_Base):
@@ -87,9 +67,6 @@ class _LogBase(_Base):
         y = _as_array(y)
         with np.errstate(divide="ignore"):
             return np.where(y > 0.0, -np.log(y) - 1.0, np.inf)
-
-    def u_at_zero(self):
-        return -math.inf
 
 
 class _PowerBase(_Base):
@@ -120,10 +97,8 @@ class _PowerBase(_Base):
         expo = g / (g - 1.0)
         with np.errstate(divide="ignore"):
             out = ((1.0 - g) / g) * np.power(y, expo)
-        return np.where(y > 0.0, out, np.inf)
-
-    def u_at_zero(self):
-        return 0.0 if self.gamma > 0.0 else -math.inf
+        # At y = 0 the right limit is sup u: +inf for gamma > 0, else 0.
+        return np.where(y > 0.0, out, np.inf if g > 0.0 else 0.0)
 
 
 class _BoundedBase(_Base):
@@ -171,42 +146,13 @@ class _BoundedBase(_Base):
         out = np.where(y >= 1.0, high, low)
         return np.where(y >= 0.0, out, np.inf)
 
-    def u_at_zero(self):
-        return 0.0
-
-
-class _AffineBase(_Base):
-    """u(x) = x.  Violates the marginal conditions at both ends; this exists
-    only so diagnostic checks have a failing case to detect."""
-
-    def u(self, x):
-        return _as_array(x).copy()
-
-    def u_prime(self, x):
-        return np.ones_like(_as_array(x))
-
-    def u_second(self, x):
-        return np.zeros_like(_as_array(x))
-
-    def inv_u_prime(self, y):
-        raise DualityLabError("affine test field has no invertible marginal")
-
-    def v(self, y):
-        y = _as_array(y)
-        return np.where(y >= 1.0, 0.0, np.inf)
-
-    def u_at_zero(self):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class UtilityField:
     """Utility field: a base family times an optional per-node weight.
 
     ``weights`` maps node ids to strictly positive multipliers; missing nodes
-    default to 1.  ``force_numeric_inverse`` is a test hook that routes
-    marginal inversion and conjugation through bracketed bisection instead of
-    the closed forms.
+    default to 1.
     """
 
     family: str
@@ -214,16 +160,15 @@ class UtilityField:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     weights: Optional[Mapping] = None
-    force_numeric_inverse: bool = False
 
     def __post_init__(self):
         for name in ("gamma", "alpha", "beta"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
                 raise DualityLabError(f"{name} must be a real, finite number, got {value!r}")
-        if self.family == "log":
-            pass
-        elif self.family == "power":
+        if self.family not in FAMILIES:
+            raise DualityLabError(f"utility family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family == "power":
             if self.gamma is None or self.gamma >= 1.0 or self.gamma == 0.0:
                 raise DualityLabError(
                     f"power family needs gamma < 1, gamma != 0, got {self.gamma}"
@@ -233,15 +178,13 @@ class UtilityField:
                 raise DualityLabError(f"bounded family needs alpha in (0, 1), got {self.alpha}")
             if self.beta is None or not (self.beta > 1.0):
                 raise DualityLabError(f"bounded family needs beta > 1, got {self.beta}")
-        elif self.family == "affine-test":
-            pass
-        else:
-            raise DualityLabError(f"unknown utility family {self.family!r}")
         if self.weights is not None:
+            if not isinstance(self.weights, Mapping):
+                raise DualityLabError(f"weights must map node ids to numbers, got {self.weights!r}")
             for nid, w in self.weights.items():
-                if not (w > 0.0 and math.isfinite(w)):
+                if not (isinstance(w, Real) and w > 0.0 and math.isfinite(w)):
                     raise DualityLabError(
-                        f"weight of node {nid!r} must be strictly positive and finite, got {w}"
+                        f"weight of node {nid!r} must be a positive, finite number, got {w!r}"
                     )
 
     @property
@@ -256,9 +199,7 @@ class UtilityField:
             return _LogBase()
         if self.family == "power":
             return _PowerBase(self.gamma)
-        if self.family == "bounded":
-            return _BoundedBase(self.alpha, self.beta)
-        return _AffineBase()
+        return _BoundedBase(self.alpha, self.beta)
 
     @property
     def weights_key(self):
@@ -284,11 +225,7 @@ class UtilityField:
     def eval(self, t, node, x) -> float:
         if x < 0.0:
             raise DualityLabError(f"utility argument must be nonnegative, got {x}")
-        base = self.base()
-        if x == 0.0:
-            limit = base.u_at_zero()
-            return self.weight(node) * limit if math.isfinite(limit) else limit
-        return self.weight(node) * float(base.u(x))
+        return self.weight(node) * float(self.base().u(x))
 
     def marginal(self, t, node, x) -> float:
         if x <= 0.0:
@@ -298,34 +235,10 @@ class UtilityField:
     def inverse_marginal(self, t, node, y) -> float:
         if y <= 0.0:
             raise DualityLabError(f"inverse marginal needs y > 0, got {y}")
-        w = self.weight(node)
-        if self.force_numeric_inverse:
-            return _bisect_inverse(self.base().u_prime, y / w)
-        return float(self.base().inv_u_prime(y / w))
+        return float(self.base().inv_u_prime(y / self.weight(node)))
 
     def conjugate(self) -> "ConjugateField":
-        strategy = "numeric-inversion" if self.force_numeric_inverse else "analytic"
-        return ConjugateField(field=self, strategy=strategy)
-
-
-def _bisect_inverse(u_prime, y: float) -> float:
-    """Solve u_prime(x) = y by bisection on a geometrically expanded bracket."""
-    lo, hi = BRACKET_LO, BRACKET_HI
-    while float(u_prime(lo)) < y:
-        lo /= BRACKET_GROW
-        if lo < 1e-300:
-            raise DualityLabError(f"could not bracket inverse marginal at y={y}")
-    while float(u_prime(hi)) > y:
-        hi *= BRACKET_GROW
-        if hi > 1e300:
-            raise DualityLabError(f"could not bracket inverse marginal at y={y}")
-    while hi / lo - 1.0 > BRACKET_RATIO_TOL:
-        mid = math.sqrt(lo * hi)
-        if float(u_prime(mid)) >= y:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+        return ConjugateField(field=self)
 
 
 @dataclass(frozen=True)
@@ -333,27 +246,17 @@ class ConjugateField:
     """Pointwise conjugate v(t, node, y) = sup_x (u(t, node, x) - x y).
 
     The negative of a conjugate field satisfies the same regularity and
-    marginal conditions as the field itself.  ``strategy`` records whether
-    evaluation goes through closed forms or through numeric inversion of the
-    marginal.
+    marginal conditions as the field itself.  It reads w * v_base(y / w) in
+    closed form; at y = 0 that is the right limit, the weighted sup of u.
     """
 
     field: UtilityField
-    strategy: str = "analytic"
 
     def eval(self, t, node, y) -> float:
         if y < 0.0:
             raise DualityLabError(f"conjugate argument must be nonnegative, got {y}")
         w = self.field.weight(node)
-        if self.strategy == "analytic":
-            val = float(self.field.base().v(y / w))
-            return w * val if math.isfinite(val) else val
-        if y == 0.0:
-            # Right limit: sup of the utility.
-            val = float(self.field.base().v(0.0))
-            return w * val if math.isfinite(val) else val
-        x = self.field.inverse_marginal(t, node, y)
-        return self.field.eval(t, node, x) - x * y
+        return w * float(self.field.base().v(y / w))
 
     def derivative(self, t, node, y) -> float:
         """v'(y) = -inverse_marginal(y)."""
@@ -425,9 +328,8 @@ def field_from_spec(spec: dict) -> UtilityField:
     Schema: {"family": "log"|"power"|"bounded", "gamma", "alpha", "beta",
     "weights": optional {node id: w}}.
     """
-    family = spec.get("family")
-    if family not in FAMILIES:
-        raise DualityLabError(f"utility family must be one of {FAMILIES}, got {family!r}")
+    if not isinstance(spec, dict):
+        raise DualityLabError(f"a utility spec must be a JSON object, got {spec!r}")
     weights = spec.get("weights")
     if weights is not None:
         try:
@@ -435,7 +337,7 @@ def field_from_spec(spec: dict) -> UtilityField:
         except (AttributeError, TypeError, ValueError) as exc:
             raise DualityLabError(f"utility weights must map node ids to numbers: {exc}") from exc
     return UtilityField(
-        family=family,
+        family=spec.get("family"),
         gamma=spec.get("gamma"),
         alpha=spec.get("alpha"),
         beta=spec.get("beta"),

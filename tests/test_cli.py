@@ -7,6 +7,7 @@ from dualitylab.cli import main
 from dualitylab.market import ExampleMarketSpec, build_example_market, model_to_dict, save_model
 
 from conftest import arbitrage_model, single_path_model
+from test_market import MALFORMED_SPECS, one_period_spec
 
 
 @pytest.fixture()
@@ -67,6 +68,19 @@ class TestValidate:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(bad, fh)
         assert main(["validate", "--model", str(path)]) == 2
+
+    @pytest.mark.parametrize("case", [*MALFORMED_SPECS, "not-json"])
+    def test_malformed_model_exits_2(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        if case == "not-json":
+            path.write_text('{"nodes": [')
+        else:
+            spec = one_period_spec()
+            MALFORMED_SPECS[case][0](spec)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        assert "model validation failed" in capsys.readouterr().err
 
     def test_missing_model_exits_1(self):
         assert main(["validate", "--model", "nope.json"]) == 1
@@ -313,6 +327,14 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("doc", [[1, 2], [["x", 2.0]], "log", 3, None])
+    def test_config_that_is_not_an_object_exits_1(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, utility, config", [
         ("solve-primal", "bounded:0.5", {}),
         ("solve-primal", "bounded:0.5,2,3", {}),
@@ -328,6 +350,7 @@ class TestConfigFile:
         ("solve-primal", {"family": "log", "weights": [1]}, {}),
         ("superrep", "log", {"claim": {"1": "abc"}}),
         ("superrep", "log", {"claim": {"1": None}}),
+        ("solve-primal", [{"family": "log"}], {}),
     ])
     def test_unparsable_values_exit_1(self, example3_path, tmp_path, capsys,
                                       command, utility, config):
@@ -340,7 +363,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        if isinstance(utility, dict):  # a utility file
+        if not isinstance(utility, str):  # a utility file
             spec = tmp_path / "utility.json"
             with open(spec, "w", encoding="utf-8") as fh:
                 json.dump(utility, fh)

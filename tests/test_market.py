@@ -39,7 +39,64 @@ def one_period_spec(prices_up=2.0, prices_down=0.5, p=0.6, dk=1.0):
     }
 
 
+def _set(path, value):
+    """A mutation of ``one_period_spec()`` that sets ``spec[path...] = value``
+    (or deletes the key when ``value`` is ``DELETE``)."""
+    def apply(spec):
+        *head, last = path
+        for key in head:
+            spec = spec[key]
+        if value is DELETE:
+            del spec[last]
+        else:
+            spec[last] = value
+    return apply
+
+
+DELETE = object()
+
+# Malformed model specs: the mutation of one_period_spec(), the typed error
+# build_tree raises and what its message names.
+MALFORMED_SPECS = {
+    "A-not-a-number": (_set(["A"], "big"), ClockError, "clock bound A"),
+    "clock-value-not-a-number": (_set(["clock", "1"], "abc"), ClockError, "node 1"),
+    "clock-a-list": (_set(["clock"], [0.0, 1.0, 1.0]), ClockError, "clock must map"),
+    "prob-not-a-number": (_set(["nodes", 1, "prob"], "x"), MalformedTreeError, "node 1"),
+    "prob-null": (_set(["nodes", 1, "prob"], None), MalformedTreeError, "node 1"),
+    "n_active-not-a-number": (_set(["n_active"], "one"), MalformedTreeError, "n_active"),
+    "nodes-not-a-list": (_set(["nodes"], 5), MalformedTreeError, "nodes must be a list"),
+    "node-entry-not-an-object": (_set(["nodes", 2], 5), MalformedTreeError, "node entry 2"),
+    "node-without-id": (_set(["nodes", 2, "id"], DELETE), MalformedTreeError, "node entry 2"),
+    "node-id-a-list": (_set(["nodes", 2, "id"], [2]), MalformedTreeError, "node entry 2"),
+    "node-without-t": (_set(["nodes", 1, "t"], DELETE), MalformedTreeError, "node entry 1"),
+    "t-not-an-integer": (_set(["nodes", 1, "t"], 1.7), MalformedTreeError, "node 1"),
+    "t-not-a-number": (_set(["nodes", 1, "t"], "one"), MalformedTreeError, "node 1"),
+    "price-not-a-number": (_set(["prices", "1"], ["a"]), PriceError, "node 1"),
+    "prices-a-list": (_set(["prices"], [[1.0], [2.0], [0.5]]), PriceError, "prices must map"),
+}
+
+
 class TestBuildTree:
+    @pytest.mark.parametrize("case", MALFORMED_SPECS)
+    def test_malformed_spec_raises_typed_error(self, case):
+        mutate, error, names = MALFORMED_SPECS[case]
+        spec = one_period_spec()
+        mutate(spec)
+        with pytest.raises(error, match=names):
+            build_tree(spec)
+
+    @pytest.mark.parametrize("t", [1, 1.0, "1"])
+    def test_whole_number_times_are_read_as_ints(self, t):
+        spec = one_period_spec()
+        spec["nodes"][1]["t"] = t
+        assert build_tree(spec).tree.times.tolist() == [0, 1, 1]
+
+    def test_file_that_is_not_json_raises_typed_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"nodes": [')
+        with pytest.raises(MalformedTreeError, match="not valid JSON"):
+            load_model(path)
+
     def test_one_period_binomial(self):
         model = build_tree(one_period_spec())
         assert model.n_nodes == 3

@@ -235,10 +235,6 @@ class TestErrors:
         with pytest.raises(ConvergenceError):
             solve_primal(example3, bounded_field, 1.0, tol=1e-12, max_iter=2)
 
-    def test_affine_field_rejected(self, binom1):
-        with pytest.raises(DualityLabError):
-            solve_primal(binom1, UtilityField(family="affine-test"), 1.0)
-
 
 @pytest.mark.parametrize("solver", ["primal", "dual"])
 @pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf])

@@ -5,6 +5,7 @@ import pytest
 
 from dualitylab.errors import DualityLabError
 from dualitylab.utility import (
+    FAMILIES,
     UtilityField,
     check_inada,
     conjugate,
@@ -14,6 +15,40 @@ from dualitylab.utility import (
     inverse_marginal,
     marginal,
 )
+
+
+# Fields of every family, with power on both sides of 0.
+EVERY_FAMILY = {
+    "log": UtilityField(family="log"),
+    "power0.5": UtilityField(family="power", gamma=0.5),
+    "power-1.5": UtilityField(family="power", gamma=-1.5),
+    "bounded0.5,2": UtilityField(family="bounded", alpha=0.5, beta=2.0),
+    "bounded0.4,3": UtilityField(family="bounded", alpha=0.4, beta=3.0),
+}
+
+
+def bisect_inverse(u_prime, y, lo=1e-12, hi=1e12, grow=16.0, ratio_tol=1e-12):
+    """Solve u_prime(x) = y for a decreasing marginal by bisection in log x
+    on a geometrically expanded bracket: the reference the closed-form
+    inverse marginals are checked against."""
+    while float(u_prime(lo)) < y:
+        lo /= grow
+        assert lo > 1e-300, f"could not bracket the inverse marginal at y={y}"
+    while float(u_prime(hi)) > y:
+        hi *= grow
+        assert hi < 1e300, f"could not bracket the inverse marginal at y={y}"
+    while hi / lo - 1.0 > ratio_tol:
+        mid = math.sqrt(lo * hi)
+        if float(u_prime(mid)) >= y:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def weighted(field, w, node=7):
+    return UtilityField(family=field.family, gamma=field.gamma, alpha=field.alpha,
+                        beta=field.beta, weights={node: w})
 
 
 def grid_conjugate_oracle(field, y, lo=1e-6, hi=1e3, points=60_000):
@@ -35,6 +70,14 @@ class TestEval:
 
     def test_bounded_zero_limit(self, bounded_field):
         assert eval_utility(bounded_field, 0, None, 0.0) == 0.0
+
+    @pytest.mark.parametrize("field", EVERY_FAMILY.values(), ids=EVERY_FAMILY)
+    @pytest.mark.parametrize("w", [1.0, 0.3, 4.0])
+    def test_zero_limit_is_the_weighted_base_value(self, field, w):
+        # u(0) is -inf for log and power gamma < 0 and 0 otherwise; the
+        # weight scales the finite limit and keeps the infinite one.
+        limit = -math.inf if field.family == "log" or (field.gamma or 1.0) < 0.0 else 0.0
+        assert eval_utility(weighted(field, w), 0, 7, 0.0) == limit
 
     def test_negative_argument_rejected(self, any_field):
         with pytest.raises(DualityLabError):
@@ -106,9 +149,15 @@ class TestInverseMarginal:
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_round_trip_bisection(self, x):
-        field = UtilityField(family="bounded", alpha=0.5, beta=2.0, force_numeric_inverse=True)
-        y = marginal(field, 0, None, x)
-        assert inverse_marginal(field, 0, None, y) == pytest.approx(x, rel=1e-9)
+        # The closed form agrees with bisection on the marginal, plain and
+        # weighted, in every family.
+        for field in EVERY_FAMILY.values():
+            for w in (1.0, 2.5):
+                wf = weighted(field, w)
+                y = marginal(wf, 0, 7, x)
+                numeric = bisect_inverse(lambda c: w * field.base().u_prime(c), y)
+                assert numeric == pytest.approx(x, rel=1e-9)
+                assert inverse_marginal(wf, 0, 7, y) == pytest.approx(numeric, rel=1e-9)
 
     def test_weighted_round_trip(self, weighted_log_field):
         y = marginal(weighted_log_field, 0, 1, 3.0)
@@ -130,19 +179,25 @@ class TestConjugate:
 
     @pytest.mark.parametrize("y", [0.05, 0.5, 2.0])
     def test_numeric_strategy_matches_analytic(self, y):
-        analytic = UtilityField(family="bounded", alpha=0.5, beta=2.0)
-        numeric = UtilityField(
-            family="bounded", alpha=0.5, beta=2.0, force_numeric_inverse=True
-        )
-        cf = conjugate(numeric)
-        assert cf.strategy == "numeric-inversion"
-        assert cf.eval(0, None, y) == pytest.approx(
-            conjugate(analytic).eval(0, None, y), rel=1e-9
-        )
+        # v(y) = u(x) - x y at the x bisection finds for u'(x) = y.
+        for field in EVERY_FAMILY.values():
+            x = bisect_inverse(field.base().u_prime, y)
+            numeric = eval_utility(field, 0, None, x) - x * y
+            assert conjugate(field).eval(0, None, y) == pytest.approx(numeric, rel=1e-9)
 
     def test_bounded_right_limit_at_zero(self, bounded_field):
         sup = bounded_field.base().sup_u
         assert conjugate(bounded_field).eval(0, None, 0.0) == pytest.approx(sup)
+
+    @pytest.mark.parametrize("w", [1.0, 0.3, 4.0])
+    def test_negative_power_right_limit_at_zero(self, w):
+        # For gamma < 0, sup u = 0, so v(0+) = 0, approached from below;
+        # for gamma > 0, u is unbounded and v(0+) = +inf.
+        neg = conjugate(weighted(UtilityField(family="power", gamma=-1.5), w))
+        assert neg.eval(0, 7, 0.0) == 0.0
+        assert -1e-6 < neg.eval(0, 7, 1e-12) < 0.0
+        pos = conjugate(weighted(UtilityField(family="power", gamma=0.5), w))
+        assert pos.eval(0, 7, 0.0) == math.inf
 
     def test_log_infinite_at_zero(self, log_field):
         assert conjugate(log_field).eval(0, None, 0.0) == math.inf
@@ -173,15 +228,14 @@ class TestConjugate:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_weighted_wrapper_identity_numeric_path(self):
-        base = UtilityField(family="bounded", alpha=0.4, beta=3.0)
-        weighted = UtilityField(
-            family="bounded", alpha=0.4, beta=3.0, weights={7: 1.7},
-            force_numeric_inverse=True,
-        )
-        for y in (0.2, 1.0, 4.0):
-            lhs = conjugate(weighted).eval(0, 7, y)
-            rhs = 1.7 * conjugate(base).eval(0, None, y / 1.7)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+        # sup_x (w u(x) - x y) by bisection on w u'(x) = y matches the
+        # weighted conjugate's closed form.
+        for field in EVERY_FAMILY.values():
+            wf = weighted(field, 1.7)
+            for y in (0.2, 1.0, 4.0):
+                x = bisect_inverse(lambda c: 1.7 * field.base().u_prime(c), y)
+                numeric = eval_utility(wf, 0, 7, x) - x * y
+                assert conjugate(wf).eval(0, 7, y) == pytest.approx(numeric, abs=1e-10)
 
 
 class TestFenchelYoung:
@@ -225,8 +279,13 @@ class TestInada:
         assert report.marginal_near_infinity < 1e-3
 
     def test_affine_hook_fails_both_ends(self):
-        affine = UtilityField(family="affine-test")
-        report = check_inada(affine)
+        class Affine:
+            """u(x) = x: a flat marginal, steep at neither end."""
+
+            def marginal(self, t, node, x):
+                return 1.0
+
+        report = check_inada(Affine())
         assert not report.passed
         assert not report.steep_at_zero
         assert not report.flat_at_infinity
@@ -245,6 +304,26 @@ class TestSpecParsing:
     def test_rejects_affine(self):
         with pytest.raises(DualityLabError):
             field_from_spec({"family": "affine-test"})
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "affine-test", "Log", "", None])
+    def test_constructor_accepts_exactly_the_families(self, family):
+        params = {"gamma": 0.5} if family == "power" else {"alpha": 0.5, "beta": 2.0}
+        if family in FAMILIES:
+            assert UtilityField(family=family, **params).family == family
+        else:
+            with pytest.raises(DualityLabError, match="family must be one of"):
+                UtilityField(family=family, **params)
+
+    @pytest.mark.parametrize("weights, match", [
+        ({1: "2"}, "weight of node 1 "),
+        ({3: None}, "weight of node 3 "),
+        ({1: 2.0, 4: [1.0]}, "weight of node 4 "),
+        ([1, 2], "weights must map node ids"),
+        ("12", "weights must map node ids"),
+    ], ids=["str", "none", "list-value", "list", "str-weights"])
+    def test_rejects_weights_that_are_not_numbers(self, weights, match):
+        with pytest.raises(DualityLabError, match=match):
+            UtilityField(family="log", weights=weights)
 
     def test_rejects_bad_params(self):
         with pytest.raises(DualityLabError):
