@@ -528,8 +528,7 @@ def value_convergence_study(
     Level n is solved on ``quotient(truncate(model, n), weights)``, with the
     field's weights at the model's nodes (``node_weights``), which has the
     same values (see ``market.quotient``); on N independent one-period
-    assets it keeps 2**n of the 2**N leaves.  Each level reads the field's
-    weight keys against its own ids.  Along each grid, every solve is
+    assets it keeps 2**n of the 2**N leaves.  Along each grid, every solve is
     warm-started from the previous point's solution on the same level.  Both
     value families must be nondecreasing in n (nested strategy and density
     sets); a violation beyond the slack signals that the solver tolerance is

@@ -43,113 +43,110 @@ def max_nodes() -> int:
     return limit
 
 
+def _check_size(n: int) -> None:
+    if n > max_nodes():
+        raise BudgetError(f"tree has {n} nodes, exceeding the guard of {max_nodes()}")
+
+
+def _refuse(bad: np.ndarray, message) -> None:
+    """MalformedTreeError with ``message(k)`` at the first position k where ``bad`` holds."""
+    if bad.any():
+        raise MalformedTreeError(message(int(np.argmax(bad))))
+
+
+def _numbers(values, error, what, ids) -> np.ndarray:
+    """``values`` as a new float array, row k for node ``ids[k]``; else
+    ``error`` naming the first node whose row holds anything but numbers."""
+    try:
+        a = np.array(values)
+    except ValueError:  # rows of unequal length
+        a = None
+    if a is not None and a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    for nid, row in zip(ids, values if a is None or a.ndim else ()):
+        try:
+            if np.array(row).dtype.kind in "biuf":
+                continue
+        except ValueError:
+            pass
+        raise error(f"{what} of node {nid!r} must be numeric, got {row!r}")
+    raise error(f"expected {what} as numbers, one row of equal length per node")
+
+
 class ScenarioTree:
     """Rooted event tree with one-step transition probabilities.
 
-    Nodes are given as ``(id, t, parent_id, prob)`` records.  The root has
-    ``parent_id is None`` and probability 1.  Internally nodes are sorted by
-    time so a parent always precedes its children; all public arrays are
-    indexed by that position, and ``index_of`` maps external ids to
-    positions.
+    Built from position-aligned arrays in time order: node ``k`` has id
+    ``ids[k]``, date ``times[k]``, parent position ``parent[k]`` (-1 for the
+    root) and transition probability ``cond_prob[k]`` (the root's entry is
+    read as 1).  All public arrays are indexed by position, so a parent
+    always precedes its children, and ``index_of`` maps ids to positions.
 
     Invariants enforced at construction:
 
-    - exactly one root, at t = 0; every other node names an existing parent
-      one time step earlier;
+    - ids are distinct and dates nondecreasing;
+    - exactly one root, at t = 0; every other node's parent sits one time
+      step earlier;
     - transition probabilities lie in (0, 1] and the children of each node
       sum to 1 (within ``PROB_SUM_TOL``);
     - all leaves share the terminal time T, so path probabilities are a
       probability measure on leaves with every atom strictly positive.
     """
 
-    def __init__(self, nodes):
-        records = list(nodes)
-        if not records:
+    def __init__(self, ids, times, parent, cond_prob):
+        self.ids = ids = list(ids)
+        n = self.n_nodes = len(ids)
+        if not n:
             raise MalformedTreeError("tree has no nodes")
-        if len(records) > max_nodes():
-            raise BudgetError(
-                f"tree has {len(records)} nodes, exceeding the guard of {max_nodes()}"
-            )
-
-        seen = set()
-        for rec in records:
-            if rec[0] in seen:
-                raise MalformedTreeError(f"duplicate node id {rec[0]!r}")
-            seen.add(rec[0])
-
-        try:
-            records.sort(key=lambda rec: (rec[1], rec[0]))
-        except TypeError as exc:
-            raise MalformedTreeError(
-                "node ids must be mutually comparable (do not mix types)"
-            ) from exc
-        self.n_nodes = len(records)
-        self.ids = [rec[0] for rec in records]
-        self.index_of = {nid: k for k, nid in enumerate(self.ids)}
-        self.times = np.array([rec[1] for rec in records], dtype=np.int64)
-
-        roots = [k for k, rec in enumerate(records) if rec[2] is None]
-        if len(roots) != 1:
-            raise MalformedTreeError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
-        if self.times[self.root] != 0:
-            raise MalformedTreeError("root must sit at time 0")
-
-        parent = np.full(self.n_nodes, -1, dtype=np.int64)
-        cond_prob = np.ones(self.n_nodes)
-        for k, rec in enumerate(records):
-            nid, t, pid, prob = rec
-            if pid is None:
-                continue
-            if pid not in self.index_of:
-                raise MalformedTreeError(f"node {nid!r} names unknown parent {pid!r}")
-            p = self.index_of[pid]
-            if self.times[p] != t - 1:
-                raise MalformedTreeError(
-                    f"node {nid!r} at t={t} has parent at t={self.times[p]}"
-                )
-            if not (0.0 < prob <= 1.0) or not math.isfinite(prob):
-                raise MalformedTreeError(
-                    f"transition probability of node {nid!r} must lie in (0, 1], got {prob}"
-                )
-            parent[k] = p
-            cond_prob[k] = prob
-        self.parent = parent
-        self.cond_prob = cond_prob
-
-        children: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for k in range(self.n_nodes):
-            if parent[k] >= 0:
-                children[parent[k]].append(k)
-        self.children = [np.array(ch, dtype=np.int64) for ch in children]
-
-        for k, ch in enumerate(self.children):
-            if ch.size == 0:
-                continue
-            total = float(cond_prob[ch].sum())
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise MalformedTreeError(
-                    f"children of node {self.ids[k]!r} have probabilities summing "
-                    f"to {total:.12g}, expected 1"
-                )
-
-        self.is_leaf = np.array([len(ch) == 0 for ch in self.children])
+        _check_size(n)
+        self.index_of = dict(zip(ids, range(n)))
+        if len(self.index_of) < n:  # a repeated id maps to its last position
+            dup = next(nid for k, nid in enumerate(ids) if self.index_of[nid] != k)
+            raise MalformedTreeError(f"duplicate node id {dup!r}")
+        times, parent, cond_prob = (
+            _numbers(a, MalformedTreeError, what, ids) for a, what in
+            ((times, "time"), (parent, "parent position"), (cond_prob, "transition probability")))
+        if not times.shape == parent.shape == cond_prob.shape == (n,):
+            raise MalformedTreeError(f"expected {n} times, parents and probabilities")
+        for a, what in ((times, "time"), (parent, "parent position")):
+            _refuse(~(np.abs(a) < 2.0 ** 63) | (a != np.trunc(a)),
+                    lambda k: f"{what} of node {ids[k]!r} must be a 64-bit integer, got {a[k]}")
+        times, parent = times.astype(np.int64), parent.astype(np.int64)
+        _refuse(np.diff(times) < 0, lambda k: "nodes must be sorted by time")
+        roots = np.flatnonzero(parent == -1)
+        if roots.size != 1:
+            raise MalformedTreeError(f"expected exactly one root, found {roots.size}")
+        self.root = int(roots[0])
+        _refuse(times[roots] != 0, lambda k: "root must sit at time 0")
+        cond_prob[self.root] = 1.0
+        _refuse((parent < -1) | (parent >= n),
+                lambda k: f"node {ids[k]!r} names unknown parent position {parent[k]}")
+        child = parent != -1
+        up = np.where(child, parent, self.root)  # the root stands in as its own parent
+        _refuse(child & (times[up] != times - 1),
+                lambda k: f"node {ids[k]!r} at t={times[k]} has parent at t={times[up[k]]}")
+        _refuse(~((cond_prob > 0.0) & (cond_prob <= 1.0)), lambda k: (
+            f"transition probability of node {ids[k]!r} must lie in (0, 1], got {cond_prob[k]}"))
+        sums = np.bincount(parent[child], weights=cond_prob[child], minlength=n)
+        self.is_leaf = np.bincount(parent[child], minlength=n) == 0
+        _refuse(~self.is_leaf & (np.abs(sums - 1.0) > PROB_SUM_TOL), lambda k: (
+            f"children of node {ids[k]!r} have probabilities summing to {sums[k]:.12g}, "
+            "expected 1"))
         self.leaves = np.flatnonzero(self.is_leaf)
-        self.horizon = int(self.times.max())
-        if not np.all(self.times[self.leaves] == self.horizon):
-            raise MalformedTreeError("all leaves must share the terminal time")
+        self.horizon = int(times[-1])
+        _refuse(times[self.leaves] != self.horizon, lambda k: "all leaves must share the terminal time")
+        self.times, self.parent, self.cond_prob = times, parent, cond_prob
 
         # Positions at date t >= 1, one slice per date; contiguous because
         # positions are sorted by time.
-        bounds = np.searchsorted(self.times, np.arange(1, self.horizon + 2))
+        bounds = np.searchsorted(times, np.arange(1, self.horizon + 2))
         self.levels = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
         path_prob = cond_prob.copy()
         for lv in self.levels:
             path_prob[lv] *= path_prob[parent[lv]]
         self.path_prob = path_prob
-        for a in (self.times, parent, cond_prob, path_prob, self.is_leaf, self.leaves,
-                  *self.children):
+        for a in (times, parent, cond_prob, path_prob, self.is_leaf, self.leaves):
             a.flags.writeable = False  # what is derived from the tree stays valid
 
     def internal_nodes(self) -> np.ndarray:
@@ -183,56 +180,35 @@ def _accumulate_up(values, parent, levels):
 
 
 class AssetProcess:
-    """Per-node price vectors for the risky assets, aligned with a tree."""
+    """Risky-asset prices aligned with a tree: row k of the
+    ``(n_nodes, n_assets)`` array ``prices`` holds the prices at position k."""
 
-    def __init__(self, tree: ScenarioTree, prices_by_id):
+    def __init__(self, tree: ScenarioTree, prices):
         self.tree = tree
-        rows = []
-        n_assets = None
-        for nid in tree.ids:
-            if nid not in prices_by_id:
-                raise PriceError(f"no prices for node {nid!r}")
-            try:
-                row = np.asarray(prices_by_id[nid], dtype=float)
-            except (TypeError, ValueError):
-                raise PriceError(
-                    f"prices of node {nid!r} must be numbers, got {prices_by_id[nid]!r}"
-                ) from None
-            if row.ndim != 1:
-                raise PriceError(f"prices of node {nid!r} must be a flat list")
-            if n_assets is None:
-                n_assets = row.size
-            elif row.size != n_assets:
-                raise PriceError(
-                    f"node {nid!r} carries {row.size} prices, expected {n_assets}"
-                )
-            rows.append(row)
-        self.prices = np.vstack(rows) if rows else np.zeros((0, 0))
-        self.prices.flags.writeable = False
-        self.n_assets = int(n_assets or 0)
-        if self.n_assets and (
-            not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0)
-        ):
+        self.prices = _numbers(prices, PriceError, "prices", tree.ids)
+        if self.prices.ndim != 2 or self.prices.shape[0] != tree.n_nodes:
+            raise PriceError(f"expected {tree.n_nodes} rows of prices, got shape {self.prices.shape}")
+        self.n_assets = self.prices.shape[1]
+        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0):
             raise PriceError("asset prices must be finite and strictly positive")
+        self.prices.flags.writeable = False
 
 
 class StochasticClock:
     """Nonnegative clock increments per node with a pathwise total bound A.
 
-    Construction only checks shapes; condition failures are reported by
-    :func:`validate_clock` so that invalid clocks can still be inspected.
+    ``dkappa`` is the increment at each tree position.  Construction only
+    checks that they are numbers, one per node; condition failures are
+    reported by :func:`validate_clock` so that invalid clocks can still be
+    inspected.
     """
 
-    def __init__(self, tree: ScenarioTree, dkappa_by_id, bound: float):
+    def __init__(self, tree: ScenarioTree, dkappa, bound: float):
         self.tree = tree
         self.bound = _number(bound, "clock bound A", ClockError)
-        dk = np.zeros(tree.n_nodes)
-        for nid, val in dkappa_by_id.items():
-            if nid not in tree.index_of:
-                raise ClockError(f"clock references unknown node {nid!r}")
-            dk[tree.index_of[nid]] = _number(val, f"clock increment of node {nid!r}", ClockError)
-        self.dkappa = dk
-
+        self.dkappa = dk = _numbers(dkappa, ClockError, "clock increment", tree.ids)
+        if dk.shape != (tree.n_nodes,):
+            raise ClockError(f"expected {tree.n_nodes} clock increments, got shape {dk.shape}")
         self.cumulative = _accumulate_down(dk.copy(), tree.parent, tree.levels)
         dk.flags.writeable = self.cumulative.flags.writeable = False
 
@@ -270,46 +246,21 @@ def validate_clock(clock: StochasticClock, tree: ScenarioTree) -> ClockReport:
     Conditions: zero increment at the root, nonnegative increments, pathwise
     totals within the bound A, and positive probability of a positive total.
     """
-    checks = []
     root_dk = clock.dkappa[tree.root]
-    checks.append(
-        ClockCheck(
-            "starts_at_zero",
-            root_dk == 0.0,
-            f"root increment {root_dk:.6g}",
-        )
-    )
-    min_dk = float(clock.dkappa.min()) if clock.dkappa.size else 0.0
-    checks.append(
-        ClockCheck(
-            "nondecreasing",
-            min_dk >= 0.0 and bool(np.all(np.isfinite(clock.dkappa))),
-            f"min increment {min_dk:.6g}",
-        )
-    )
+    min_dk = float(clock.dkappa.min())
     totals = clock.cumulative[tree.leaves]
-    worst = float(totals.max()) if totals.size else 0.0
-    bound_ok = (
-        math.isfinite(clock.bound)
-        and clock.bound > 0.0
-        and worst <= clock.bound + CLOCK_BOUND_TOL * max(1.0, clock.bound)
-    )
-    checks.append(
-        ClockCheck(
-            "bounded_total",
-            bound_ok,
-            f"max path total {worst:.6g} vs bound {clock.bound:.6g}",
-        )
-    )
+    worst = float(totals.max())
+    bound_ok = math.isfinite(clock.bound) and clock.bound > 0.0 and (
+        worst <= clock.bound + CLOCK_BOUND_TOL * max(1.0, clock.bound))
     mass = float(np.dot(tree.path_prob[tree.leaves], (totals > 0.0).astype(float)))
-    checks.append(
-        ClockCheck(
-            "positive_mass",
-            mass > 0.0,
-            f"P[total > 0] = {mass:.6g}",
-        )
-    )
-    return ClockReport(tuple(checks))
+    return ClockReport((
+        ClockCheck("starts_at_zero", root_dk == 0.0, f"root increment {root_dk:.6g}"),
+        ClockCheck("nondecreasing", min_dk >= 0.0 and bool(np.all(np.isfinite(clock.dkappa))),
+                   f"min increment {min_dk:.6g}"),
+        ClockCheck("bounded_total", bound_ok,
+                   f"max path total {worst:.6g} vs bound {clock.bound:.6g}"),
+        ClockCheck("positive_mass", mass > 0.0, f"P[total > 0] = {mass:.6g}"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -317,8 +268,8 @@ class MarketModel:
     """Immutable bundle of tree, prices, clock, and the tradable-asset count.
 
     Their arrays are read-only, so ``_memo`` keeps what the solvers derive
-    from the model for its lifetime; no entry refers back to the model, and
-    a ``truncate`` copy starts empty."""
+    from the model for its lifetime; no entry refers back to the model.  A
+    ``truncate`` copy starts empty but for what :func:`weight_ids` reads."""
 
     tree: ScenarioTree
     assets: AssetProcess
@@ -330,9 +281,8 @@ class MarketModel:
         if self.assets.tree is not self.tree or self.clock.tree is not self.tree:
             raise MalformedTreeError("assets and clock must be built on the same tree")
         if not (0 <= self.n_active <= self.assets.n_assets):
-            raise MalformedTreeError(
-                f"n_active must lie in [0, {self.assets.n_assets}], got {self.n_active}"
-            )
+            raise MalformedTreeError(f"n_active must lie in [0, {self.assets.n_assets}], "
+                                     f"got {self.n_active}")
 
     @property
     def n_assets(self) -> int:
@@ -350,10 +300,18 @@ def truncate(model: MarketModel, n: int) -> MarketModel:
     merges them.
     """
     if not (0 <= n <= model.n_assets):
-        raise MalformedTreeError(
-            f"truncation level must lie in [0, {model.n_assets}], got {n}"
-        )
-    return replace(model, n_active=n)
+        raise MalformedTreeError(f"truncation level must lie in [0, {model.n_assets}], got {n}")
+    out = replace(model, n_active=n)
+    if "weight_ids" in model._memo:
+        out._memo["weight_ids"] = model._memo["weight_ids"]
+    return out
+
+
+def weight_ids(model: MarketModel) -> tuple:
+    """The ids that weight keys name nodes by, and each node's position among
+    them: the tree's own, or on a ``quotient`` level those of the tree it was
+    cut from, so that a key names the node it named there."""
+    return model._memo.get("weight_ids", (model.tree.ids, np.arange(model.n_nodes)))
 
 
 def quotient(model: MarketModel, weights) -> MarketModel:
@@ -364,65 +322,86 @@ def quotient(model: MarketModel, weights) -> MarketModel:
     Two nodes are alike when they sit at the same date, their traded prices,
     clock increments and weights are equal bit for bit, and their children
     fall into the same classes with the same summed conditional
-    probabilities; classes are found from the leaves up.  Alike siblings
-    merge into the first of them, which keeps its id, its subtree and their
-    summed conditional probability, so every path probability of a class is
-    kept.  The primal and dual values do not change.  Alike siblings see the
-    same traded prices, so they start with the same wealth in the same
-    continuation problem, and one plan serves them all.  A density's
-    conditional expectation given the classes is still a martingale density
-    of the traded assets, and by convexity of the dual objective (Jensen) it
-    costs no more.  The merged market trades the same assets and carries no
-    untraded ones.  Returns ``model`` itself when nothing merges.
+    probabilities; classes are found one date at a time from the leaves up.
+    Alike siblings merge into the first of them, which keeps its id, its
+    subtree and their summed conditional probability, so every path
+    probability of a class is kept.  The primal and dual values do not
+    change.  Alike siblings see the same traded prices, so they start with
+    the same wealth in the same continuation problem, and one plan serves
+    them all.  A density's conditional expectation given the classes is
+    still a martingale density of the traded assets, and by convexity of the
+    dual objective (Jensen) it costs no more.  The merged market trades the
+    same assets and carries no untraded ones, and reads weight keys against
+    the ids of ``model`` (:func:`weight_ids`).  Returns ``model`` itself
+    when nothing merges.
     """
     tree = model.tree
     w = np.asarray(weights, dtype=float)
     if w.shape != (tree.n_nodes,):
         raise MalformedTreeError(f"expected {tree.n_nodes} node weights, got shape {w.shape}")
-    own = np.column_stack([model.assets.prices[:, : model.n_active], model.clock.dkappa, w])
+    prices = model.assets.prices[:, : model.n_active]
+    own = np.column_stack([prices, model.clock.dkappa, w]).view(np.int64)
     # Alike siblings share their own row bit for bit, so without such a pair
     # nothing merges.
-    pairs = np.column_stack([tree.parent, own.view(np.int64)])
-    pairs = pairs[np.lexsort(pairs.T)]
-    if not np.any(np.all(pairs[1:] == pairs[:-1], axis=1)):
+    if np.all(_first_copies(np.column_stack([tree.parent, own])) == np.arange(tree.n_nodes)):
         return model
-    times = tree.times.tolist()
-    cond = tree.cond_prob.tolist()
-    prob = list(cond)  # of a first sibling: its class's summed probability
-    first = np.zeros(tree.n_nodes, dtype=bool)  # first of its class among its siblings
-    first[tree.root] = True
-    cls = [0] * tree.n_nodes
-    classes: dict = {}
-    for k in range(tree.n_nodes - 1, -1, -1):  # children sit after their parent
-        firsts: dict = {}  # class of a child -> the first child in it
-        for c in tree.children[k].tolist():
-            f = firsts.setdefault(cls[c], c)
-            if f != c:
-                prob[f] += cond[c]
-        for f in firsts.values():
-            first[f] = True
-            prob[f] = min(prob[f], 1.0)  # alike children may sum past 1 by rounding
-        kids = tuple(sorted((cls[f], prob[f]) for f in firsts.values()))
-        cls[k] = classes.setdefault((times[k], own[k].tobytes(), kids), len(classes))
-
+    parent = tree.parent
+    prob = tree.cond_prob.copy()  # of a first sibling: its class's summed probability
+    first = np.ones(tree.n_nodes, dtype=bool)  # first of its class among its siblings
+    cls = np.zeros(tree.n_nodes, dtype=np.int64)  # class, named by its first member's position
+    kids = np.zeros(0, dtype=np.int64)  # the first children of the date below
+    for lv in reversed(tree.levels):
+        cls[lv] = lv.start + _date_classes(own[lv], parent[kids] - lv.start, cls[kids],
+                                           prob[kids].view(np.int64))
+        rep = lv.start + _first_copies(np.column_stack([parent[lv], cls[lv]]))  # its first alike sibling
+        first[lv] = rep == np.arange(lv.start, lv.stop)
+        later = ~first[lv]
+        np.add.at(prob, rep[later], tree.cond_prob[lv][later])  # in position order
+        kids = lv.start + np.flatnonzero(first[lv])
+        prob[kids] = np.minimum(prob[kids], 1.0)  # alike children may sum past 1 by rounding
     if first.all():
         return model
-    keep = _accumulate_down((~first).astype(np.int64), tree.parent, tree.levels) == 0
-    kept = np.flatnonzero(keep).tolist()
-    ids = tree.ids
-    sub = ScenarioTree(
-        (ids[k], times[k], ids[tree.parent[k]] if k != tree.root else None,
-         prob[k])
-        for k in kept
-    )
-    prices = model.assets.prices[:, : model.n_active]
-    return MarketModel(
-        tree=sub,
-        assets=AssetProcess(sub, {ids[k]: prices[k] for k in kept}),
-        clock=StochasticClock(sub, {ids[k]: model.clock.dkappa[k] for k in kept},
-                              model.clock.bound),
-        n_active=model.n_active,
-    )
+
+    keep = _accumulate_down((~first).astype(np.int64), parent, tree.levels) == 0
+    kept = np.flatnonzero(keep)
+    at = np.cumsum(keep) - 1  # a kept node's position in the merged tree
+    sub = ScenarioTree(list(map(tree.ids.__getitem__, kept.tolist())), tree.times[kept],
+                       np.where(parent[kept] < 0, -1, at[parent[kept]]), prob[kept])
+    merged = MarketModel(tree=sub, assets=AssetProcess(sub, prices[kept]), n_active=model.n_active,
+                         clock=StochasticClock(sub, model.clock.dkappa[kept], model.clock.bound))
+    ids, pos = weight_ids(model)
+    merged._memo["weight_ids"] = (ids, pos[kept])
+    return merged
+
+
+def _date_classes(own, kid_parent, kid_cls, kid_prob) -> np.ndarray:
+    """Name the classes of one date's nodes by the index of their first member.
+
+    Nodes are alike when their ``own`` rows agree and so do the (class,
+    probability bits) pairs of their first children, whose parents are given
+    by index within the date.  A node's first children have distinct
+    classes, so listing them by class makes the list canonical; lists of
+    one length at a time are compared as rows.
+    """
+    pairs = np.column_stack([kid_cls, kid_prob])[np.lexsort((kid_cls, kid_parent))]
+    n_kids = np.bincount(kid_parent, minlength=len(own))
+    start = np.cumsum(n_kids) - n_kids
+    out = np.empty(len(own), dtype=np.int64)
+    for length in np.unique(n_kids).tolist():
+        rows = np.flatnonzero(n_kids == length)
+        kids = pairs[start[rows, None] + np.arange(length)].reshape(rows.size, 2 * length)
+        out[rows] = rows[_first_copies(np.column_stack([own[rows], kids]))]
+    return out
+
+
+def _first_copies(rows) -> np.ndarray:
+    """For each row of the 2-D int array ``rows``, the index of the first equal row."""
+    order = np.lexsort(rows.T)  # a stable sort: equal rows keep their index order
+    s = rows[order]
+    new = np.r_[True, np.any(s[1:] != s[:-1], axis=1)][: len(rows)]
+    out = np.empty_like(order)
+    out[order] = order[new][np.cumsum(new) - 1]
+    return out
 
 
 def build_tree(spec: dict) -> MarketModel:
@@ -436,7 +415,8 @@ def build_tree(spec: dict) -> MarketModel:
          "A": bound, "n_active": count}
 
     ``prob`` may be omitted for the root.  Map keys may be strings (as JSON
-    requires) or the node ids themselves.
+    requires) or the node ids themselves.  Nodes take positions sorted by
+    (t, id).
     """
     try:
         node_specs = spec["nodes"]
@@ -451,10 +431,18 @@ def build_tree(spec: dict) -> MarketModel:
         raise PriceError(f"prices must map node ids to price lists, got {prices!r}")
     if not isinstance(clock_map, Mapping):
         raise ClockError(f"clock must map node ids to increments, got {clock_map!r}")
+    _check_size(len(node_specs))
 
-    tree = ScenarioTree(_node_record(k, entry) for k, entry in enumerate(node_specs))
-    assets = AssetProcess(tree, _coerce_keys(prices, tree.index_of))
-    clock = StochasticClock(tree, _coerce_keys(clock_map, tree.index_of), bound)
+    tree = ScenarioTree(*_node_arrays(node_specs))
+    assets = AssetProcess(tree, _price_rows(tree, _coerce_keys(prices, tree.index_of)))
+    clock_map = _coerce_keys(clock_map, tree.index_of)
+    at = list(map(tree.index_of.get, clock_map))
+    if None in at:
+        raise ClockError(f"clock references unknown node {list(clock_map)[at.index(None)]!r}")
+    dk = np.zeros(tree.n_nodes)
+    dk[at] = [_number(v, f"clock increment of node {nid!r}", ClockError)
+              for nid, v in clock_map.items()]
+    clock = StochasticClock(tree, dk, bound)
     report = validate_clock(clock, tree)
     if not report.passed:
         bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -464,18 +452,54 @@ def build_tree(spec: dict) -> MarketModel:
     return MarketModel(tree=tree, assets=assets, clock=clock, n_active=n_active)
 
 
-def _node_record(k, entry) -> tuple:
-    """The ``(id, t, parent_id, prob)`` record of entry ``k`` of a spec's nodes."""
-    if not (isinstance(entry, Mapping) and "id" in entry and "t" in entry
-            and isinstance(entry["id"], Hashable) and isinstance(entry.get("parent"), Hashable)):
-        raise MalformedTreeError(f"node entry {k} must be an object with an id and a 't', "
-                                 f"got {entry!r}")
-    nid, parent = entry["id"], entry.get("parent")
-    t = _integer(entry["t"], f"time 't' of node {nid!r}")
-    if parent is None:
-        return nid, t, None, 1.0
-    return nid, t, parent, _number(entry.get("prob", 1.0),
-                                   f"transition probability of node {nid!r}", MalformedTreeError)
+def _node_arrays(entries) -> tuple:
+    """``ScenarioTree``'s arrays of a spec's node entries, in (t, id) order."""
+    ids, times, parent_ids, probs = [], [], [], []
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, Mapping) and "id" in entry and "t" in entry
+                and isinstance(entry["id"], Hashable) and isinstance(entry.get("parent"), Hashable)):
+            raise MalformedTreeError(f"node entry {k} must be an object with an id and a 't', "
+                                     f"got {entry!r}")
+        nid, pid = entry["id"], entry.get("parent")
+        ids.append(nid)
+        parent_ids.append(pid)
+        times.append(_integer(entry["t"], f"time 't' of node {nid!r}"))
+        probs.append(1.0 if pid is None else _number(
+            entry.get("prob", 1.0), f"transition probability of node {nid!r}", MalformedTreeError))
+    try:
+        order = sorted(range(len(ids)), key=list(zip(times, ids)).__getitem__)
+    except TypeError as exc:
+        raise MalformedTreeError("node ids must be mutually comparable (do not mix types)") from exc
+    ids = [ids[k] for k in order]
+    index = dict(zip(ids, range(len(ids))))
+    parent = [-1 if parent_ids[k] is None else index.get(parent_ids[k], -2) for k in order]
+    if -2 in parent:
+        k = parent.index(-2)
+        raise MalformedTreeError(f"node {ids[k]!r} names unknown parent {parent_ids[order[k]]!r}")
+    return ids, [times[k] for k in order], parent, [probs[k] for k in order]
+
+
+def _price_rows(tree: ScenarioTree, prices: dict) -> np.ndarray:
+    """The price array of a spec's price map, one row per tree position."""
+    try:
+        rows = np.array([prices[nid] for nid in tree.ids], dtype=float)
+        if rows.ndim == 2:
+            return rows
+    except (KeyError, TypeError, ValueError):
+        pass
+    rows = []  # name the first node whose prices are missing or malformed
+    for nid in tree.ids:
+        if nid not in prices:
+            raise PriceError(f"no prices for node {nid!r}")
+        try:
+            rows.append(np.asarray(prices[nid], dtype=float))
+        except (TypeError, ValueError):
+            raise PriceError(f"prices of node {nid!r} must be numbers, got {prices[nid]!r}") from None
+        if rows[-1].ndim != 1:
+            raise PriceError(f"prices of node {nid!r} must be a flat list")
+        if rows[-1].size != rows[0].size:
+            raise PriceError(f"node {nid!r} carries {rows[-1].size} prices, expected {rows[0].size}")
+    return np.vstack(rows)
 
 
 def _number(value, what, error) -> float:
@@ -502,33 +526,26 @@ def _coerce_keys(mapping, names) -> dict:
     """
     out = {}
     for key, val in mapping.items():
-        if key in names:
-            out[key] = val
-            continue
-        try:
-            coerced = int(key)
-        except (TypeError, ValueError):
-            coerced = key
-        out[coerced] = val
+        if key not in names:
+            try:
+                key = int(key)
+            except (TypeError, ValueError):
+                pass
+        out[key] = val
     return out
 
 
 def model_to_dict(model: MarketModel) -> dict:
     """Serialize a model to the JSON schema accepted by :func:`build_tree`."""
-    tree = model.tree
-    nodes = []
-    for k in range(tree.n_nodes):
-        entry = {"id": tree.ids[k], "t": int(tree.times[k])}
-        if tree.parent[k] >= 0:
-            entry["parent"] = tree.ids[tree.parent[k]]
-            entry["prob"] = float(tree.cond_prob[k])
-        else:
-            entry["parent"] = None
-        nodes.append(entry)
+    ids, keys = model.tree.ids, list(map(str, model.tree.ids))
+    nodes = [{"id": nid, "t": t, "parent": None} if p < 0 else
+             {"id": nid, "t": t, "parent": ids[p], "prob": q}
+             for nid, t, p, q in zip(ids, model.tree.times.tolist(), model.tree.parent.tolist(),
+                                     model.tree.cond_prob.tolist())]
     return {
         "nodes": nodes,
-        "prices": {str(tree.ids[k]): list(map(float, model.assets.prices[k])) for k in range(tree.n_nodes)},
-        "clock": {str(tree.ids[k]): float(model.clock.dkappa[k]) for k in range(tree.n_nodes)},
+        "prices": dict(zip(keys, model.assets.prices.tolist())),
+        "clock": dict(zip(keys, model.clock.dkappa.tolist())),
         "A": model.clock.bound,
         "n_active": model.n_active,
     }
@@ -567,17 +584,14 @@ class ExampleMarketSpec:
         if self.n_assets < 1:
             raise MalformedTreeError("need at least one asset")
         if len(self.p) != self.n_assets:
-            raise MalformedTreeError(
-                f"expected {self.n_assets} up-probabilities, got {len(self.p)}"
-            )
+            raise MalformedTreeError(f"expected {self.n_assets} up-probabilities, got {len(self.p)}")
         for q in self.p:
             if not (0.0 < q < 1.0):
                 raise MalformedTreeError(f"up-probabilities must lie in (0, 1), got {q}")
         for a, b in zip(self.p, self.p[1:]):
             if not a < b:
-                raise MalformedTreeError(
-                    f"up-probabilities must be strictly increasing, got {a} before {b}"
-                )
+                raise MalformedTreeError(f"up-probabilities must be strictly increasing, "
+                                         f"got {a} before {b}")
 
 
 UP_FACTOR = 2.0
@@ -591,31 +605,15 @@ def build_example_market(spec: ExampleMarketSpec) -> MarketModel:
     significant bit (bit value 0 = up move).  The clock is a unit mass at the
     terminal time, so the induced problem is utility of terminal wealth.
     """
-    n = spec.n_assets
+    n, leaves, p = spec.n_assets, 2 ** spec.n_assets, np.array(spec.p)
     if n > MAX_BINOMIAL_ASSETS:
-        raise BudgetError(
-            f"{n} assets would enumerate {2 ** n} leaves; the guard allows "
-            f"{MAX_BINOMIAL_ASSETS} assets"
-        )
-    if 2 ** n + 1 > max_nodes():
-        raise BudgetError(
-            f"{2 ** n + 1} nodes would exceed the tree-size guard of {max_nodes()}"
-        )
-
-    p = np.array(spec.p)
-    records = [(0, 0, None, 1.0)]
-    prices = {0: [1.0] * n}
-    clock = {0: 0.0}
-    for code in range(2 ** n):
-        bits = np.array([(code >> (n - 1 - i)) & 1 for i in range(n)])
-        up = bits == 0
-        prob = float(np.prod(np.where(up, p, 1.0 - p)))
-        nid = code + 1
-        records.append((nid, 1, 0, prob))
-        prices[nid] = list(np.where(up, UP_FACTOR, DOWN_FACTOR).astype(float))
-        clock[nid] = 1.0
-
-    tree = ScenarioTree(records)
-    assets = AssetProcess(tree, prices)
-    clk = StochasticClock(tree, clock, bound=1.0)
+        raise BudgetError(f"{n} assets would enumerate {leaves} leaves; the guard allows "
+                          f"{MAX_BINOMIAL_ASSETS} assets")
+    _check_size(leaves + 1)
+    up = (np.arange(leaves)[:, None] >> np.arange(n - 1, -1, -1) & 1) == 0
+    prob = np.prod(np.where(up, p, 1.0 - p), axis=1)
+    tree = ScenarioTree(range(leaves + 1), np.r_[0, np.ones(leaves, dtype=np.int64)],
+                        np.r_[-1, np.zeros(leaves, dtype=np.int64)], np.r_[1.0, prob])
+    assets = AssetProcess(tree, np.vstack([np.ones(n), np.where(up, UP_FACTOR, DOWN_FACTOR)]))
+    clk = StochasticClock(tree, np.r_[0.0, np.ones(leaves)], bound=1.0)
     return MarketModel(tree=tree, assets=assets, clock=clk, n_active=n)

@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import DualityLabError
-from .market import MarketModel, _coerce_keys
+from .market import MarketModel, _coerce_keys, weight_ids
 
 FAMILIES = ("log", "power", "bounded")
 
@@ -273,13 +273,15 @@ def node_weights(model: MarketModel, field: UtilityField) -> np.ndarray:
     The keys are read against the whole tree's ids (``weight_array``), the
     rule ``build_tree`` applies to price and clock keys, once per model and
     weight values; the model's memo keeps the vector, so both solvers and
-    the checks read one weight per node.
+    the checks read one weight per node.  Which ids those are, on a model
+    cut by ``market.quotient`` too, is ``market.weight_ids``'s to say.
     """
     cache = model._memo.setdefault("node_weights", {})
     key = field.weights_key
     w = cache.get(key)
     if w is None:
-        w = cache[key] = field.weight_array(model.tree.ids)
+        ids, at = weight_ids(model)
+        w = cache[key] = field.weight_array(ids)[at]
         w.flags.writeable = False
     return w
 

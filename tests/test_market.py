@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualitylab import market
 from dualitylab.dual import solve_dual
 from dualitylab.errors import BudgetError, ClockError, MalformedTreeError, PriceError
 from dualitylab.market import (
@@ -19,7 +20,7 @@ from dualitylab.market import (
     validate_clock,
 )
 from dualitylab.primal import solve_primal
-from dualitylab.utility import UtilityField
+from dualitylab.utility import UtilityField, node_weights
 
 from conftest import binomial_model
 from test_treeops import random_models
@@ -61,6 +62,7 @@ MALFORMED_SPECS = {
     "A-not-a-number": (_set(["A"], "big"), ClockError, "clock bound A"),
     "clock-value-not-a-number": (_set(["clock", "1"], "abc"), ClockError, "node 1"),
     "clock-a-list": (_set(["clock"], [0.0, 1.0, 1.0]), ClockError, "clock must map"),
+    "clock-value-beyond-float": (_set(["clock", "1"], 10 ** 400), ClockError, "node 1"),
     "prob-not-a-number": (_set(["nodes", 1, "prob"], "x"), MalformedTreeError, "node 1"),
     "prob-null": (_set(["nodes", 1, "prob"], None), MalformedTreeError, "node 1"),
     "n_active-not-a-number": (_set(["n_active"], "one"), MalformedTreeError, "n_active"),
@@ -71,6 +73,8 @@ MALFORMED_SPECS = {
     "node-without-t": (_set(["nodes", 1, "t"], DELETE), MalformedTreeError, "node entry 1"),
     "t-not-an-integer": (_set(["nodes", 1, "t"], 1.7), MalformedTreeError, "node 1"),
     "t-not-a-number": (_set(["nodes", 1, "t"], "one"), MalformedTreeError, "node 1"),
+    "t-beyond-float": (_set(["nodes", 1, "t"], 10 ** 400), MalformedTreeError, "node 1"),
+    "t-beyond-int64": (_set(["nodes", 1, "t"], 10 ** 20), MalformedTreeError, "node 1"),
     "price-not-a-number": (_set(["prices", "1"], ["a"]), PriceError, "node 1"),
     "prices-a-list": (_set(["prices"], [[1.0], [2.0], [0.5]]), PriceError, "prices must map"),
 }
@@ -134,6 +138,15 @@ class TestBuildTree:
         spec["prices"]["3"] = [1.0]
         spec["clock"]["3"] = 0.0
         with pytest.raises(MalformedTreeError):
+            build_tree(spec)
+
+    def test_node_guard_comes_before_parsing(self, monkeypatch):
+        # The entry past the guard is malformed, but the count alone refuses
+        # the spec.
+        spec = one_period_spec()
+        spec["nodes"].append(5)
+        monkeypatch.setenv("DUALITYLAB_MAX_NODES", "3")
+        with pytest.raises(BudgetError, match="4 nodes"):
             build_tree(spec)
 
     def test_duplicate_ids_rejected(self):
@@ -284,9 +297,9 @@ class TestQuotient:
     @pytest.mark.parametrize("N", [1, 4, 8])
     def test_ladder_returns_before_the_walk(self, N, monkeypatch):
         # No two siblings of a full ladder share their prices, so the model
-        # comes back before the walk reads a single node's children.
+        # comes back before the walk numbers a single date's classes.
         ladder = build_example_market(ExampleMarketSpec(N, np.linspace(0.55, 0.9, N)))
-        monkeypatch.setattr(ladder.tree, "children", None)
+        monkeypatch.setattr(market, "_date_classes", None)
         assert quotient(ladder, np.ones(ladder.n_nodes)) is ladder
 
     @pytest.mark.parametrize("q, n_nodes", [(0.6, 4), (0.5, 7)])
@@ -329,6 +342,34 @@ class TestQuotient:
         assert merged.tree.cond_prob.tolist() == [1.0, 1.0]
         for got, want in zip(_values(merged, log_field), _values(model, log_field)):
             assert got == pytest.approx(want, abs=2.0 * QUOTIENT_TOL * (1.0 + abs(want)))
+
+    def test_levels_read_weight_keys_against_the_model(self):
+        # Ids "0" and "1" differ only in the untraded asset, so level 1 merges
+        # "1" into "0"; read against the level's own ids, the weight key "1"
+        # would then name the leaf 1.
+        nodes = [(0, 0, None, 1.0), ("0", 1, 0, 0.5), ("1", 1, 0, 0.5),
+                 (1, 2, "0", 0.6), (2, 2, "0", 0.4), (3, 2, "1", 0.6), (4, 2, "1", 0.4)]
+        model = build_tree({
+            "nodes": [{"id": i, "t": t, "parent": p, "prob": q} for i, t, p, q in nodes],
+            "prices": {0: [1.0, 1.0], "0": [1.0, 2.0], "1": [1.0, 0.5], 1: [2.0, 2.0],
+                       2: [0.5, 2.0], 3: [2.0, 0.5], 4: [0.5, 0.5]},
+            "clock": {i: float(t == 2) for i, t, *_ in nodes},
+            "A": 1.0,
+        })
+        field = UtilityField(family="log", weights={"0": 2.0, "1": 2.0})
+        level = truncate(model, 1)
+        merged = quotient(level, node_weights(model, field))
+        assert merged.tree.ids == [0, "0", 1, 2]
+        assert node_weights(merged, field).tolist() == [1.0, 2.0, 1.0, 1.0]
+        got, want = solve_primal(merged, field, 1.0).value, solve_primal(level, field, 1.0).value
+        assert got == pytest.approx(want, rel=1e-9)
+        # A field first read on the level, and the level of a level, read the
+        # key "1" as the merged node too.
+        other = UtilityField(family="log", weights={"1": 3.0})
+        assert node_weights(merged, other).tolist() == [1.0] * 4
+        again = quotient(truncate(merged, 0), node_weights(merged, field))
+        assert again.tree.ids == [0, "0", 1]
+        assert node_weights(again, other).tolist() == [1.0] * 3
 
     @settings(max_examples=12, deadline=None)
     @given(random_models(martingale=True), st.data())
@@ -378,8 +419,8 @@ class TestClockValidation:
     def test_bound_violation_reported_not_raised(self):
         from dualitylab.market import ScenarioTree, StochasticClock
 
-        tree = ScenarioTree([(0, 0, None, 1.0), (1, 1, 0, 1.0), (2, 2, 1, 1.0)])
-        clock = StochasticClock(tree, {0: 0.0, 1: 0.75, 2: 0.75}, bound=1.0)
+        tree = ScenarioTree([0, 1, 2], [0, 1, 2], [-1, 0, 1], [1.0, 1.0, 1.0])
+        clock = StochasticClock(tree, [0.0, 0.75, 0.75], bound=1.0)
         report = validate_clock(clock, tree)
         assert not report.passed
         assert [c.name for c in report.failures()] == ["bounded_total"]
@@ -387,10 +428,91 @@ class TestClockValidation:
     def test_root_increment_reported(self, binom1):
         from dualitylab.market import StochasticClock
 
-        clock = StochasticClock(binom1.tree, {0: 0.5, 1: 0.5, 2: 0.5}, bound=1.0)
+        clock = StochasticClock(binom1.tree, [0.5, 0.5, 0.5], bound=1.0)
         report = validate_clock(clock, binom1.tree)
         assert not report.passed
         assert "starts_at_zero" in [c.name for c in report.failures()]
+
+
+# Arrays for ScenarioTree(ids, times, parent, cond_prob) with one fault each,
+# and what the message names: the first bad position where two are bad.
+BAD_TREE_ARRAYS = [
+    (([0, 1, 1], [0, 1, 1], [-1, 0, 0], [1.0, 0.5, 0.5]), "duplicate node id 1"),
+    (([0, 1, 2], [0, 1, 1], [-1, 0], [1.0, 0.5, 0.5]), "expected 3 times"),
+    (([0, 1, 2], [0, 1, 0], [-1, 0, 0], [1.0, 0.5, 0.5]), "sorted by time"),
+    (([0, 1, 2], [0, 1, 1], [-1, -1, 0], [1.0, 0.5, 0.5]), "exactly one root, found 2"),
+    (([0, 1, 2], [1, 1, 2], [-1, 0, 1], [1.0, 1.0, 1.0]), "root must sit at time 0"),
+    (([0, 1, 2], [0, 1, 1], [-1, 3, 7], [1.0, 0.5, 0.5]), "node 1 names unknown parent position 3"),
+    (([0, 1, 2, 3], [0, 1, 1, 2], [-1, 0, 1, 0], [1.0, 0.5, 0.5, 1.0]),
+     "node 2 at t=1 has parent at t=1"),
+    (([0, 1, 2], [0, 1, 1], [-1, 0, 0], [1.0, 1.5, -0.5]),
+     "transition probability of node 1 must lie in (0, 1], got 1.5"),
+    (([0, 1, 2, 3, 4], [0, 1, 1, 2, 2], [-1, 0, 0, 1, 2], [1.0, 0.5, 0.4, 1.0, 0.9]),
+     "children of node 0 have probabilities summing to 0.9"),
+    (([0, 1, 2, 3], [0, 1, 1, 2], [-1, 0, 0, 1], [1.0, 0.5, 0.5, 1.0]),
+     "all leaves must share the terminal time"),
+    (([0, 1, 2], [0, 1.7, 1], [-1, 0, 0], [1.0, 0.5, 0.5]),
+     "time of node 1 must be a 64-bit integer, got 1.7"),
+    (([0, 1, 2], [0, 1, 2 ** 63], [-1, 0, 0], [1.0, 0.5, 0.5]),
+     "time of node 2 must be a 64-bit integer"),
+    (([0, 1, 2], [0, 1, 10 ** 20], [-1, 0, 0], [1.0, 0.5, 0.5]), "time of node 2 must be numeric"),
+    (([0, 1, 2], [0, None, 1], [-1, 0, 0], [1.0, 0.5, 0.5]),
+     "time of node 1 must be numeric, got None"),
+    (([0, 1, 2], [0, 1, 1], [-1, 0.9, 0], [1.0, 0.5, 0.5]),
+     "parent position of node 1 must be a 64-bit integer, got 0.9"),
+    (([0, 1, 2], [0, 1, 1], [-1, 0, 0], [1.0, "p", 0.5]),
+     "transition probability of node 1 must be numeric, got 'p'"),
+    (([0, 1, 2], [0, 1, 1], [-1, 0, 0], [1.0, None, 0.5]),
+     "transition probability of node 1 must be numeric, got None"),
+]
+
+
+class TestArrayConstructors:
+    @pytest.mark.parametrize("arrays, names", BAD_TREE_ARRAYS)
+    def test_tree_names_the_first_bad_node(self, arrays, names):
+        from dualitylab.market import ScenarioTree
+
+        with pytest.raises(MalformedTreeError) as err:
+            ScenarioTree(*arrays)
+        assert names in str(err.value)
+
+    def test_prices_and_clock_take_one_row_per_node(self, binom1):
+        from dualitylab.market import AssetProcess, StochasticClock
+
+        with pytest.raises(PriceError, match="expected 3 rows"):
+            AssetProcess(binom1.tree, [1.0, 2.0, 0.5])
+        with pytest.raises(PriceError, match="finite and strictly positive"):
+            AssetProcess(binom1.tree, [[1.0], [2.0], [0.0]])
+        with pytest.raises(ClockError, match="expected 3 clock increments"):
+            StochasticClock(binom1.tree, [0.0, 1.0], bound=1.0)
+
+    @pytest.mark.parametrize("prices, names", [
+        ([["a"], [1.0], [1.0]], "prices of node 0 must be numeric"),
+        ([[1.0], [2.0, None], [0.5]], "prices of node 1 must be numeric"),
+        ([[1.0], [2.0, 1.0], [0.5]], "one row of equal length per node"),
+    ])
+    def test_prices_that_are_not_numbers_raise_price_error(self, binom1, prices, names):
+        from dualitylab.market import AssetProcess
+
+        with pytest.raises(PriceError, match=names):
+            AssetProcess(binom1.tree, prices)
+
+    @pytest.mark.parametrize("dkappa", [[0, "x", 1], [0, None, 1], [0, 10 ** 400, 1]])
+    def test_clock_increments_that_are_not_numbers_raise_clock_error(self, binom1, dkappa):
+        from dualitylab.market import StochasticClock
+
+        with pytest.raises(ClockError, match="clock increment of node 1 must be numeric"):
+            StochasticClock(binom1.tree, dkappa, bound=1.0)
+
+    def test_arrays_of_a_built_model_rebuild_it(self, trinomial):
+        from dualitylab.market import AssetProcess, ScenarioTree
+
+        tree = trinomial.tree
+        again = ScenarioTree(tree.ids, tree.times, tree.parent, tree.cond_prob)
+        assert again.path_prob.tobytes() == tree.path_prob.tobytes()
+        assert again.is_leaf.tolist() == tree.is_leaf.tolist()
+        prices = AssetProcess(again, trinomial.assets.prices).prices
+        assert prices.tobytes() == trinomial.assets.prices.tobytes()
 
 
 class TestJsonRoundTrip:
@@ -403,6 +525,17 @@ class TestJsonRoundTrip:
         np.testing.assert_allclose(loaded.tree.path_prob, example2.tree.path_prob)
         np.testing.assert_allclose(loaded.assets.prices, example2.assets.prices)
         np.testing.assert_allclose(loaded.clock.dkappa, example2.clock.dkappa)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_models(), random_models(skew=True)))
+    def test_dict_round_trip_keeps_every_bit(self, model):
+        loaded = build_tree(model_to_dict(model))
+        assert loaded.tree.ids == model.tree.ids
+        for owner, name in [("tree", "times"), ("tree", "parent"), ("tree", "cond_prob"),
+                            ("tree", "path_prob"), ("assets", "prices"), ("clock", "dkappa")]:
+            got, want = (getattr(getattr(m, owner), name) for m in (loaded, model))
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_schema_field_names(self, binom1):
         doc = model_to_dict(binom1)

@@ -93,6 +93,11 @@ def random_models(draw, martingale=False, skew=False):
 # Per-node references
 
 
+def children(tree, k):
+    """Positions of node ``k``'s children, in position order."""
+    return np.flatnonzero(tree.parent == k)
+
+
 def ref_path_prob(tree):
     out = np.ones(tree.n_nodes)
     for k in range(tree.n_nodes):
@@ -158,7 +163,7 @@ def ref_density(model, nodes, leaves):
         if int(pos) in col_of:
             unnorm[row_of[int(pos)], col_of[int(pos)]] = tree.path_prob[pos]
         else:
-            for ch in tree.children[pos]:
+            for ch in children(tree, pos):
                 unnorm[row_of[int(pos)]] += unnorm[row_of[int(ch)]]
     agg = unnorm / tree.path_prob[nodes][:, None]
     a_rows, b_vals = [agg[row_of[tree.root]]], [1.0]
@@ -167,7 +172,7 @@ def ref_density(model, nodes, leaves):
             continue
         for i in range(na):
             row = -prices[pos, i] * unnorm[row_of[int(pos)]]
-            for ch in tree.children[pos]:
+            for ch in children(tree, pos):
                 row = row + prices[ch, i] * unnorm[row_of[int(ch)]]
             a_rows.append(row / tree.path_prob[pos])
             b_vals.append(0.0)
@@ -181,7 +186,7 @@ def ref_node_values(tree, leaves, zeta):
         if pos in leaves:
             mass[pos] = tree.path_prob[pos] * zeta[leaves.index(pos)]
         else:
-            for ch in tree.children[pos]:
+            for ch in children(tree, pos):
                 mass[pos] += mass[ch]
     return mass / tree.path_prob
 
@@ -308,12 +313,12 @@ def ref_node_system(model, nodes, internal_mask, keep):
     entries = {(0, 0): 1.0}
     for i, k in enumerate(internal):
         entries[1 + i, col_of[k]] = 1.0
-        for ch in tree.children[k]:
+        for ch in children(tree, k):
             entries[1 + i, col_of[int(ch)]] = -1.0
     row = 1 + len(internal)
     for i, k in enumerate(internal):
         for a in np.flatnonzero(keep[i]):
-            for ch in tree.children[k]:
+            for ch in children(tree, k):
                 entries[row, col_of[int(ch)]] = prices[ch, a] - prices[k, a]
             row += 1
     return entries, row
@@ -338,7 +343,7 @@ def test_node_system_matches_reference_loop(model):
             for i, k in enumerate(nodes[own]):
                 real = child[i][child[i] < nodes.size]
                 grouped += [(first + i, c) for c in real]
-                assert nodes[real].tolist() == sorted(tree.children[k])
+                assert nodes[real].tolist() == children(tree, k).tolist()
                 r = keep[first + i].sum()
                 moves = model.assets.prices[nodes[real], :na] - model.assets.prices[k, :na]
                 assert_same(dS[i, : real.size], moves)
