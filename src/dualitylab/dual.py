@@ -30,7 +30,10 @@ least-norm shift of that seed's centre is not strictly positive,
 coordinates: one that misses the polytope's interior, as the density
 ``harness.pair_solutions`` reads off the primal's plan does, is projected
 once onto the constraints and pulled toward the gate's measure, and the
-solve starts cold only where that point still misses.
+solve starts cold only where that point still misses.  In node measures a
+warm start enters the barrier continuation late, at ``WARM_ENTRY_MU``; a
+leaf attempt that fails is re-solved in node measures from the same warm
+start.
 
 Since the conjugate of any admissible field descends infinitely steeply at
 0, minimizers stay strictly positive wherever the objective looks; a
@@ -68,6 +71,10 @@ from .utility import UtilityField, node_weights
 
 ARBITRAGE_MARGIN = 1e-11
 BOUNDARY_FLAG_LEVEL = 1e-6
+# The barrier weight a warm-started node-measure solve enters at: a warm
+# point sits near the end of the central path, so the stages above it would
+# only walk it out toward the analytic centre and back.
+WARM_ENTRY_MU = 1e-8
 
 
 @dataclass
@@ -233,10 +240,10 @@ class DualSolution:
     """Optimal density and value of the dual problem at a given y.
 
     ``iterations`` counts the Newton steps the call ran, in leaf measures
-    and in the node measures that re-solve a failed leaf attempt together:
-    a log or power solution, at any y, reads the y = 1 reference's count
-    when the call solved that reference, and 0 when the model's kept one
-    served it.
+    and in the node measures that re-solve a failed leaf attempt (from the
+    warm start, where the call had a usable one) together: a log or power
+    solution, at any y, reads the y = 1 reference's count when the call
+    solved that reference, and 0 when the model's kept one served it.
     """
 
     Z: np.ndarray
@@ -377,8 +384,12 @@ def solve_dual(
     ``warm_start`` accepts trimmed-leaf density values on the same model,
     such as the ``zeta`` of a previous solution; one off the polytope's
     interior is repaired toward the gate's density, or, failing that, the
-    solve starts cold.  Log and power fields ignore it.  The returned
-    solution carries the optimal density on every node of the tree; on
+    solve starts cold.  A warm node-measure solve enters the barrier at
+    ``WARM_ENTRY_MU``, skipping the stages above it; a one-period solve
+    whose leaf-measure attempt raises ``ConvergenceError`` is re-solved in
+    node measures from the same warm start, repaired as for the first
+    attempt, or cold without one.  Log and power fields ignore it.  The
+    returned solution carries the optimal density on every node of the tree; on
     subtrees the clock never reaches, the density is extended with a scaled
     copy of a fixed interior density so that it satisfies all polytope
     constraints even though the value ignores it.
@@ -423,16 +434,8 @@ def solve_dual(
 def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
     """``solve_dual`` at y on the gated geometry, without the scaling law."""
     obj = _DualObjective(geo, field, y)
-    q = None
-    if warm_start is not None and np.asarray(warm_start).size == geo.solve_leaves.size:
-        q = obj.measures(np.asarray(warm_start, dtype=float))
-        if not obj.interior(q):
-            q = _repair_start(obj, q)
-    if q is None:
-        q = obj.start()
-
     try:
-        q, value, iterations = _barrier_solve(obj, q, tol, max_iter)
+        q, value, iterations = _warm_or_cold_solve(obj, warm_start, tol, max_iter)
     except ConvergenceError as exc:
         if obj.in_nodes:
             raise
@@ -440,7 +443,7 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
         # orders of magnitude, and stall on rows at the rounding level of the
         # prices; node-measure steps solve their sparse KKT system exactly.
         obj = _DualObjective(geo, field, y, geo.trimmed)
-        q, value, iterations = _barrier_solve(obj, obj.start(), tol, max_iter)
+        q, value, iterations = _warm_or_cold_solve(obj, warm_start, tol, max_iter)
         iterations += exc.iterations or 0
 
     zeta = q[obj.leaf_cols] / geo.tree.path_prob[geo.solve_leaves]
@@ -456,6 +459,21 @@ def _solve_dual(geo, field, y, tol, max_iter, warm_start) -> DualSolution:
         model=geo.model,
         field=field,
     )
+
+
+def _warm_or_cold_solve(obj, warm_start, tol, max_iter):
+    """``_barrier_solve`` from the warm start's measure in ``obj``'s
+    coordinates, repaired where it misses the interior (``_repair_start``),
+    entering the barrier late in node measures; from ``obj.start()`` where
+    there is no usable warm start."""
+    q = None
+    if warm_start is not None and np.asarray(warm_start).size == obj.geo.solve_leaves.size:
+        q = obj.measures(np.asarray(warm_start, dtype=float))
+        if not obj.interior(q):
+            q = _repair_start(obj, q)
+    if q is None:
+        return _barrier_solve(obj, obj.start(), tol, max_iter, False)
+    return _barrier_solve(obj, q, tol, max_iter, obj.in_nodes)
 
 
 def _repair_start(obj, cand):
@@ -474,13 +492,15 @@ def _repair_start(obj, cand):
     return q if obj.interior(q) else None
 
 
-def _barrier_solve(obj, q, tol, max_iter):
+def _barrier_solve(obj, q, tol, max_iter, late):
     """Barrier continuation and certification in ``obj``'s coordinates.
 
     Starts from the strictly positive feasible point ``q`` in
     ``obj.coords``; returns the certified measure there, its value F and the
-    Newton iteration count.  Where ``_DualObjective``'s free-direction count
-    is 0 (``node_system`` is square), ``q`` is the only density: one stage runs.
+    Newton iteration count.  With ``late`` the continuation enters at the
+    weight ``WARM_ENTRY_MU``, for a warm ``q`` near the end of the central
+    path.  Where ``_DualObjective``'s free-direction count is 0
+    (``node_system`` is square), ``q`` is the only density: one stage runs.
     """
     geo = obj.geo
     y = obj.y
@@ -510,6 +530,8 @@ def _barrier_solve(obj, q, tol, max_iter):
         mus.append(max(mus[-1] * 1e-2, 2e-16))
     internal, kids, _, _, keep = geo.markets()  # no free direction: the last stage only
     mus = mus[-1:] if kids.size == internal.size + keep.sum() else mus
+    if late:
+        mus = [mu for mu in mus if mu <= WARM_ENTRY_MU]
 
     eps = np.finfo(float).eps
     iterations = 0

@@ -20,9 +20,12 @@ The marginal of an admissible field blows up at zero consumption, which
 keeps maximizers strictly inside the region where consumption and the
 wealth entering effective leaves stay positive; a damped Newton iteration
 with a domain-respecting line search therefore converges without explicit
-inequality handling.  Wealth parked at dead roots (branches the clock never
-reaches) is the one genuine inequality; it is handled by a vanishing
-logarithmic barrier.
+inequality handling.  The line search backtracks from the fraction to the
+boundary of the largest step that keeps the domain (Waechter & Biegler,
+Math. Prog. 2006), not from the whole step, and accepts a trial only where
+the wealth recomputed from it is inside the domain.  Wealth parked at dead
+roots (branches the clock never reaches) is the one genuine inequality; it
+is handled by a vanishing logarithmic barrier.
 
 Each Newton step solves (-H + rho I) d = g without forming H, by a Riccati
 recursion over the dates of the trimmed tree (Steinbach, "Tree-sparse
@@ -67,7 +70,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import ensure_full_density, scaling_reference
+from .dual import _boundary_fraction, ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
 from .market import MarketModel, _accumulate_up
 from .treeops import Geometry, build_geometry, wealth_from_strategy
@@ -133,20 +136,17 @@ class _PrimalObjective:
         self.n_dead = self.dead_t.size
         self.degree = field.degree
 
+    def domain_parts(self, theta, s):
+        """The quantities the domain keeps positive at theta with wealth s over
+        the trimmed nodes: rates, effective-leaf wealth and dead-root wealth."""
+        return theta[self.mid_idx], s[self.eff_t], s[self.dead_t]
+
     def _inside(self, theta, w=None):
-        """(rates, effective-leaf wealth, dead-root wealth), or None outside the
-        domain; ``w`` is theta's ``_TreeSystem.wealth`` where the caller has it."""
-        c_mid = theta[self.mid_idx]
-        if c_mid.size and np.min(c_mid) <= 0.0:
-            return None
+        """``domain_parts`` at theta, or None outside the domain; ``w`` is
+        theta's ``_TreeSystem.wealth`` where the caller has it."""
         s = self.x + (self.system.wealth(theta) if w is None else w)
-        s_eff = s[self.eff_t]
-        if s_eff.size and np.min(s_eff) <= 0.0:
-            return None
-        s_dead = s[self.dead_t]
-        if s_dead.size and np.min(s_dead) <= 0.0:
-            return None
-        return c_mid, s_eff, s_dead
+        parts = self.domain_parts(theta, s)
+        return parts if all(np.all(part > 0.0) for part in parts) else None
 
     def in_domain(self, theta, w=None) -> bool:
         return self._inside(theta, w) is not None
@@ -558,24 +558,34 @@ def _ascent_step(system, g, a, pd):
 
 def _domain_line_search(obj, theta, w, value, step, g, mu):
     """Armijo backtracking from theta, whose wealth is ``w`` and objective
-    ``value``.  Wealth is linear in theta, so each trial's is read off w and
-    the step's.
+    ``value``.
+
+    Backtracking starts at the fraction to the boundary
+    (``dual._boundary_fraction``) of the largest step that keeps every rate,
+    effective-leaf wealth and dead-root wealth positive, not at the whole
+    step, which on a plan with nearly empty leaves would halve into the
+    boundary for dozens of trials.  Wealth is linear in theta, so each
+    trial's is read off w and the step's; that extrapolation differs from the
+    wealth recomputed from the trial by rounding, which decides the domain
+    where a leaf consumes next to nothing, so a trial is accepted only where
+    the recomputed wealth is inside it too.
 
     Returns the accepted point and its objective.
     """
-    alpha = 1.0
-    slope = float(np.dot(g, step))
     dw = obj.system.wealth(step)
+    now = np.concatenate(obj.domain_parts(theta, obj.x + w))
+    alpha = _boundary_fraction(now, np.concatenate(obj.domain_parts(step, dw)))
+    slope = float(np.dot(g, step))
     for _ in range(80):
         cand, cand_w = theta + alpha * step, w + alpha * dw
         cand_value = obj.value(cand, mu, cand_w)
-        if cand_value >= value + 1e-4 * alpha * slope:
+        if cand_value >= value + 1e-4 * alpha * slope and obj.in_domain(cand):
             return cand, cand_value
         alpha *= 0.5
-    cand, cand_w = theta + alpha * step, w + alpha * dw
-    if not obj.in_domain(cand, cand_w):
+    cand = theta + alpha * step
+    if not obj.in_domain(cand):
         return theta, value
-    return cand, obj.value(cand, mu, cand_w)
+    return cand, obj.value(cand, mu)
 
 
 def _assemble_solution(geo, obj, field, theta, x, iterations, mu_final) -> PrimalSolution:

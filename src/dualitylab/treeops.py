@@ -262,9 +262,9 @@ def _one_step_measures(logp: np.ndarray, dS: np.ndarray):
                 break
             a, phi = logits(i, lam[i])
             q = np.exp(a - phi[:, None])
-            g = np.einsum("bc,bca->ba", q, x[i])
+            g = (q[:, None, :] @ x[i])[:, 0]
             xc = x[i] - g[:, None, :]
-            h = np.einsum("bc,bca,bcd->bad", q, xc, xc)
+            h = np.swapaxes(xc * q[:, :, None], 1, 2) @ xc
             h[:, diag, diag] += free[i] + _GATE_RIDGE
             d = -np.linalg.solve(h, g[:, :, None])[:, :, 0]
             settled = np.abs(x[i] @ d[:, :, None]).max(axis=(1, 2)) <= _GATE_STEP_TOL

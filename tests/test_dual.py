@@ -315,6 +315,35 @@ class TestSolveDual:
         sol = solve_dual(example2, bounded_field, 0.5)
         assert len(ran) == 2 and sol.iterations == sum(ran)
 
+    def test_leaf_fallback_starts_from_the_warm_start(self, example2, bounded_field, monkeypatch):
+        # The node-measure re-solve of a failed leaf attempt starts from the
+        # warm start's node measures and enters the barrier late; without a
+        # warm start it starts from the gate's measure and runs every stage.
+        warm = solve_dual(example2, bounded_field, 0.6).zeta
+        calls = []
+        real = dual._barrier_solve
+
+        def leaf_fails(obj, q, *args):
+            out = real(obj, q, *args)
+            calls.append((obj, q.copy(), args[-1], out[-1]))
+            if not obj.in_nodes:
+                raise ConvergenceError("leaf attempt refused", out[-1])
+            return out
+
+        monkeypatch.setattr(dual, "_barrier_solve", leaf_fails)
+        sol = solve_dual(example2, bounded_field, 0.5, warm_start=warm)
+        (leaf, _, leaf_late, _), (node, q, late, steps) = calls
+        assert not leaf.in_nodes and not leaf_late
+        assert node.in_nodes and late
+        np.testing.assert_array_equal(q, node.measures(warm))
+        calls.clear()
+        cold = solve_dual(example2, bounded_field, 0.5)
+        _, (node, q, late, cold_steps) = calls
+        assert not late
+        np.testing.assert_array_equal(q, node.gate_measure())
+        assert steps < cold_steps
+        assert abs(sol.value - cold.value) <= 2e-8 * (1.0 + abs(cold.value))
+
     @pytest.mark.parametrize("field", [
         UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
     ], ids=["log", "power"])
@@ -577,6 +606,29 @@ class TestRandomTrees:
         start = tree.path_prob * node_values(tree, geo.solve_leaves, seed.zeta)
         assert np.array_equal(q, start[geo.trimmed])
         assert abs(warm.value - cold.value) <= 2 * tol * (1.0 + abs(cold.value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)).filter(
+            lambda model: model.tree.horizon > 1
+        ),
+        st.floats(-2.0, 2.0),
+        st.floats(0.5, 2.0),
+    )
+    def test_warm_entry_takes_no_more_steps(self, model, log_y, ratio):
+        # A node-measure solve warm-started from the solution at a nearby y
+        # enters the barrier at ``WARM_ENTRY_MU``: it lands within both
+        # certified gaps of a cold solve, in no more Newton steps.
+        field, tol, y = RANDOM_TREE_FIELDS["bounded"], 1e-10, 10.0**log_y
+        try:
+            seed = solve_dual(model, field, y * ratio, tol)
+        except InfeasibleMarketError:
+            assert _node_margin(model) < 1e-2
+            return
+        cold = solve_dual(model, field, y, tol)
+        warm = solve_dual(model, field, y, tol, warm_start=seed.zeta)
+        assert abs(warm.value - cold.value) <= tol * (2.0 + abs(warm.value) + abs(cold.value))
+        assert warm.iterations <= cold.iterations
 
     @settings(max_examples=40, deadline=None)
     @given(

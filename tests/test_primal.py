@@ -802,13 +802,16 @@ def test_tiny_leaf_probability_terminal_clock(bounded_field):
     assert sol.kkt_residual <= 1e-8
 
 
-@pytest.mark.xfail(
-    raises=RuntimeWarning,
-    reason="_domain_line_search accepts a step on the extrapolated wealth w + alpha dw, "
-    "while the wealth recomputed from theta reads exactly 0 at the leaf with P = 1e-8: "
-    "U' divides by zero there, and without the warning filter the solve raises 'not "
-    "positive definite under any ridge' (ROADMAP item 3)",
-)
 def test_skewed_terminal_clock_power(power_field):
     sol = solve_primal(binomial_model(4, 0.99, {4: 1.0}), power_field, 1.0)
     assert sol.kkt_residual <= 1e-8
+
+
+def test_line_search_starts_inside_the_domain(bounded_field):
+    # On a ten-asset ladder some leaves consume next to nothing, so a whole
+    # Newton step often leaves the domain; backtracking from the fraction to
+    # the boundary certifies in 21 steps where halving from alpha = 1 took 43.
+    spec = ExampleMarketSpec(10, tuple(0.55 + 0.035 * i for i in range(10)))
+    sol = solve_primal(build_example_market(spec), bounded_field, 1.0, 1e-9)
+    assert sol.kkt_residual <= 1e-9
+    assert sol.iterations <= 25
