@@ -191,14 +191,16 @@ def _need_model(config: RunConfig):
     return load_model(config.model)
 
 
+def _dates(tree) -> list:
+    """Each date's positions as a slice, the root's first: positions are
+    sorted by time."""
+    return [slice(0, 1)] + tree.levels
+
+
 def _per_time_mean(model, values) -> tuple:
     tree = model.tree
-    times = sorted(set(int(t) for t in tree.times))
-    out = []
-    for t in times:
-        sel = tree.times == t
-        out.append(float(np.dot(tree.path_prob[sel], values[sel])))
-    return times, out
+    dates = _dates(tree)
+    return list(range(len(dates))), [float(np.dot(tree.path_prob[d], values[d])) for d in dates]
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -306,9 +308,9 @@ def cmd_superrep(config: RunConfig) -> int:
     })
     rates = harness._rates_array(model, claim)
     wealth = wealth_from_strategy(model, res.holdings, rates, res.price)
-    times = sorted(set(int(t) for t in model.tree.times))
-    mins = [float(np.min(wealth[model.tree.times == t])) for t in times]
-    _series(config, "superrep_wealth.dat", times, mins)
+    dates = _dates(model.tree)
+    _series(config, "superrep_wealth.dat", list(range(len(dates))),
+            [float(np.min(wealth[d])) for d in dates])
     if config.strict and gap > max(config.check_tol, 1e-8):
         print("superreplication duality gap beyond tolerance", file=sys.stderr)
         return EXIT_CHECK

@@ -42,9 +42,10 @@ keeps iterates interior.  Newton steps are taken inside the affine set in
 iterate-scaled (Dikin) coordinates, where the barrier contributes exactly
 its weight to the diagonal: in leaf measures the multipliers come from an
 SVD least-squares solve rather than the squared-conditioning Schur
-complement, in node measures from a QR elimination per date (``_NodeKKT``).
-The separable Lagrangian lower bound at the Newton multipliers certifies
-optimality; where the density is unique, only that final stage runs.
+complement, in node measures from the QR elimination per date that the
+primal's steps share (``treeops._NodeKKT``).  The separable Lagrangian
+lower bound at the Newton multipliers certifies optimality; where the
+density is unique, only that final stage runs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ from .market import MarketModel
 from .treeops import (
     _LP_OPTS,
     Geometry,
+    _boundary_fraction,
+    _line_search,
     build_geometry,
     full_polytope_matrices,
     linprog,
@@ -208,7 +211,7 @@ def entropy_center(geo: Geometry) -> np.ndarray:
             if lam2 / 2.0 <= 1e-14:
                 break
             # The walk's objective is the barrier with weights prob alone.
-            q, _, phi = _line_search(lambda z: 0.0, q, step, g, 0.0, phi, prob)
+            q, _, phi, _ = _line_search(lambda z: 0.0, q, step, g, 0.0, phi, prob)
             if float(np.max(np.abs(Aq @ q - b))) < 1e-8:  # as for a warm start
                 on = q
         return on
@@ -286,11 +289,11 @@ class _DualObjective:
         return self.coords is self.geo.trimmed
 
     def constraints(self):
-        """(A, b, kkt): A q = b here, and node measures' ``_NodeKKT`` (else None)."""
+        """(A, b, kkt): A q = b here, and node measures' ``Geometry.node_kkt``
+        (else None)."""
         geo = self.geo
         if self.in_nodes:
-            A, b, price_row = geo.node_system()
-            return A, b, geo.memo("node_kkt", lambda: _NodeKKT(geo, price_row))
+            return geo.node_system()[:2] + (geo.node_kkt(),)
         return _measure_system(geo)[:2] + (None,)
 
     def measures(self, zeta: np.ndarray) -> np.ndarray:
@@ -561,7 +564,7 @@ def _barrier_solve(obj, q, tol, max_iter, late):
             if lam2 / 2.0 <= inner_tol:
                 if lam2 > 0.0:
                     # Quadratic phase: the pending step squares the accuracy.
-                    q, f, phi = _line_search(obj.value, q, step, g, f, phi, bw)
+                    q, f, phi, _ = _line_search(obj.value, q, step, g, f, phi, bw)
                 return q, f, nu
             if f_prev is not None and abs(f_prev - f) <= f_stall:
                 stall += 1
@@ -570,7 +573,7 @@ def _barrier_solve(obj, q, tol, max_iter, late):
             else:
                 stall = 0
             f_prev = f
-            q, f, phi = _line_search(obj.value, q, step, g, f, phi, bw)
+            q, f, phi, _ = _line_search(obj.value, q, step, g, f, phi, bw)
         return q, f, nu
 
     f = obj.value(q)
@@ -668,75 +671,6 @@ def _kkt_step_core(A, r, g, hdiag):
     return step, lam2, nu
 
 
-class _NodeKKT:
-    """``_kkt_step_core``'s step for ``node_system``'s A, nu in its rows: one
-    elimination per date of ``Geometry.markets`` leaves up, then root down.
-
-    In the measure steps delta = q du, child c hands its parent k a curvature
-    a_c and gradient beta_c in delta_c; k minimizes their sum over its rows
-    [1, dS_c] delta_C = (delta_k - r_balance, r_price) by one batched
-    Householder QR of M = [1, dS_c] / sqrt(a_c), rows by decreasing size so
-    that small parts stay accurate (an unkept asset: a unit column on a
-    spare row).  The step's part outside M's range is taken in the complete
-    QR's complement, which a complete node spans by zero rows alone, so it
-    is exactly 0 there; rebuilt from the range, it would cancel.
-    """
-
-    def __init__(self, geo: Geometry, price_row: np.ndarray):
-        _, _, _, dates, keep = geo.markets()
-        n, na = geo.trimmed.size, geo.model.n_active
-        self.sign = np.append(-1.0, np.ones(na))  # of (balance, price) rows
-        self.n_rows, self.dates = 1 + keep.shape[0] + int(keep.sum()), []
-        for first, own, child, dS in dates:
-            span, w = slice(first, first + own.size), child.shape[1]
-            child = np.pad(child, ((0, 0), (0, na)), constant_values=n)
-            B = np.zeros(child.shape + (1 + na,))
-            B[:, :w] = np.concatenate((child[:, :w, None] < n, dS * keep[span, None]), axis=2)
-            B[:, w + np.arange(na), 1 + np.arange(na)] = ~keep[span]
-            # An unkept asset's row -1 reads r = 0 and writes nu's spare entry.
-            rows = np.hstack((1 + first + np.arange(own.size)[:, None], price_row[span]))
-            self.dates.append((own, child, B, np.abs(B).max(axis=2), rows))
-
-    def solve(self, q, r, g, h):
-        """(du, du' h du, nu) of min g' du + du' diag(h) du / 2, A diag(q) du = r,
-        for h > 0 on the trimmed leaves and h >= 0 on the inner nodes."""
-        a, beta, r = np.append(h / q**2, 1.0), np.append(g / q, 0.0), np.append(r, 0.0)
-        sign, done = self.sign, []
-        for own, child, B, size, rows in reversed(self.dates):
-            s = 1.0 / np.sqrt(a[child])
-            o = np.argsort(-s * size, axis=1) + child.shape[1] * np.arange(own.size)[:, None]
-            child, s = child.ravel()[o], s.ravel()[o]
-            hv, tau = np.linalg.qr(B.reshape(-1, B.shape[2])[o] * s[:, :, None], mode="raw")
-            m = tau.shape[1]
-            R = np.triu(np.swapaxes(hv[:, :, :m], 1, 2))
-            c = _reflect(hv, tau, beta[child] * s, range(m))  # Q' beta / sqrt(a)
-            rhs = np.stack((np.broadcast_to(np.arange(m) == 0, rows.shape), r[rows] * sign), axis=2)
-            rho, z0 = np.moveaxis(np.linalg.solve(np.swapaxes(R, 1, 2), rhs), 2, 0)
-            a[own] += np.sum(rho * rho, axis=1)
-            beta[own] += np.sum(rho * (z0 + c[:, :m]), axis=1)
-            done.append((own, rows, child, s, hv, tau, R, c, rho, z0))
-        delta, nu = np.zeros(a.size), np.zeros(self.n_rows + 1)
-        delta[0], nu[0] = r[0], -(a[0] * r[0] + beta[0])
-        for own, rows, child, s, hv, tau, R, c, rho, z0 in reversed(done):
-            z = rho * delta[own, None] + z0
-            nu[rows] = -sign * np.linalg.solve(R, (z + c[:, : z.shape[1]])[:, :, None])[:, :, 0]
-            x = np.concatenate((z, -c[:, z.shape[1] :]), axis=1)
-            delta[child] = _reflect(hv, tau, x, range(z.shape[1] - 1, -1, -1)) * s  # Q x
-        du = delta[:-1] / q
-        if not np.all(np.isfinite(du)):
-            raise ConvergenceError("dual Newton system could not be solved")
-        return du, float(np.dot(du, h * du)), nu[:-1]
-
-
-def _reflect(hv, tau, x, order):
-    """Q' x (``order`` rising) or Q x (falling), in place, from ``qr``'s raw form."""
-    for j in order:
-        d = tau[:, j] * (x[:, j] + np.einsum("nw,nw->n", hv[:, j, j + 1 :], x[:, j + 1 :]))
-        x[:, j] -= d
-        x[:, j + 1 :] -= d[:, None] * hv[:, j, j + 1 :]
-    return x
-
-
 def _scaled_newton_step(A, b, kkt, q, g_obj, h_obj, bw):
     """Newton step in Dikin coordinates d(q) = q * du.
 
@@ -753,40 +687,6 @@ def _scaled_newton_step(A, b, kkt, q, g_obj, h_obj, bw):
     else:
         du, lam2, nu = _kkt_step_core(A * q[None, :], b - A @ q, g_u, h_u)
     return q * du, lam2, nu
-
-
-def _line_search(value, x, step, g, f, phi, bw):
-    """Armijo backtracking from the largest step inside the positive orthant.
-
-    The merit is phi(z) = value(z) - bw . log(z), whose gradient at x is g;
-    ``f`` and ``phi`` are value and phi at x.  Returns the accepted point
-    with its value and phi; x itself when no point qualifies.
-    """
-
-    def merit(z, fz):
-        return fz - float(np.dot(bw, np.log(z)))
-
-    alpha = _boundary_fraction(x, step)
-    slope = float(np.dot(g, step))
-    for _ in range(60):
-        cand = x + alpha * step
-        if np.min(cand) > 0.0:
-            f_cand = value(cand)
-            phi_cand = merit(cand, f_cand)
-            if phi_cand <= phi + 1e-4 * alpha * slope:
-                return cand, f_cand, phi_cand
-        alpha *= 0.5
-    cand = x + alpha * step
-    if np.min(cand) > 0.0:
-        f_cand = value(cand)
-        return cand, f_cand, merit(cand, f_cand)
-    return x, f, phi
-
-
-def _boundary_fraction(x, step) -> float:
-    """The largest alpha <= 1 with x + alpha step at least 0.005 x, for x > 0."""
-    neg = step < 0.0
-    return min(1.0, 0.995 * float(np.min(-x[neg] / step[neg]))) if np.any(neg) else 1.0
 
 
 def _extend_density(geo: Geometry, zeta) -> np.ndarray:

@@ -35,6 +35,11 @@ leaf values (``node_values``), which is exactly the martingale property.  In
 those leaf values the constraints reduce to one normalization row and one
 row per (internal node, tradable asset); that dense system
 (``full_polytope_matrices``) is built only for the whole tree.
+
+The primal's wealth and holdings are the multipliers of the same node-local
+rows, so both solvers take their Newton steps on one kernel, ``_NodeKKT``
+(kept once per view by ``Geometry.node_kkt``), and backtrack with one line
+search, ``_line_search``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import qr
+from scipy.linalg import lapack, qr
 
 from .errors import BudgetError, ConvergenceError, InfeasibleMarketError
 from .market import MarketModel, _accumulate_down, _accumulate_up
@@ -129,6 +134,12 @@ class Geometry:
         """The whole tree's ``node_system``, built on first use and kept."""
         nodes = np.arange(self.tree.n_nodes)
         return self.memo("full_node_system", lambda: node_system(nodes, self.full_markets()))
+
+    def node_kkt(self):
+        """The Newton-step kernel ``_NodeKKT`` of ``node_system()``, built on
+        first use and kept: the dual's node-measure steps and every primal
+        step solve on it."""
+        return self.memo("node_kkt", lambda: _NodeKKT(self, self.node_system()[2]))
 
     def untrimmed_levels(self) -> list:
         """Positions outside the trimmed view, one array per date t >= 1."""
@@ -447,3 +458,162 @@ def wealth_from_strategy(model: MarketModel, H: np.ndarray, c: np.ndarray, x: fl
     gains[kids] = steps[:, 0, 0]
     _accumulate_down(gains, tree.parent, tree.levels)
     return x + gains - cumulative_spend(model, c)
+
+
+class _NodeKKT:
+    """Newton steps on ``node_system``'s rows N: one elimination per date of
+    ``Geometry.markets`` leaves up, then root down.
+
+    ``solve`` minimizes g' du + du' diag(h) du / 2 over N diag(q) du = r.  In
+    the measure steps delta = q du, child c hands its parent k a curvature
+    a_c and gradient beta_c in delta_c; k minimizes their sum over its rows
+    [1, dS_c] delta_C = (delta_k - r_balance, r_price) by one Householder QR
+    of M = [1, dS_c] / sqrt(a_c) per node, batched over the date, rows by
+    decreasing size so that small parts stay accurate (an unkept asset: a
+    unit column on a spare row).  The step's part outside M's range is taken
+    in the complete QR's complement, which a complete node spans by zero
+    rows alone, so it is exactly 0 there; rebuilt from the range, it would
+    cancel.  A date of one node runs LAPACK's QR, reflectors and triangular
+    solves directly (``_BlockQR``).
+    """
+
+    def __init__(self, geo: Geometry, price_row: np.ndarray):
+        _, _, _, dates, keep = geo.markets()
+        n, na = geo.trimmed.size, geo.model.n_active
+        self.sign = np.append(-1.0, np.ones(na))  # of (balance, price) rows
+        self.n_rows, self.dates = 1 + keep.shape[0] + int(keep.sum()), []
+        for first, own, child, dS in dates:
+            span, w = slice(first, first + own.size), child.shape[1]
+            child = np.pad(child, ((0, 0), (0, na)), constant_values=n)
+            B = np.zeros(child.shape + (1 + na,))
+            B[:, :w] = np.concatenate((child[:, :w, None] < n, dS * keep[span, None]), axis=2)
+            B[:, w + np.arange(na), 1 + np.arange(na)] = ~keep[span]
+            # An unkept asset's row -1 reads r = 0 and writes nu's spare entry.
+            rows = np.hstack((1 + first + np.arange(own.size)[:, None], price_row[span]))
+            unit = np.zeros(rows.shape + (2,))  # the first unit vector, and r's slot
+            unit[:, 0, 0] = 1.0
+            offset = child.shape[1] * np.arange(own.size)[:, None]
+            # B's columns as rows, over the date's child slots: a gather of
+            # slots keeps each column contiguous, as LAPACK reads it.
+            bt = np.ascontiguousarray(B.reshape(-1, 1 + na).T)
+            self.dates.append((own, child, bt, np.abs(B).max(axis=2), rows, unit, offset))
+
+    def solve(self, q, r, g, h, free_root=False):
+        """(du, du' h du, nu) of min g' du + du' diag(h) du / 2, N diag(q) du = r,
+        for h > 0 on the trimmed leaves and h >= 0 on the inner nodes.  With
+        ``free_root`` the root's row is dropped: its measure minimizes the
+        rest, and nu reads 0 there."""
+        a, beta, r = np.append(h / q**2, 1.0), np.append(g / q, 0.0), np.append(r, 0.0)
+        sign, done = self.sign, []
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular block fails below
+            for own, child, bt, size, rows, unit, offset in reversed(self.dates):
+                s = 1.0 / np.sqrt(a[child])
+                o = np.argsort(-s * size, axis=1) + offset
+                child, s = child.ravel()[o], s.ravel()[o]
+                mt = bt[:, o]  # M' per node: (columns, nodes, slots)
+                mt *= s
+                qr_ = (_BlockQR if own.size == 1 else _StackedQR)(mt)
+                c = qr_.reflect(beta[child] * s, True)  # Q' beta / sqrt(a)
+                rhs = unit.copy()
+                rhs[:, :, 1] = r[rows] * sign
+                rho_z0 = qr_.solve(rhs, True)
+                rho, z0, m = rho_z0[:, :, 0], rho_z0[:, :, 1], rhs.shape[1]
+                a[own] += (rho * rho).sum(axis=1)
+                beta[own] += (rho * (z0 + c[:, :m])).sum(axis=1)
+                done.append((own, rows, child, s, qr_, c, rho, z0))
+            delta, nu = np.zeros(a.size), np.zeros(self.n_rows + 1)
+            if free_root:
+                delta[0] = -beta[0] / a[0]
+            else:
+                delta[0], nu[0] = r[0], -(a[0] * r[0] + beta[0])
+            for own, rows, child, s, qr_, c, rho, z0 in reversed(done):
+                m = rho.shape[1]
+                z = rho * delta[own, None] + z0
+                nu[rows] = -sign * qr_.solve((z + c[:, :m])[:, :, None], False)[:, :, 0]
+                delta[child] = qr_.reflect(np.concatenate((z, -c[:, m:]), axis=1), False) * s
+        du = delta[:-1] / q
+        if not np.all(np.isfinite(du)):
+            raise ConvergenceError("Newton system could not be solved")
+        return du, float(np.dot(du, h * du)), nu[:-1]
+
+
+class _StackedQR:
+    """Householder QR of each block of a stack, given as the blocks'
+    transposes ``mt`` (columns, blocks, rows), in ``np.linalg.qr``'s raw
+    form: ``reflect`` applies Q' or Q to each row of x, ``solve`` solves
+    R' x = b or R x = b by substitution, for b (blocks, columns, right-hand
+    sides)."""
+
+    def __init__(self, mt):
+        hv, tau = np.linalg.qr(np.moveaxis(mt, 0, 2), mode="raw")
+        m = tau.shape[1]
+        self.rt = hv[:, :, :m]  # R' in its lower triangle
+        # Reflector j is v_j = (0, ..., 0, 1, hv[j, j + 1:]), H_j = I - tau_j v_j v_j'.
+        v = np.where(np.arange(hv.shape[2]) > np.arange(m)[:, None], hv, 0.0)
+        v[:, np.arange(m), np.arange(m)] = 1.0
+        self.v, self.tv = list(np.swapaxes(v, 0, 1)), list(np.swapaxes(tau[:, :, None] * v, 0, 1))
+
+    def reflect(self, x, transpose):
+        for v, tv in zip(self.v, self.tv) if transpose else zip(self.v[::-1], self.tv[::-1]):
+            x -= np.einsum("nw,nw->n", v, x)[:, None] * tv
+        return x
+
+    def solve(self, b, transpose):
+        rt, m = self.rt, self.rt.shape[1]
+        x = np.empty_like(b)
+        for j in range(m) if transpose else range(m - 1, -1, -1):
+            known = slice(0, j) if transpose else slice(j + 1, m)
+            coef = rt[:, j, known] if transpose else rt[:, known, j]
+            x[:, j] = (b[:, j] - (coef[:, None, :] @ x[:, known])[:, 0]) / rt[:, j, j, None]
+        return x
+
+
+class _BlockQR:
+    """``_StackedQR`` of a stack of one block, by LAPACK itself (``dgeqrf``,
+    ``dormqr``, ``dtrtrs``), where batching buys nothing."""
+
+    def __init__(self, mt):
+        self.qr, self.tau, _, _ = lapack.dgeqrf(mt[:, 0].T, overwrite_a=True)
+
+    def reflect(self, x, transpose):
+        trans = "T" if transpose else "N"
+        return lapack.dormqr("L", trans, self.qr, self.tau, x.T, lwork=1)[0].T
+
+    def solve(self, b, transpose):
+        x, info = lapack.dtrtrs(self.qr, b[0], trans=int(transpose))
+        return (x if info == 0 else np.full_like(x, np.nan))[None]
+
+
+def _line_search(value, x, step, g, f, phi, bw):
+    """Armijo backtracking from the largest step inside the positive orthant.
+
+    The merit is phi(z) = value(z) - bw . log(z), whose gradient at x is g;
+    ``f`` and ``phi`` are value and phi at x.  Returns the accepted point
+    with its value, phi and step length; x itself and length 0 when no point
+    qualifies.
+    """
+
+    def merit(z, fz):
+        return fz - float(np.dot(bw, np.log(z)))
+
+    alpha = _boundary_fraction(x, step)
+    slope = float(np.dot(g, step))
+    for _ in range(60):
+        cand = x + alpha * step
+        if np.min(cand) > 0.0:
+            f_cand = value(cand)
+            phi_cand = merit(cand, f_cand)
+            if phi_cand <= phi + 1e-4 * alpha * slope:
+                return cand, f_cand, phi_cand, alpha
+        alpha *= 0.5
+    cand = x + alpha * step
+    if np.min(cand) > 0.0:
+        f_cand = value(cand)
+        return cand, f_cand, merit(cand, f_cand), alpha
+    return x, f, phi, 0.0
+
+
+def _boundary_fraction(x, step) -> float:
+    """The largest alpha <= 1 with x + alpha step at least 0.005 x, for x > 0."""
+    neg = step < 0.0
+    return min(1.0, 0.995 * float(np.min(-x[neg] / step[neg]))) if np.any(neg) else 1.0

@@ -834,6 +834,48 @@ class TestNodeStep:
         assert np.abs(q * du).max() <= 1e-14
 
 
+    @staticmethod
+    def assert_reflectors_agree(kkt, q, r, g, h):
+        # A date of one node runs LAPACK's QR, reflectors and triangular
+        # solves; the batched path must give the same step there.
+        one = kkt.solve(q, r, g, h)
+        with mock.patch.object(treeops, "_BlockQR", treeops._StackedQR):
+            ref = kkt.solve(q, r, g, h)
+        for got, want in zip(one, ref):
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(random_models(), random_models(martingale=True)),
+           st.integers(0, 2**32 - 1))
+    def test_one_node_dates_match_the_batched_reflectors(self, model, seed):
+        # Every tree's first date has one node; on one-period trees it is
+        # the only one.
+        try:
+            geo, A, kkt = _node_step_system(model)
+        except InfeasibleMarketError:
+            return
+        rng = np.random.default_rng(seed)
+        n = A.shape[1]
+        h = 10.0 ** rng.uniform(-16.0, 0.0, n)
+        h[geo.internal_mask[geo.trimmed] & ~geo.consuming[geo.trimmed]] = 0.0
+        self.assert_reflectors_agree(kkt, 10.0 ** rng.uniform(-3.0, 0.0, n),
+                                     rng.standard_normal(A.shape[0]), rng.standard_normal(n), h)
+
+    @pytest.mark.parametrize("n, step", [(10, 0.04), (12, 0.035)], ids=["sweep-10", "wide-12"])
+    def test_ladder_steps_match_the_batched_reflectors(self, n, step):
+        # The shapes of the sweep's last level and wide's: one node, 2^n
+        # children and n assets.
+        model = build_example_market(ExampleMarketSpec(n, tuple(0.55 + step * i for i in range(n))))
+        geo = build_geometry(model)
+        kkt = geo.node_kkt()
+        rng = np.random.default_rng(n)
+        q = (model.tree.path_prob * ensure_full_density(geo))[geo.trimmed]
+        m = q.size
+        self.assert_reflectors_agree(kkt, q, rng.standard_normal(kkt.n_rows), rng.standard_normal(m),
+                                     10.0 ** rng.uniform(-16.0, 0.0, m))
+
+
 SINGLETON_MODELS = {
     "binom1": lambda: build_example_market(ExampleMarketSpec(1, (0.6,))),
     "collinear": lambda: build_tree(SINGLETON_SPREAD),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dualitylab import dual as dual_module
 from dualitylab import primal as primal_module
 from dualitylab import treeops
-from dualitylab.dual import solve_dual
+from dualitylab.dual import ensure_full_density, solve_dual
 from dualitylab.errors import ConvergenceError, DualityLabError, InfeasibleMarketError
 from dualitylab.market import (
     ExampleMarketSpec,
@@ -21,7 +21,6 @@ from dualitylab.market import (
     truncate,
 )
 from dualitylab.primal import (
-    _ascent_step,
     _PrimalObjective,
     admissibility_check,
     analytic_log_binomial,
@@ -274,7 +273,8 @@ class TestAdmissibilityCheck:
 
 
 class TestTreeNewtonStep:
-    """The Riccati step against a dense solve of the same Newton system."""
+    """The kernel step in spend coordinates against a dense Newton solve in
+    holdings and rates, the variables of the dense wealth rows."""
 
     @staticmethod
     def dense_neg_hessian(geo, field, x, theta, mu):
@@ -299,78 +299,150 @@ class TestTreeNewtonStep:
         return neg_h
 
     @staticmethod
-    def interior_point(obj, geo, rng):
-        theta = np.zeros(obj.system.n_vars)
-        theta[obj.mid_idx] = obj.x / (2.0 * geo.model.clock.bound)
+    def dense_gradient(geo, field, x, theta, mu):
+        """The objective's gradient, with the dead-root barrier, term by term."""
+        tree, clock = geo.tree, geo.model.clock
+        base = field.base()
+        rows, _, c_index = trimmed_rows(geo)
+        g = np.zeros(rows.shape[1])
+        for k, pos in enumerate(geo.trimmed):
+            s = x + rows[k] @ theta
+            if geo.eff_mask[pos]:
+                w = field.weight(tree.ids[pos])
+                g += tree.path_prob[pos] * w * float(base.u_prime(s / clock.dkappa[pos])) * rows[k]
+            elif geo.dead_root_mask[pos]:
+                g += mu / s * rows[k]
+        for pos, j in c_index.items():
+            w = field.weight(tree.ids[pos])
+            g[j] += tree.path_prob[pos] * clock.dkappa[pos] * w * float(base.u_prime(theta[j]))
+        return g
+
+    @staticmethod
+    def spend(geo, rows, c_index, x, theta):
+        """Spend at every trimmed node: dkappa times the rate at an internal
+        node, the wealth at a trimmed leaf."""
+        trim = geo.trimmed
+        rate = np.zeros(trim.size)
+        for pos, j in c_index.items():
+            rate[np.searchsorted(trim, pos)] = theta[j]
+        dk = geo.model.clock.dkappa[trim]
+        return np.where(geo.internal_mask[trim], dk * rate, x + rows @ theta)
+
+    @classmethod
+    def state(cls, obj, geo, x, theta):
+        """(sigma, nu) of the plan theta: wealth after consumption and the kept
+        holdings at the internal nodes."""
+        rows, h_slice, c_index = trimmed_rows(geo)
+        trim, na = geo.trimmed, geo.model.n_active
+        internal = geo.internal_mask[trim]
+        spend = cls.spend(geo, rows, c_index, x, theta)
+        held = np.array([theta[h_slice[int(p)]] if na else [] for p in trim[internal]])
+        keep = geo.markets()[4]
+        post = x + rows @ theta - spend
+        nu = np.concatenate(([x], -post[internal], held.reshape(keep.shape)[keep]))
+        return spend[obj.cols], nu
+
+    @staticmethod
+    def theta_step(obj, geo, dsigma, dnu):
+        """The step (d sigma, d nu) in the dense rows' variables: nu's kept
+        holdings, zero in the assets a node does not keep, and the rates."""
+        _, h_slice, c_index = trimmed_rows(geo)
+        internal, _, _, _, keep = geo.markets()
+        held = np.zeros(keep.shape)
+        held[keep] = dnu[1 + internal.size :]
+        step = np.zeros(len(h_slice) * geo.model.n_active + len(c_index))
+        for i, pos in enumerate(geo.trimmed[internal]):
+            if int(pos) in h_slice:
+                step[h_slice[int(pos)]] = held[i]
+        spend = np.zeros(geo.trimmed.size)
+        spend[obj.cols] = dsigma
+        for pos, j in c_index.items():
+            k = np.searchsorted(geo.trimmed, pos)
+            step[j] = spend[k] / geo.model.clock.dkappa[pos]
+        return step
+
+    @staticmethod
+    def interior_point(geo, rows, c_index, x, rng):
+        """A random plan whose spend is positive at every consuming node and
+        dead root."""
+        theta = np.zeros(rows.shape[1])
+        theta[list(c_index.values())] = x / (2.0 * geo.model.clock.bound)
+        spends = (geo.consuming | geo.dead_root_mask)[geo.trimmed]
         kick = rng.normal(size=theta.size) * rng.uniform(0.1, 1.0)
-        while not obj.in_domain(theta + kick):
+        while np.any(TestTreeNewtonStep.spend(geo, rows, c_index, x, theta + kick)[spends] <= 0.0):
             kick *= 0.5
         return theta + kick
 
     @settings(max_examples=200, deadline=None)
     @given(
-        random_models(),
+        st.one_of(random_models(), random_models(martingale=True)),
         st.sampled_from(["log", "power", "bounded"]),
         st.booleans(),
-        st.sampled_from([0.0, 0.05]),
-        st.sampled_from([0.0, 1e-3]),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_solve(self, model, family, weighted, mu, ridge_rel, seed):
+    def test_matches_dense_solve(self, model, family, weighted, seed):
+        # Random trees bring dead roots, partial ``keep``, consuming inner
+        # nodes and one-child nodes; the barrier weight on dead-root wealth
+        # is 0.05.  Newton's affine invariance makes the two steps one.  On
+        # a market with arbitrage the kernel's node blocks lose rank, as the
+        # dual's rows have no solution there; the solver gates it first.
+        geo = build_geometry(model)
+        try:
+            ensure_full_density(geo)
+        except InfeasibleMarketError:
+            return
         rng = np.random.default_rng(seed)
         tree = model.tree
         weights = {nid: float(rng.uniform(0.5, 2.0)) for nid in tree.ids} if weighted else None
         params = {"log": {}, "power": {"gamma": -1.5}, "bounded": {"alpha": 0.5, "beta": 2.0}}
         field = UtilityField(family=family, weights=weights, **params[family])
-        geo = build_geometry(model)
         obj = _PrimalObjective(geo, field, 1.3)
-        assume(obj.system.n_vars > 0)
-        theta = self.interior_point(obj, geo, rng)
+        rows, _, c_index = trimmed_rows(geo)
+        theta = self.interior_point(geo, rows, c_index, 1.3, rng)
+        sigma, nu = self.state(obj, geo, 1.3, theta)
+        dsigma, dnu, lam2, _ = obj.step(sigma, nu, 0.05)
 
-        g, a, pd = obj.grad_curv(theta, mu)
-        neg_h = self.dense_neg_hessian(geo, field, 1.3, theta, mu)
-        rows = trimmed_rows(geo)[0]
-        np.testing.assert_allclose(
-            np.einsum("t,ti,tj->ij", a, rows, rows) + np.diag(pd),
-            neg_h, rtol=1e-12, atol=1e-12 * np.max(np.abs(neg_h)),
-        )
-        ridge = ridge_rel * float(np.max(np.diag(neg_h)))
-        m = neg_h + ridge * np.eye(obj.system.n_vars)
-        if np.linalg.cond(m) > 1e6:
-            # Only a ridge-free system may be this ill-conditioned (untraded
-            # holdings, whose dense rows are zero, or branches whose only
-            # curvature is a vanished barrier); the duplicated-asset test
-            # covers the first case.
-            assert ridge == 0.0
-            return
-        want = np.linalg.solve(m, g)
-        got = obj.system.solve(g, a, pd, ridge)
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        neg_h = self.dense_neg_hessian(geo, field, 1.3, theta, 0.05)
+        g = self.dense_gradient(geo, field, 1.3, theta, 0.05)
+        live = np.diag(neg_h) > 0.0  # untraded holdings have zero rows
+        want = np.zeros(theta.size)
+        if live.any():
+            m = neg_h[np.ix_(live, live)]
+            if np.linalg.cond(m) > 1e6:
+                return  # too ill-conditioned for the dense solve to hold 1e-10
+            want[live] = np.linalg.solve(m, g[live])
+        # Relative, above the rounding of the state itself: where the dense
+        # step is 0, the kernel's restores feasibility to that rounding.
+        floor = 1e-14 * (np.linalg.norm(sigma) + np.linalg.norm(nu))
+        got = self.theta_step(obj, geo, dsigma, dnu)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want) + floor
+        # Mapped through the wealth rows, the dense step is the spend step.
+        spend = self.spend(geo, rows, c_index, 0.0, want)
+        assert np.linalg.norm(dsigma - spend[obj.cols]) <= 1e-10 * np.linalg.norm(spend) + floor
 
     def test_duplicated_asset_is_no_variable_of_the_step(self, duplicates, log_field):
-        # The root's market keeps one of the two identical assets.  The other's
-        # holding is no variable of the Newton system, which therefore solves
-        # at zero ridge: the untraded holding does not move, and the step
-        # solves the dense system, whose row for that holding is zero.
+        # The root's market keeps one of the two identical assets, so nu has
+        # one pricing row there: the other holding does not move, and the
+        # step solves the dense system, whose row for that holding is zero.
         geo = build_geometry(duplicates)
         obj = _PrimalObjective(geo, log_field, 1.0)
-        theta = np.zeros(obj.system.n_vars)
-        g, a, pd = obj.grad_curv(theta, 0.0)
-        step = obj.system.solve(g, a, pd, 0.0)
+        rows, _, c_index = trimmed_rows(geo)
+        theta = np.zeros(rows.shape[1])
+        dsigma, dnu, _, _ = obj.step(*self.state(obj, geo, 1.0, theta), 0.0)
+        step = self.theta_step(obj, geo, dsigma, dnu)
         traded = traded_assets(geo)[duplicates.tree.root]
         assert traded.sum() == 1 and not step[:2][~traded].any()
         neg_h = self.dense_neg_hessian(geo, log_field, 1.0, theta, 0.0)
+        g = self.dense_gradient(geo, log_field, 1.0, theta, 0.0)
         np.testing.assert_allclose(neg_h @ step, g, rtol=1e-9)
 
-    def test_nonfinite_curvature_exhausts_ridge_schedule(self, two_period_mid_clock, log_field):
-        geo = build_geometry(two_period_mid_clock)
-        obj = _PrimalObjective(geo, log_field, 1.0)
-        theta = np.zeros(obj.system.n_vars)
-        theta[obj.mid_idx] = 0.5
-        g, a, pd = obj.grad_curv(theta, 0.0)
-        a[obj.eff_t[0]] = np.nan
+    def test_nonfinite_curvature_raises(self, two_period_mid_clock, log_field):
+        obj = _PrimalObjective(build_geometry(two_period_mid_clock), log_field, 1.0)
+        state = primal_module._cold_start(obj)
+        u_second = obj.base.u_second
+        obj.base.u_second = lambda c: np.where(np.arange(np.size(c)) == 0, np.nan, u_second(c))
         with pytest.raises(ConvergenceError):
-            _ascent_step(obj.system, g, a, pd)
+            obj.step(*state, 0.0)
 
 
 @pytest.mark.parametrize("p", [0.45, 0.6])
@@ -524,18 +596,21 @@ class TestWarmStart:
     @pytest.mark.parametrize("spoil", ["rates", "holdings"])
     def test_start_outside_the_domain_falls_back(self, two_period_mid_clock, bounded_field,
                                                  spoil):
+        # A negative spend leaves the domain; spoiled wealth and holdings no
+        # longer finance the spend.
         model = two_period_mid_clock
         start = solve_primal(model, bounded_field, 1.0)
         obj = _PrimalObjective(build_geometry(model), bounded_field, 1.5)
         theta = start.theta.copy()
-        rates = np.zeros(theta.size, dtype=bool)
-        rates[obj.mid_idx] = True
+        spend = np.arange(theta.size) < obj.cols.size
         if spoil == "rates":
-            theta[rates] *= -1.0
+            theta[spend] *= -1.0
         else:
-            theta[~rates] *= -1e3  # the holdings
+            theta[~spend] *= -1e3
         start = dataclasses.replace(start, theta=theta)
-        assert not obj.in_domain(start.theta * 1.5)
+        sigma, nu = np.split(start.theta * 1.5, [obj.cols.size])
+        nu[0] = 1.5
+        assert not obj.usable(sigma, nu)
         cold = solve_primal(model, bounded_field, 1.5)
         self.assert_same(solve_primal(model, bounded_field, 1.5, warm_start=start), cold)
 
@@ -584,12 +659,11 @@ class TestDensityPlan:
         # Under the density plan a dead root receives no wealth, which is not
         # strictly inside the domain.
         model = binomial_two_period_partial_clock(up_subtree_only=True)
-        obj = _PrimalObjective(build_geometry(model), log_field, 1.0)
+        geo = build_geometry(model)
+        obj = _PrimalObjective(geo, log_field, 1.0)
         assert obj.n_dead
-        theta = primal_module._cold_start(obj)
-        rates = np.zeros(theta.size, dtype=bool)
-        rates[obj.mid_idx] = True
-        assert not theta[~rates].any()
+        _, nu = primal_module._cold_start(obj)
+        assert not nu[1 + geo.markets()[0].size :].any()
 
 
 SCALED_FIELDS = [UtilityField(family="log"), UtilityField(family="power", gamma=0.5),

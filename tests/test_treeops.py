@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from dualitylab import treeops
 from dualitylab.errors import BudgetError
 from dualitylab.market import build_tree
-from dualitylab.primal import _TreeSystem
 from dualitylab.treeops import (
     build_geometry,
     cumulative_spend,
@@ -275,34 +274,6 @@ def test_kernels_match_reference_loops(model, seed):
     # The kernel runs np.dot's routine on each step, so even the wealth
     # keeps its bits.
     assert_same(wealth_from_strategy(model, H, c, 1.3), ref_wealth(model, H, c, 1.3))
-
-
-@settings(max_examples=120, deadline=None)
-@given(random_models(), st.integers(0, 2**32 - 1))
-def test_wealth_passes_match_reference_rows(model, seed):
-    # The primal's date passes against the dense trimmed wealth map, with the
-    # variables laid out as holdings blocks then rates, in position order,
-    # and each node trading the assets its market keeps.
-    geo = build_geometry(model)
-    internal = geo.internal_mask
-    rows, _, _ = ref_rows(model, geo.trimmed, internal, internal & geo.consuming,
-                          traded_assets(geo))
-    system = _TreeSystem(geo)
-    assert system.n_vars == rows.shape[1]
-
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=rows.shape[1])
-    y = rng.normal(size=rows.shape[0])
-    a = rng.uniform(0.0, 2.0, rows.shape[0])
-
-    def assert_close(got, want, magnitude):
-        # Relative to the sum of the absolute terms, as entries may cancel.
-        atol = 1e-12 * np.max(magnitude, initial=0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
-
-    assert_close(system.wealth(theta), rows @ theta, np.abs(rows) @ np.abs(theta))
-    assert_close(system.wealth_t(y), rows.T @ y, np.abs(rows.T) @ np.abs(y))
-    assert_close(system.wealth_t(a, squared=True), (rows**2).T @ a, (rows**2).T @ a)
 
 
 def ref_node_system(model, nodes, internal_mask, keep):
