@@ -33,13 +33,14 @@ without explicit inequality handling, and no trial recomputes wealth.
 A cold solve starts from the density plan c = I(y Z / w), the relation
 between optimal consumption and the dual optimizer, taken at the gate's
 density Z (``ensure_full_density``) with the one y whose plan costs x.
-Its wealth is the Z-price of the consumption still to come, each internal
-node's holdings fit the wealth moves into its children by least squares,
-and the state is read off ``wealth_from_strategy`` of those holdings.
-Where Z is the only martingale density this is the optimal plan, so Newton
-certifies it in one step; on other trees it is a start like any other, and
-where it is not strictly inside the domain (dead roots receive nothing
-under it) Newton starts from zero holdings instead.
+One kernel solve projects its spend onto the financed states in the
+metric |f''| at the plan, from nu = (x, 0, ..., 0): the Newton step with
+the objective's gradient left out.  Where Z is the only martingale density
+the plan is financed already, so the projection keeps each spend, however
+small, to rounding relative to its own size, and Newton certifies the
+plan in one step; on other trees it is a start like any other, and where
+it is not strictly inside the domain (dead roots receive nothing under
+the plan) Newton starts from zero holdings instead.
 
 Holdings are not unique when assets are redundant, so after convergence
 each node's holdings are reported as the minimum-norm solution reproducing
@@ -58,8 +59,9 @@ import numpy as np
 
 from .dual import ensure_full_density, scaling_reference
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
-from .market import MarketModel, _accumulate_up
-from .treeops import Geometry, _line_search, build_geometry, wealth_from_strategy
+from .market import MarketModel
+from .treeops import (Geometry, _line_search, build_geometry, cumulative_spend,
+                      wealth_from_strategy)
 from .utility import UtilityField, node_weights
 
 VALUE_CEILING = 1e100
@@ -130,48 +132,35 @@ class _PrimalObjective:
     def step(self, sigma, nu, mu: float):
         """(d sigma, d nu, decrement squared, gradient) of the Newton step at
         (sigma, nu), the dead-root barrier at weight mu in the objective."""
-        c = sigma[self.cons] / self.dk
-        g, hp = np.empty(sigma.size), np.empty(sigma.size)  # f' and -f''
-        g[self.cons] = self.pw * self.base.u_prime(c)
-        hp[self.cons] = -(self.pw / self.dk) * self.base.u_second(c)
-        s_dead = sigma[self.dead]
-        g[self.dead], hp[self.dead] = mu / s_dead, mu / s_dead**2
+        g, hp = np.empty(sigma.size), self.curvature(sigma, mu)  # f' and -f''
+        g[self.cons] = self.pw * self.base.u_prime(sigma[self.cons] / self.dk)
+        g[self.dead] = mu / sigma[self.dead]
+        dsigma, dnu = self.solve(sigma, nu, g, hp)
+        return dsigma, dnu, float(np.dot(dsigma, hp * dsigma)), g
+
+    def curvature(self, sigma, mu: float):
+        """-f'' at sigma, the dead-root barrier at weight mu in f."""
+        hp = np.empty(sigma.size)
+        hp[self.cons] = -(self.pw / self.dk) * self.base.u_second(sigma[self.cons] / self.dk)
+        hp[self.dead] = mu / sigma[self.dead] ** 2
+        return hp
+
+    def solve(self, sigma, nu, g, hp):
+        """(d sigma, d nu) maximizing g' d sigma - d sigma' diag(hp) d sigma / 2
+        over the spends nu + d nu finances, by one kernel solve.  With g = 0,
+        sigma + d sigma is the financed spend nearest sigma in the metric hp:
+        a projection onto the financed states."""
         grad = self.residual(sigma, nu)
         grad[self.cols] -= g / hp
         curv = np.zeros(grad.size)
         curv[self.cols] = 1.0 / hp
         delta, _, dnu = self.kkt.solve(self.ones, self.no_rows, grad, curv, free_root=True)
-        dsigma = (g - delta[self.cols]) / hp
-        return dsigma, dnu, float(np.dot(dsigma, hp * dsigma)), g
-
-    def plan(self, H, c):
-        """The state (sigma, nu) of holdings H, zero outside each node's kept
-        assets, and rates c at the consuming internal nodes; None where a
-        spend is not positive."""
-        geo = self.geo
-        trim = geo.trimmed
-        # The effective leaves and dead roots consume nothing here, so their
-        # wealth is their spend.
-        X = wealth_from_strategy(geo.model, H, c, self.x)[trim]
-        internal = geo.internal_mask[trim]
-        sigma = np.where(internal, geo.model.clock.dkappa[trim] * c[trim], X)[self.cols]
-        keep = geo.markets()[4]
-        nu = np.concatenate(([self.x], -X[internal], H[trim[internal]][keep]))
-        return (sigma, nu) if np.all(sigma > 0.0) else None
+        return (g - delta[self.cols]) / hp, dnu
 
     def usable(self, sigma, nu) -> bool:
         """Whether (sigma, nu) can start Newton: sigma > 0, financed to 1e-8 x."""
         return bool(np.all(sigma > 0.0)
                     and np.max(np.abs(self.residual(sigma, nu))) <= 1e-8 * self.x)
-
-
-def _pinv(M, rank):
-    """Pseudo-inverses of the stacked blocks ``M``, each from its leading
-    ``rank`` singular values."""
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    kept = np.arange(s.shape[1]) < rank[:, None]
-    s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
-    return np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2))
 
 
 def solve_primal(
@@ -199,12 +188,13 @@ def solve_primal(
     pure power.  Newton starts there when its spend is positive and
     financed, entering the dead-root barrier at its final weight, and from
     ``_cold_start`` otherwise: the density plan c = I(y Z / w) at the gate's
-    density, optimal where that density is the only one, or zero holdings
-    where that plan leaves the domain, as on trees with dead roots.  Without
-    a warm start, a log or power field starts from its state at x = 1
-    scaled by x, which the first such call solves from the cold start
-    (``scaling_reference``); the scaling law is exact for these fields,
-    barrier included, so one Newton step certifies the plan.
+    density projected onto the financed states, optimal where that density
+    is the only one, or zero holdings where the plan leaves the domain, as
+    on trees with dead roots.  Without a warm start, a log or power field
+    starts from its state at x = 1 scaled by x, which the first such call
+    solves from the cold start (``scaling_reference``); the scaling law is
+    exact for these fields, barrier included, so one Newton step certifies
+    the plan.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
@@ -235,44 +225,48 @@ def solve_primal(
 
 
 def _cold_start(obj):
-    """The state of the density plan (``_density_plan``) where it lies
-    strictly inside the domain; else of no holdings, and each consuming
-    internal node eating x / (2 A).
+    """The density plan's spend (``_density_plan``) projected onto the
+    financed states (``_PrimalObjective.solve`` without the objective's
+    gradient) from nu = (x, 0, ..., 0), where that state can start Newton
+    (``usable``); else the state of no holdings, each consuming internal
+    node eating x / (2 A), with the wealth x less the spend to date.
 
     A dead root receives nothing under the density plan, which therefore
     never starts a tree with dead roots.
     """
-    if not obj.n_dead:
-        plan = _density_plan(obj)
-        state = None if plan is None else obj.plan(*plan)
-        if state is not None:
+    nu = np.zeros(obj.kkt.n_rows)
+    nu[0] = obj.x
+    if not obj.n_dead and (sigma := _density_plan(obj)) is not None:
+        dsigma, dnu = obj.solve(sigma, nu, np.zeros(sigma.size), obj.curvature(sigma, 0.0))
+        state = sigma + dsigma, nu + dnu
+        if obj.usable(*state):
             return state
     geo = obj.geo
+    trim, internal = geo.trimmed, geo.internal_mask[geo.trimmed]
     c = np.where(geo.internal_mask & geo.consuming, obj.x / (2.0 * geo.model.clock.bound), 0.0)
-    state = obj.plan(np.zeros((geo.tree.n_nodes, geo.model.n_active)), c)
-    if state is None:
+    X = obj.x - cumulative_spend(geo.model, c)[trim]  # post-consumption wealth
+    sigma = np.where(internal, geo.model.clock.dkappa[trim] * c[trim], X)[obj.cols]
+    if not np.all(sigma > 0.0):
         raise DualityLabError("could not construct a strictly feasible starting plan")
-    return state
+    nu[1 : 1 + np.count_nonzero(internal)] = -X[internal]
+    return sigma, nu
 
 
 def _density_plan(obj):
-    """(H, c) of the plan c = I(y Z / w) at the gate's density Z, with c at
-    the consuming internal nodes only, or None where it is not finite.
+    """The spend dkappa c of the plan c = I(y Z / w) at the gate's density Z,
+    in the order of ``obj.cols`` on a tree without dead roots, or None where
+    it is not finite and positive.
 
     One scalar y makes the budget sum P dkappa Z c equal x: a rescaling for
     log and power, whose I is a power of y, and a bracketed root of the
-    budget's logarithm otherwise.  The pre-consumption wealth X = E[sum of
-    Z dkappa c at and below the node] / (P Z) is one leaf-to-root pass, and
-    each internal node holds the least-squares solution on its kept assets
-    for the wealth moves into its children.  Where Z is the only martingale
-    density these moves are replicated exactly and the plan is optimal.
+    budget's logarithm otherwise.  Where Z is the only martingale density
+    this spend is financed, and the plan is optimal.
     """
     geo, base = obj.geo, obj.base
-    tree, dk, trim = geo.tree, geo.model.clock.dkappa, geo.trimmed
-    z = ensure_full_density(geo)
-    pos = trim[obj.cols[obj.cons]]
-    price = tree.path_prob[pos] * dk[pos] * z[pos]  # of one unit of each rate
-    zw = z[pos] / obj.w
+    pos = geo.trimmed[obj.cols]
+    z = ensure_full_density(geo)[pos]
+    price = geo.tree.path_prob[pos] * obj.dk * z  # of one unit of each rate
+    zw = z / obj.w
     with np.errstate(all="ignore"):
         c = base.inv_u_prime(zw)
         if obj.degree is None:
@@ -291,22 +285,8 @@ def _density_plan(obj):
 
             t = brentq(_log_budget_excess, 0.0, t, args=args, xtol=1e-14)
             c = base.inv_u_prime(np.exp(t) * zw)
-        rates = np.zeros(tree.n_nodes)
-        rates[pos] = c * (obj.x / float(np.dot(price, c)))
-        mass = np.zeros(tree.n_nodes)
-        mass[pos] = price * rates[pos]
-        _accumulate_up(mass, tree.parent, tree.levels)
-        pre = np.append((mass / (tree.path_prob * z))[trim], 0.0)  # and the spare slots'
-    post = pre[:-1] - (dk * rates)[trim]
-    _, _, _, dates, keep = geo.markets()
-    H = np.zeros((tree.n_nodes, geo.model.n_active))
-    for first, own, child, dS in dates if H.size else ():
-        move = np.where(child < trim.size, pre[child] - post[own, None], 0.0)
-        kept = keep[first : first + own.size]
-        fit = _pinv(dS * kept[:, None, :], kept.sum(axis=1))
-        H[trim[own]] = (fit @ move[:, :, None])[:, :, 0]
-    rates[~geo.internal_mask] = 0.0
-    return (H, rates) if np.isfinite(H).all() and np.isfinite(rates).all() else None
+        sigma = obj.dk * (c * (obj.x / float(np.dot(price, c))))
+    return sigma if np.all(np.isfinite(sigma) & (sigma > 0.0)) else None
 
 
 def _log_budget_excess(t, price, zw, base, x):
@@ -439,11 +419,20 @@ def _assemble_solution(obj, field, sigma, nu, iterations, mu_final) -> PrimalSol
 
 def _holdings_pinv(geo: Geometry):
     """Per date of ``Geometry.markets``, the pseudo-inverses of its nodes'
-    price-change blocks at the rank of their kept assets, kept per model."""
+    price-change blocks, each from as many leading singular values as the
+    node keeps assets, kept per model."""
     _, _, _, dates, keep = geo.markets()
-    return geo.memo("holdings_pinv", lambda: [
-        _pinv(dS, keep[first : first + own.size].sum(axis=1)) for first, own, _, dS in dates
-    ])
+
+    def build():
+        pinvs = []
+        for first, own, _, dS in dates:
+            u, s, vt = np.linalg.svd(dS, full_matrices=False)
+            kept = np.arange(s.shape[1]) < keep[first : first + own.size].sum(axis=1)[:, None]
+            s = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
+            pinvs.append(np.swapaxes(vt, 1, 2) @ (s[:, :, None] * np.swapaxes(u, 1, 2)))
+        return pinvs
+
+    return geo.memo("holdings_pinv", build)
 
 
 @dataclass

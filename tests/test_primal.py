@@ -33,7 +33,6 @@ from conftest import (
     arbitrage_model,
     binomial_model,
     binomial_two_period_partial_clock,
-    trinomial_model,
 )
 from test_treeops import random_models, ref_rows, traded_assets
 
@@ -646,6 +645,34 @@ class TestDensityPlan:
             # certifies it, and one more the scaled plan of log and power.
             assert sol.iterations <= 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(random_models(), random_models(martingale=True)),
+        st.sampled_from(sorted(TestWarmStart.PARAMS)),
+        st.booleans(),
+        st.floats(0.1, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cold_start_is_financed(self, model, family, weighted, x, seed):
+        # The projected plan, or the zero-holdings fallback, can start Newton;
+        # where Z is the only density the plan is financed already, so the
+        # projection keeps its spend.
+        rng = np.random.default_rng(seed)
+        weights = ({nid: float(rng.uniform(0.5, 2.0)) for nid in model.tree.ids}
+                   if weighted else None)
+        field = UtilityField(family=family, weights=weights, **TestWarmStart.PARAMS[family])
+        geo = build_geometry(model)
+        obj = _PrimalObjective(geo, field, x)
+        try:
+            sigma, nu = primal_module._cold_start(obj)
+        except InfeasibleMarketError:
+            assume(False)
+        assert obj.usable(sigma, nu)
+        internal, kids, _, _, keep = geo.markets()
+        if kids.size == internal.size + keep.sum() and not geo.dead_root_mask.any():
+            plan = primal_module._density_plan(obj)
+            np.testing.assert_allclose(sigma, plan, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("family", sorted(TestWarmStart.PARAMS))
     def test_complete_tree_solves_in_one_step(self, family):
         model = binomial_model(6, 0.6, {t: 1.0 / 6.0 for t in range(1, 7)})
@@ -688,9 +715,9 @@ class TestScalingReference:
             return out
 
         monkeypatch.setattr(primal_module, "_maximize", counted)
-        # Incomplete, so that the gate's density does not already give the
-        # optimal plan and the reference takes more than one step.
-        model = trinomial_model()
+        # Dead roots receive nothing under the density plan, so the reference
+        # starts from zero holdings and takes more than one step.
+        model = binomial_two_period_partial_clock(up_subtree_only=True)
         first = solve_primal(model, field, 2.0)
         reference, own = ran
         assert reference > 1 and own == 1
