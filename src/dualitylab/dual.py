@@ -405,16 +405,20 @@ def solve_dual(
     ensure_full_density(geo)
 
     # The log and power conjugates factorize in y, so their minimizing
-    # density does not depend on y: solve once at y = 1 (well scaled) and
-    # map the value through the exact scaling law.
+    # density does not depend on y: solve once at y = 1 (well scaled), keep
+    # that solution per field values, with read-only arrays and nothing that
+    # refers back to the model, and map the value through the exact scaling
+    # law.  A tighter tol than the kept one's solves it again.
     if field.degree is not None:
-        def solve():
+        cache = geo.memo("dual_reference", dict)
+        key = (field.family, field.gamma, field.alpha, field.beta, field.weights_key)
+        ref, iterations = cache.get(key), 0
+        if ref is None or ref[0] > tol:
             sol = _solve_dual(geo, field, 1.0, tol, max_iter, None)
-            return dict(value=sol.value, Z=sol.Z, zeta=sol.zeta,
-                        attained_on_boundary=sol.attained_on_boundary), sol.iterations
-
-        ref, iterations = scaling_reference(geo, "dual", field, tol, solve)
-        value = ref["value"]
+            sol.Z.flags.writeable = sol.zeta.flags.writeable = False
+            ref = cache[key] = tol, sol.Z, sol.zeta, sol.value, sol.attained_on_boundary
+            iterations = sol.iterations
+        _, Z, zeta, value, boundary = ref
         if field.family == "log":
             cons = geo.consuming  # sum P dkappa w
             coef = model.tree.path_prob[cons] * model.clock.dkappa[cons]
@@ -422,11 +426,11 @@ def solve_dual(
         else:
             value *= y ** (field.gamma / (field.gamma - 1.0))
         return DualSolution(
-            Z=ref["Z"],
-            zeta=ref["zeta"],
+            Z=Z,
+            zeta=zeta,
             y=y,
             value=value,
-            attained_on_boundary=ref["attained_on_boundary"],
+            attained_on_boundary=boundary,
             iterations=iterations,
             model=model,
             field=field,
@@ -614,31 +618,6 @@ def _barrier_solve(obj, q, tol, max_iter, late):
             )
         f = obj.value(q)
     return q, f, iterations
-
-
-def scaling_reference(geo: Geometry, side: str, field: UtilityField, tol: float, solve):
-    """The log or power field's reference solve of one side, kept in the
-    model's memo per field values: the primal's plan at x = 1 and the dual's
-    solution at y = 1, from which the exact scaling law gives every other
-    wealth or y.
-
-    ``solve()`` returns (entry, steps): a dict of floats and arrays, none of
-    which refers back to the model, and the Newton steps it ran.  The arrays
-    are kept read-only.  Returns the entry and the steps this call ran: the
-    reference's when it solved it, 0 when the kept entry served.  Re-solves
-    when asked for a tighter tolerance than the kept entry's.
-    """
-    key = (field.family, field.gamma, field.alpha, field.beta, field.weights_key)
-    cache = geo.memo(f"{side}_reference", dict)
-    hit = cache.get(key)
-    if hit is not None and hit[0] <= tol:
-        return hit[1], 0
-    entry, steps = solve()
-    for value in entry.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    cache[key] = tol, entry
-    return entry, steps
 
 
 def _min_norm_correction(A, r, kkt=None):

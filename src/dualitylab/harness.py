@@ -90,10 +90,11 @@ def pair_solutions(
 def marginal_value_estimate(
     model: MarketModel, field: UtilityField, x: float, tol: float = 1e-8
 ) -> float:
-    """Centered-difference estimate of u'(x) with relative step ``FD_STEP``."""
+    """Centered-difference estimate of u'(x) with relative step ``FD_STEP``;
+    the x - h solve starts from the x + h solution."""
     h = FD_STEP * x
     up = solve_primal(model, field, x + h, tol)
-    dn = solve_primal(model, field, x - h, tol)
+    dn = solve_primal(model, field, x - h, tol, warm_start=up)
     return (up.value - dn.value) / (2.0 * h)
 
 

@@ -40,7 +40,10 @@ the plan is financed already, so the projection keeps each spend, however
 small, to rounding relative to its own size, and Newton certifies the
 plan in one step; on other trees it is a start like any other, and where
 it is not strictly inside the domain (dead roots receive nothing under
-the plan) Newton starts from zero holdings instead.
+the plan) Newton starts from zero holdings instead.  A warm start scales
+an earlier solution's state on the same model to the new wealth; log and
+power values scale exactly in x, so there it is the optimum, and no
+solve reuses another's without one.
 
 Holdings are not unique when assets are redundant, so after convergence
 each node's holdings are reported as the minimum-norm solution reproducing
@@ -57,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dual import ensure_full_density, scaling_reference
+from .dual import ensure_full_density
 from .errors import ConvergenceError, DualityLabError, ValueDivergenceError
 from .market import MarketModel
 from .treeops import (Geometry, _line_search, build_geometry, cumulative_spend,
@@ -76,10 +79,8 @@ class PrimalSolution:
     chosen.  ``kkt_residual`` bounds the optimality gap estimate plus the
     worst admissibility violation; ``y_estimate`` is the marginal value of
     wealth implied by the budget identity.  ``iterations`` counts the Newton
-    steps the call ran: a log or power solve's own steps from its scaled
-    x = 1 plan, plus that plan's steps when the call solved it.  ``theta``
-    (read-only) is the Newton state, the spend sigma then the multipliers
-    nu, which ``warm_start`` reads.
+    steps the call ran.  ``theta`` (read-only) is the Newton state, the
+    spend sigma then the multipliers nu, which ``warm_start`` reads.
     """
 
     c: np.ndarray
@@ -178,23 +179,21 @@ def solve_primal(
     ``InfeasibleMarketError`` naming a node and its arbitrage otherwise,
     and ``ConvergenceError`` when the Newton iteration exhausts its budget
     before certifying the gap estimate.  The gate's density, the node
-    system and its kernel, and the log and power families' plan at x = 1
-    stay in the model's memo for later solves.
+    system and its kernel stay in the model's memo for later solves.
 
     ``warm_start`` accepts a previous solution on the same model and reads
     its ``theta``; a solution from another model, or one without ``theta``,
     is ignored.  The state (sigma, nu) is linear in x, so its state scaled
     by x / warm_start.x is feasible at x, and optimal where the field is a
-    pure power.  Newton starts there when its spend is positive and
-    financed, entering the dead-root barrier at its final weight, and from
-    ``_cold_start`` otherwise: the density plan c = I(y Z / w) at the gate's
-    density projected onto the financed states, optimal where that density
-    is the only one, or zero holdings where the plan leaves the domain, as
-    on trees with dead roots.  Without a warm start, a log or power field
-    starts from its state at x = 1 scaled by x, which the first such call
-    solves from the cold start (``scaling_reference``); the scaling law is
-    exact for these fields, barrier included, so one Newton step certifies
-    the plan.
+    log or power field, whose dead-root barrier scales with the objective,
+    so one Newton step certifies it.  Newton starts there when its spend is
+    positive and financed, entering the dead-root barrier at its final
+    weight, and from ``_cold_start`` otherwise: the density plan
+    c = I(y Z / w) at the gate's density projected onto the financed
+    states, optimal where that density is the only one, or zero holdings
+    where the plan leaves the domain, as on trees with dead roots.  The
+    answer depends on the model, field, x, tol and warm start alone, not
+    on earlier solves.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
@@ -203,25 +202,16 @@ def solve_primal(
     ensure_full_density(geo)  # no-arbitrage gate
 
     obj = _PrimalObjective(geo, field, x)
-    state, steps = None, 0
+    state = None
     if warm_start is not None and warm_start.model is model and warm_start.theta is not None:
         state = np.split(warm_start.theta * (x / warm_start.x), [obj.cols.size])
         state[1][0] = x
-    elif field.degree is not None:
-        def solve():
-            at_one = _PrimalObjective(geo, field, 1.0)
-            (sigma, nu), iterations, _ = _maximize(at_one, _cold_start(at_one), False, tol,
-                                                   max_iter)
-            return {"sigma": sigma, "nu": nu}, iterations
-
-        ref, steps = scaling_reference(geo, "primal", field, tol, solve)
-        state = ref["sigma"] * x, ref["nu"] * x
     warm = state is not None and obj.usable(*state)
     if not warm:
         state = _cold_start(obj)
 
     state, iterations, mu = _maximize(obj, state, warm, tol, max_iter)
-    return _assemble_solution(obj, field, *state, steps + iterations, mu)
+    return _assemble_solution(obj, field, *state, iterations, mu)
 
 
 def _cold_start(obj):

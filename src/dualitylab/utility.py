@@ -208,6 +208,11 @@ class UtilityField:
         return None if self.weights is None else frozenset(self.weights.items())
 
     def weight(self, node) -> float:
+        """The weight at ``node``, read against that one id (``weight_array``),
+        as the pointwise API below reads it.  It never sees the tree, so on
+        a tree whose ids mix ``"1"`` and ``1`` it reads the key ``"1"`` as
+        node 1, where the tree reads it as node ``"1"``; the solvers read
+        ``node_weights(model, field)``."""
         return float(self.weight_array([node])[0])
 
     def weight_array(self, node_ids) -> np.ndarray:

@@ -146,6 +146,9 @@ class TestOptimalityRelations:
         index = model.tree.index_of
         w = node_weights(model, field)
         assert (w[index["1"]], w[index[1]]) == (2.0, 1.0)
+        # The pointwise API sees one node, never the tree, so there the key
+        # "1" names node 1 too.
+        assert (field.weight("1"), field.weight(1)) == (2.0, 2.0)
         primal, dual, y = pair_solutions(model, field, 1.0)
         report = optimality_relations_check(primal, dual, tol=1e-6)
         assert abs(primal.value - dual.value - y) <= 1e-6

@@ -698,53 +698,12 @@ SCALED_FIELDS = [UtilityField(family="log"), UtilityField(family="power", gamma=
 
 
 class TestScalingReference:
-    """Log and power solves start from the model's kept plan at x = 1, scaled."""
+    """Log and power plans follow the exact scaling law in x: a reference
+    solve at x = 1, scaled by x through ``warm_start``, is the optimum."""
 
     @staticmethod
     def model():
         return binomial_model(3, 0.6, {1: 1.0 / 3.0, 2: 1.0 / 3.0, 3: 1.0 / 3.0})
-
-    @pytest.mark.parametrize("field", SCALED_FIELDS[:2], ids=["log", "power"])
-    def test_scaled_solves_count_their_own_newton_steps(self, field, monkeypatch):
-        ran = []  # the steps of every Newton ascent run, the reference's first
-        real = primal_module._maximize
-
-        def counted(*args):
-            out = real(*args)
-            ran.append(out[1])
-            return out
-
-        monkeypatch.setattr(primal_module, "_maximize", counted)
-        # Dead roots receive nothing under the density plan, so the reference
-        # starts from zero holdings and takes more than one step.
-        model = binomial_two_period_partial_clock(up_subtree_only=True)
-        first = solve_primal(model, field, 2.0)
-        reference, own = ran
-        assert reference > 1 and own == 1
-        assert first.iterations == reference + own
-        later = [solve_primal(model, field, x).iterations for x in (0.5, 1.0, 3.0)]
-        assert later == ran[2:] == [1, 1, 1]
-        assert first.iterations + sum(later) == sum(ran)
-
-    @pytest.mark.parametrize("field", SCALED_FIELDS[:2], ids=["log", "power"])
-    def test_solves_at_one_read_the_kept_reference(self, field, monkeypatch):
-        cold = []
-        real = primal_module._cold_start
-        monkeypatch.setattr(primal_module, "_cold_start",
-                            lambda obj: cold.append(obj.x) or real(obj))
-        model = self.model()
-        first, again = solve_primal(model, field, 1.0), solve_primal(model, field, 1.0)
-        assert cold == [1.0]
-        assert again.iterations == 1 < first.iterations
-        for name in ("c", "H", "X", "value", "kkt_residual", "y_estimate"):
-            assert np.array_equal(getattr(first, name), getattr(again, name)), name
-
-    def test_a_tighter_tolerance_solves_the_reference_again(self, log_field):
-        model = self.model()
-        solve_primal(model, log_field, 2.0, 1e-8)
-        assert solve_primal(model, log_field, 2.0, 1e-6).iterations == 1
-        assert solve_primal(model, log_field, 2.0, 1e-10).iterations > 1
-        assert solve_primal(model, log_field, 2.0, 1e-8).iterations == 1
 
     @pytest.mark.parametrize("dead_roots", [False, True], ids=["consuming", "dead-roots"])
     @pytest.mark.parametrize("field", SCALED_FIELDS, ids=["log", "power0.5", "power-1.5"])
@@ -756,9 +715,12 @@ class TestScalingReference:
             model = self.model()
         tree, dk = model.tree, model.clock.dkappa
         mass = float(np.dot(tree.path_prob * dk, field.weight_array(list(tree.ids))))
-        one = solve_primal(model, field, 1.0, 1e-10)
+        # Both sides of the law sit one Newton step past the same state.
+        ref = solve_primal(model, field, 1.0, 1e-10)
+        one = solve_primal(model, field, 1.0, 1e-10, warm_start=ref)
+        assert one.iterations == 1
         for x in (0.05, 0.5, 3.0, 20.0):
-            sol = solve_primal(model, field, x, 1e-10)
+            sol = solve_primal(model, field, x, 1e-10, warm_start=ref)
             # The barrier on dead-root wealth scales with the plan, so one
             # step certifies the scaled plan on either tree.
             assert sol.iterations == 1
@@ -794,8 +756,25 @@ class TestScalingReference:
         for x in (0.5, 1.0, 2.0):
             solve_primal(model, bounded_field, x)
             solve_dual(model, bounded_field, x)
-        assert "primal_reference" not in model._memo
         assert "dual_reference" not in model._memo
+        # No primal solve keeps a plan for later ones, whatever the field.
+        for field in SCALED_FIELDS:
+            for x in (0.5, 1.0, 2.0):
+                solve_primal(model, field, x)
+        assert "primal_reference" not in model._memo
+
+    @pytest.mark.parametrize("field", SCALED_FIELDS[:2], ids=["log", "power0.5"])
+    def test_solves_do_not_depend_on_earlier_solves(self, field):
+        # On this tree the cold start is zero holdings, which takes many
+        # steps; a solve at x = 5 on the same model must not shorten them.
+        fresh = solve_primal(binomial_two_period_partial_clock(up_subtree_only=True),
+                             field, 2.0, 1e-6)
+        model = binomial_two_period_partial_clock(up_subtree_only=True)
+        solve_primal(model, field, 5.0, 1e-10)
+        later = solve_primal(model, field, 2.0, 1e-6)
+        assert fresh.iterations > 1
+        for name in ("c", "H", "X", "value", "iterations"):
+            assert np.array_equal(getattr(fresh, name), getattr(later, name)), name
 
 
 def tree_from_edges(edges, prices, clock, bound):
