@@ -530,7 +530,9 @@ def value_convergence_study(
     field's weights at the model's nodes (``node_weights``), which has the
     same values (see ``market.quotient``); on N independent one-period
     assets it keeps 2**n of the 2**N leaves.  Along each grid, every solve is
-    warm-started from the previous point's solution on the same level.  Both
+    warm-started from the previous point's solution on the same level (a
+    primal start that ``solve_primal`` ignores on a complete level, where
+    its cold start is the optimum, unless the field has a scaling law).  Both
     value families must be nondecreasing in n (nested strategy and density
     sets); a violation beyond the slack signals that the solver tolerance is
     too loose and raises ``ConvergenceError``.

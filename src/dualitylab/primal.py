@@ -29,6 +29,10 @@ Newton with the dual's line search (``treeops._line_search``: Armijo
 backtracking from the fraction to the boundary of sigma > 0, Waechter &
 Biegler, Math. Prog. 2006, the barrier as its weights) therefore converges
 without explicit inequality handling, and no trial recomputes wealth.
+The certificate ``kkt_residual`` rests on the Newton decrement at the state
+returned.  A final step that moves the state by rounding only is not taken,
+so its own decrement certifies the state; after any other final step one
+more kernel solve computes the decrement where that step landed.
 
 A cold solve starts from the density plan c = I(y Z / w), the relation
 between optimal consumption and the dual optimizer, taken at the gate's
@@ -42,8 +46,9 @@ plan in one step; on other trees it is a start like any other, and where
 it is not strictly inside the domain (dead roots receive nothing under
 the plan) Newton starts from zero holdings instead.  A warm start scales
 an earlier solution's state on the same model to the new wealth; log and
-power values scale exactly in x, so there it is the optimum, and no
-solve reuses another's without one.
+power values scale exactly in x, so there it is the optimum.  A field
+without that law starts cold on a complete tree, where the density plan is
+the optimum, and no solve reuses another's without a warm start.
 
 Holdings are not unique when assets are redundant, so after convergence
 each node's holdings are reported as the minimum-norm solution reproducing
@@ -68,6 +73,10 @@ from .treeops import (Geometry, _line_search, build_geometry, cumulative_spend,
 from .utility import UtilityField, node_weights
 
 VALUE_CEILING = 1e100
+# Share of each spend, and of nu's largest entry, within which a converged
+# Newton step is rounding and is not taken.  On complete trees, where the
+# start is the optimum, final steps move the state by about 1e-14 of itself.
+ROUNDING_STEP = 1e-12
 
 
 @dataclass
@@ -112,6 +121,10 @@ class _PrimalObjective:
         self.cons = np.flatnonzero(geo.consuming[pos])
         self.dead = np.flatnonzero(geo.dead_root_mask[pos])
         self.n_dead = self.dead.size
+        # A square node system (every node has one more child than the
+        # assets it keeps; the gate allows no fewer) and no dead root: the
+        # gate's density is the only one.
+        self.complete = self.kkt.n_rows == trim.size and not self.n_dead
         pos = pos[self.cons]
         self.dk = geo.model.clock.dkappa[pos]
         self.w = node_weights(geo.model, field)[pos]
@@ -191,9 +204,12 @@ def solve_primal(
     weight, and from ``_cold_start`` otherwise: the density plan
     c = I(y Z / w) at the gate's density projected onto the financed
     states, optimal where that density is the only one, or zero holdings
-    where the plan leaves the domain, as on trees with dead roots.  The
-    answer depends on the model, field, x, tol and warm start alone, not
-    on earlier solves.
+    where the plan leaves the domain, as on trees with dead roots.  A field
+    without a scaling law ignores ``warm_start`` on a complete tree (every
+    node has one more child than the assets it keeps, and no root is dead),
+    where the cold start is the optimum.  ``kkt_residual`` is certified at
+    the state returned (``_maximize``).  The answer depends on the model,
+    field, x, tol and warm start alone, not on earlier solves.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DualityLabError(f"initial wealth must be positive and finite, got {x}")
@@ -203,15 +219,16 @@ def solve_primal(
 
     obj = _PrimalObjective(geo, field, x)
     state = None
-    if warm_start is not None and warm_start.model is model and warm_start.theta is not None:
+    if (warm_start is not None and warm_start.model is model and warm_start.theta is not None
+            and (field.degree is not None or not obj.complete)):
         state = np.split(warm_start.theta * (x / warm_start.x), [obj.cols.size])
         state[1][0] = x
     warm = state is not None and obj.usable(*state)
     if not warm:
         state = _cold_start(obj)
 
-    state, iterations, mu = _maximize(obj, state, warm, tol, max_iter)
-    return _assemble_solution(obj, field, *state, iterations, mu)
+    state, iterations, mu, lam2 = _maximize(obj, state, warm, tol, max_iter)
+    return _assemble_solution(obj, field, *state, iterations, mu, lam2)
 
 
 def _cold_start(obj):
@@ -290,8 +307,13 @@ def _maximize(obj, state, warm, tol, max_iter):
     """Damped Newton ascent from the state (sigma, nu), through the dead-root
     barrier's stages (only the last one when ``warm``).
 
-    Returns the final state, the Newton steps run and the final barrier
-    weight.
+    A stage ends on a step whose decrement is within its tolerance; it is
+    skipped where it moves no spend by more than ``ROUNDING_STEP`` of that
+    spend and nu by no more than ``ROUNDING_STEP`` of nu's largest entry,
+    and taken otherwise.  Returns the final state, the Newton steps
+    computed, the final barrier weight, and the squared decrement of a
+    skipped last step, computed at the state returned, or None where the
+    last step was taken.
     """
     stop_tol = max(min(tol, 1e-8) * 1e-4, 1e-16)
     mus = [0.0]
@@ -329,7 +351,11 @@ def _maximize(obj, state, warm, tol, max_iter):
             iterations += 1
             dsigma, dnu, lam2, g = obj.step(sigma, nu, mu)
             done = lam2 / 2.0 <= inner_tol
-            if done and lam2 == 0.0:
+            if done and np.all(np.abs(dsigma) <= ROUNDING_STEP * sigma) and (
+                    np.max(np.abs(dnu)) <= ROUNDING_STEP * np.max(np.abs(nu))):
+                # A rounding step: its decrement certifies the state as it stands.
+                if last:
+                    return (sigma, nu), iterations, mu, lam2
                 break
             if done and lam2 / 2.0 <= stop_tol and np.min(sigma + dsigma) > 0.0:
                 # Quadratic phase: the pending step squares the accuracy.
@@ -344,10 +370,10 @@ def _maximize(obj, state, warm, tol, max_iter):
                 break
             if -f > VALUE_CEILING:
                 raise ValueDivergenceError("primal objective diverged")
-    return (sigma, nu), iterations, mus[-1]
+    return (sigma, nu), iterations, mus[-1], None
 
 
-def _assemble_solution(obj, field, sigma, nu, iterations, mu_final) -> PrimalSolution:
+def _assemble_solution(obj, field, sigma, nu, iterations, mu_final, lam2) -> PrimalSolution:
     geo, x = obj.geo, obj.x
     model = geo.model
     tree = geo.tree
@@ -378,8 +404,10 @@ def _assemble_solution(obj, field, sigma, nu, iterations, mu_final) -> PrimalSol
     # Stationarity is measured with the final barrier in place: at a plan
     # whose dead-branch wealth floor binds, the bare gradient equals the
     # floor's shadow price rather than a violation.  The barrier's own bias
-    # on the value is at most mu per floored branch.
-    lam2 = obj.step(sigma, nu, mu_final)[2]
+    # on the value is at most mu per floored branch.  lam2 is None unless
+    # ``_maximize`` computed it at (sigma, nu).
+    if lam2 is None:
+        lam2 = obj.step(sigma, nu, mu_final)[2]
     gap_est = lam2 / 2.0 + mu_final * obj.n_dead
     feas = max(0.0, -float(np.min(X))) / max(1.0, x)
     kkt = max(gap_est, feas)

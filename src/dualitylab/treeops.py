@@ -221,25 +221,37 @@ def martingale_density(model: MarketModel, nodes: np.ndarray, markets) -> np.nda
     A tree is arbitrage-free exactly when every one-period node market is
     (Föllmer & Schied, *Stochastic Finance*, ch. 5).  At each internal node
     of the subtree's ``node_markets``, a damped Newton minimizes
-    phi(lam) = log sum_c p_c exp(lam . dS_c) in the node's kept assets, one
-    date at a time over the padded layout; at the minimizer,
-    q_c = p_c exp(lam . dS_c) / sum is a strictly positive one-step
-    martingale measure (Rogers, Stochastics 1994).  Their products along the
-    paths give Z over ``nodes``, Z = 1 at the root.  Where a node's Newton
-    fails, one small LP on that node finds holdings whose gains are
-    nonnegative at every child and positive at one, and
+    phi(lam) = log sum_c p_c exp(lam . dS_c) in the node's kept assets; at
+    the minimizer, q_c = p_c exp(lam . dS_c) / sum is a strictly positive
+    one-step martingale measure (Rogers, Stochastics 1994).  No node's
+    problem depends on another's, so one batched Newton runs per padded
+    node width, over every date of that width.  The measures' products
+    along the paths give Z over ``nodes``, Z = 1 at the root, one date at a
+    time.  Where a node's Newton fails, the earliest date's failing node of
+    lowest position is named: one small LP on it finds holdings whose gains
+    are nonnegative at every child and positive at one, and
     ``InfeasibleMarketError`` carries the node's id and those holdings.
     """
     _, _, _, dates, keep = markets
     p = np.append(model.tree.cond_prob[nodes], 1.0)  # and the sentinel's
+    widths = {}
+    for d, (_, _, child, _) in enumerate(dates):
+        widths.setdefault(child.shape[1], []).append(d)
+    measures = [None] * len(dates)
+    for group in widths.values():
+        child = np.concatenate([dates[d][2] for d in group])
+        logp = np.where(child < nodes.size, np.log(p[child]), -np.inf)
+        dS = np.concatenate([dS * keep[first : first + own.size, None, :]
+                             for first, own, _, dS in (dates[d] for d in group)])
+        q, failed = _one_step_measures(logp, dS)
+        cut = np.cumsum([dates[d][1].size for d in group])[:-1]
+        for d, qd, fd in zip(group, np.split(q, cut), np.split(failed, cut)):
+            measures[d] = qd, fd
     z = np.ones(nodes.size + 1)
-    for first, own, child, dS in dates:
-        real = child < nodes.size
-        logp = np.where(real, np.log(p[child]), -np.inf)
-        q, failed = _one_step_measures(logp, dS * keep[first : first + own.size, None, :])
+    for (first, own, child, dS), (q, failed) in zip(dates, measures):
         if failed.any():
             i = int(np.flatnonzero(failed)[0])
-            _raise_arbitrage(model, nodes[own[i]], dS[i][real[i]], keep[first + i])
+            _raise_arbitrage(model, nodes[own[i]], dS[i][child[i] < nodes.size], keep[first + i])
         z[child] = z[own, None] * (q / p[child])
     return z[:-1]
 

@@ -548,8 +548,11 @@ class TestConvergenceStudy:
             assert np.all(np.abs(curves.u[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             if n == 1:
                 # Level 1 is complete, so each cold start is the optimal plan
-                # and certifies in one step: warm starts have nothing to save.
+                # and certifies in one step: warm starts have nothing to save,
+                # and the bounded field, without a scaling law, ignores them.
                 assert all(sol.iterations == 1 for sol in cold)
+                assert all(call[3].iterations == 1 for call in level)
+                assert np.array_equal(curves.u[k], want)
             else:
                 # Every solve but the level's first starts warm.
                 warm_iters += sum(call[3].iterations for call in level[1:])

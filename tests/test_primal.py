@@ -695,6 +695,65 @@ class TestDensityPlan:
 
 SCALED_FIELDS = [UtilityField(family="log"), UtilityField(family="power", gamma=0.5),
                  UtilityField(family="power", gamma=-1.5)]
+FINAL_STEP_FIELDS = SCALED_FIELDS + [UtilityField(family="bounded", alpha=0.5, beta=2.0)]
+FINAL_STEP_IDS = ["log", "power0.5", "power-1.5", "bounded"]
+
+
+class TestFinalStep:
+    """A final Newton step that moves the state by rounding only is not taken,
+    and its decrement, computed at the state returned, is the certificate;
+    any other final step is taken, and one more kernel solve certifies the
+    state it reached."""
+
+    @staticmethod
+    def count_kernel_solves(monkeypatch):
+        calls = []
+        solve = treeops._NodeKKT.solve
+
+        def spy(self, *args, **kwargs):
+            calls.append(None)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(treeops._NodeKKT, "solve", spy)
+        return calls
+
+    @staticmethod
+    def assert_certified_where_returned(model, field, sol):
+        # The trees here have no dead roots, so the final barrier weight is 0.
+        obj = _PrimalObjective(build_geometry(model), field, sol.x)
+        assert not obj.n_dead
+        lam2 = obj.step(*np.split(sol.theta, [obj.cols.size]), 0.0)[2]
+        feas = max(0.0, -float(np.min(sol.X))) / max(1.0, sol.x)
+        assert sol.kkt_residual == max(lam2 / 2.0, feas)
+
+    @pytest.mark.parametrize("field", FINAL_STEP_FIELDS, ids=FINAL_STEP_IDS)
+    def test_complete_tree_needs_no_recertifying_solve(self, monkeypatch, field):
+        # The benchmark's deep tree: nine periods, clock 1/9 at every date.
+        model = binomial_model(9, 0.6, {t: 1.0 / 9.0 for t in range(1, 10)})
+        calls = self.count_kernel_solves(monkeypatch)
+        cold = solve_primal(model, field, 1.0, 1e-8)
+        # The density plan's projection, then one step that is not taken.
+        assert (len(calls), cold.iterations) == (2, 1)
+        calls.clear()
+        warm = solve_primal(model, field, 2.0, 1e-8, warm_start=cold)
+        # The scaled log or power plan is the optimum; the bounded field has
+        # no scaling law, so on a complete tree it starts cold.
+        assert (len(calls), warm.iterations) == ((1, 1) if field.degree is not None else (2, 1))
+        monkeypatch.undo()
+        if field.degree is None:
+            TestWarmStart.assert_same(warm, solve_primal(model, field, 2.0, 1e-8))
+        for sol in (cold, warm):
+            self.assert_certified_where_returned(model, field, sol)
+
+    @pytest.mark.parametrize("field", FINAL_STEP_FIELDS, ids=FINAL_STEP_IDS)
+    def test_incomplete_tree_takes_and_recertifies_the_final_step(self, monkeypatch, field):
+        model = build_example_market(ExampleMarketSpec(3, (0.6, 0.65, 0.7)))
+        calls = self.count_kernel_solves(monkeypatch)
+        sol = solve_primal(model, field, 1.0, 1e-8)
+        # The projection, every step, and the solve at the state reached.
+        assert len(calls) == sol.iterations + 2
+        monkeypatch.undo()
+        self.assert_certified_where_returned(model, field, sol)
 
 
 class TestScalingReference:

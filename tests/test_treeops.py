@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualitylab import treeops
-from dualitylab.errors import BudgetError
+from dualitylab.errors import BudgetError, DualityLabError, InfeasibleMarketError
 from dualitylab.market import build_tree
 from dualitylab.treeops import (
     build_geometry,
@@ -332,6 +332,70 @@ def test_node_system_matches_reference_loop(model):
         assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
         assert_same(b, np.eye(1, n_rows)[0])
         assert np.array_equal(price_row >= 0, keep)
+
+
+def ref_gate(model, nodes, markets):
+    """The gate one date at a time: each date's Newton on its own, then its
+    measures' products; the id of the first failing node, or Z over ``nodes``."""
+    _, _, _, dates, keep = markets
+    p = np.append(model.tree.cond_prob[nodes], 1.0)
+    z = np.ones(nodes.size + 1)
+    for first, own, child, dS in dates:
+        logp = np.where(child < nodes.size, np.log(p[child]), -np.inf)
+        q, failed = treeops._one_step_measures(logp, dS * keep[first : first + own.size, None, :])
+        if failed.any():
+            return model.tree.ids[nodes[own[np.flatnonzero(failed)[0]]]]
+        z[child] = z[own, None] * (q / p[child])
+    return z[:-1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_models(), random_models(martingale=True)))
+def test_gate_matches_a_per_date_newton(model):
+    # Nodes have one to three children, so dates of one width interleave
+    # with others.  The gate batches each width's dates into one Newton; node
+    # problems are independent, so Z keeps its bits, and an arbitrage names
+    # the node the per-date loop meets first.
+    nodes = np.arange(model.tree.n_nodes)
+    markets = node_markets(model, nodes, ~model.tree.is_leaf)
+    want = ref_gate(model, nodes, markets)
+    if isinstance(want, np.ndarray):
+        assert_same(treeops.martingale_density(model, nodes, markets), want)
+    else:
+        # The node's LP may find no arbitrage after all; both errors name it.
+        with pytest.raises(DualityLabError, match=f"at node {want!r}"):
+            treeops.martingale_density(model, nodes, markets)
+
+
+def test_gate_names_the_earliest_arbitrage():
+    # Dates 0 and 2 have two children per node and date 1 three, so one
+    # Newton serves dates 0 and 2 before date 1's runs.  Node 1 (date 1) and
+    # node 6 (date 2) both have arbitrage: every child of node 1 is above it,
+    # and both children of node 6 are.  The earlier date's node is named.
+    moves = {1: (2.5, 3.0, 4.0), 2: (0.25, 0.5, 1.0)}
+    nodes, prices = [{"id": 0, "t": 0, "parent": None}], {0: [1.0]}
+    for k, s in ((1, 2.0), (2, 0.5)):
+        nodes.append({"id": k, "t": 1, "parent": 0, "prob": 0.5})
+        prices[k] = [s]
+    for pid in (1, 2):
+        for s in moves[pid]:
+            nodes.append({"id": len(nodes), "t": 2, "parent": pid, "prob": 1.0 / 3.0})
+            prices[len(prices)] = [s]
+    for pid in range(3, 9):
+        s = prices[pid][0]
+        for move in ((1.2, 1.6) if pid == 6 else (2.0, 0.5)):
+            nodes.append({"id": len(nodes), "t": 3, "parent": pid, "prob": 0.5})
+            prices[len(prices)] = [s * move]
+    clock = {nd["id"]: float(nd["t"] == 3) for nd in nodes}
+    model = build_tree({"nodes": nodes, "prices": prices, "clock": clock, "A": 1.0,
+                        "n_active": 1})
+    everything = np.arange(model.tree.n_nodes)
+    markets = node_markets(model, everything, ~model.tree.is_leaf)
+    assert [child.shape[1] for _, _, child, _ in markets[3]] == [2, 3, 2]
+    with pytest.raises(InfeasibleMarketError) as info:
+        treeops.martingale_density(model, everything, markets)
+    assert info.value.node == 1
+    assert info.value.holdings[0] > 0.0
 
 
 @pytest.mark.parametrize("up_subtree_only", [False, True], ids=["time-1-clock", "dead-subtree"])
